@@ -260,7 +260,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_data(args) -> int:
     config = _build_config(args)
     ds = generate_blobs(config.n_clusters, config.n_samples, config.view_dims,
-                        config.separation, config.noise_sigma, config.seed)
+                        config.separation, config.noise_sigma,
+                        derive_seeds(config.seed).data)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples x {ds.n_views} views to {args.out}")
     return 0

@@ -46,6 +46,10 @@ class MultiViewDataset:
             if v.shape[0] != n:
                 raise DataFormatError(
                     f"view {i} has {v.shape[0]} rows, expected {n}")
+            finite = np.isfinite(v)
+            if not finite.all():
+                row = int(np.argmin(finite.all(axis=1)))
+                raise DataFormatError(f"view {i} has a NaN or infinite value in row {row}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n,):

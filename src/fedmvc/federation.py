@@ -4,6 +4,14 @@ Clients are mutually independent within a round and may train on a
 thread pool; determinism holds in either mode because every client owns
 its data, parameters, and random stream, and the server always reduces
 in ascending client-id order.
+
+The drift term's reference features come from the frozen previous-round
+model and the broadcast global model. Neither changes within a round, so
+each client computes them once per round over its whole shard and every
+batch takes its rows from that result. This is exact, not an
+approximation: each inferred row depends only on its own input row, and
+the tests check that the sliced rows are bitwise equal to inferring the
+batch on its own.
 """
 
 from __future__ import annotations
@@ -92,7 +100,11 @@ class ClientState:
     holds only the rows and views this client owns; nothing else about the
     dataset is reachable from here. The rng is consumed in a fixed order:
     one permutation per local epoch, then one noise draw per batch on
-    single-view clients.
+    single-view clients. From round 2 on, the drift reference features of
+    ``frozen_prev`` and of the global model are inferred once per round,
+    over all of ``views``, before the first epoch: both models' weights are
+    fixed for the whole round, so the references cannot change between
+    batches.
     """
 
     shard: ClientShard
@@ -149,9 +161,31 @@ def pretrain_client(client: ClientState, epochs: int, lr: float,
     return {"recon": total / steps if steps else 0.0}
 
 
+def _drift_references(client: ClientState, global_params: ModelParams,
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(positive, negative) drift references over the client's whole shard.
+
+    Full clients pull toward their frozen previous-round model and away from
+    the global model; partial clients the other way round. Single-view
+    clients pull toward the global model, and their negative (``None``
+    here) is the current model on noisy input, drawn per batch.
+    """
+    ctype = client.shard.client_type
+    if ctype == CLIENT_FULL:
+        return (infer_fused(client.frozen_prev, client.views),
+                infer_fused(global_params, client.views))
+    if ctype == CLIENT_PARTIAL:
+        return (infer_fused(global_params, client.views),
+                infer_fused(client.frozen_prev, client.views))
+    return infer_fused(global_params, client.views), None
+
+
 def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParams,
-                loss_cfg: LossConfig, use_contrast: bool, use_drift: bool,
+                loss_cfg: LossConfig, use_contrast: bool,
+                refs: tuple[np.ndarray, np.ndarray | None] | None,
                 trainable: Sequence[Param]) -> dict[str, float]:
+    """One optimizer step on batch ``rows``; ``refs`` is None without drift."""
+    use_drift = refs is not None
     shard = client.shard
     ctype = shard.client_type
     views_b = {v: x[rows] for v, x in client.views.items()}
@@ -193,15 +227,12 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
                         if use_contrast else zero())
 
     if use_drift:
-        if ctype == CLIENT_FULL:
-            pos = infer_fused(client.frozen_prev, views_b)
-            neg = infer_fused(global_params, views_b)
-        elif ctype == CLIENT_PARTIAL:
-            pos = infer_fused(global_params, views_b)
-            neg = infer_fused(client.frozen_prev, views_b)
-        else:
-            pos = infer_fused(global_params, views_b)
+        pos_all, neg_all = refs
+        pos = pos_all[rows]
+        if neg_all is None:
             neg = noisy_feat.value.copy()  # current model on noisy input, detached
+        else:
+            neg = neg_all[rows]
         leaves = [tape.leaf(p) for p in trainable]
         global_values = [p.value for p in
                          global_params.trainable_params(shard.view_subset)]
@@ -245,6 +276,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     use_drift = round_index >= 2 and not config.no_drift
     trainable = client.params.trainable_params(client.shard.view_subset)
     client.optimizer = make_optimizer(config.optimizer, config.lr)
+    refs = _drift_references(client, global_params) if use_drift else None
 
     sums: dict[str, float] = {}
     steps = 0
@@ -252,7 +284,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     for _ in range(config.local_epochs):
         for rows in _batches(client.rng, n, config.batch_size):
             stats = _train_step(client, rows, global_params, loss_cfg,
-                                use_contrast, use_drift, trainable)
+                                use_contrast, refs, trainable)
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1

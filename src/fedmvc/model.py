@@ -137,12 +137,15 @@ def _forward_mlp2(x, layer: Sequence[Param]) -> Tensor:
     return T.affine(T.relu(T.affine(x, w1, b1)), w2, b2)
 
 
+def _check_view_columns(params: ModelParams, v: int, x: np.ndarray) -> None:
+    expected = params.arch.view_dims[v]
+    if x.shape[1] != expected:
+        raise DimensionError(f"view {v} expects {expected} columns, got {x.shape[1]}")
+
+
 def encode(tape: Tape, params: ModelParams, x, v: int) -> Tensor:
     x = T.wrap(tape, x)
-    expected = params.arch.view_dims[v]
-    if x.value.shape[1] != expected:
-        raise DimensionError(
-            f"view {v} expects {expected} columns, got {x.value.shape[1]}")
+    _check_view_columns(params, v, x.value)
     return _forward_mlp2(x, params.encoders[v])
 
 
@@ -222,9 +225,28 @@ def forward_views(tape: Tape, params: ModelParams, views: Mapping[int, np.ndarra
     return ForwardOutputs(latents, recons, feats, fused, probs if want_probs else None)
 
 
+def _infer_mlp2(x: np.ndarray, layer: Sequence[Param]) -> np.ndarray:
+    w1, b1, w2, b2 = (p.value for p in layer)
+    h = x @ w1 + b1
+    return np.where(h > 0, h, 0.0) @ w2 + b2
+
+
 def infer_fused(params: ModelParams, views: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Fused features as plain numbers (no gradient bookkeeping kept)."""
-    return forward_views(Tape(), params, views).fused.value
+    """Fused features as plain numbers, through the encoders and feature net.
+
+    No tape is built and no decoder runs. Every operation happens in the
+    same order as in the taped forward, so the result is bitwise equal to
+    ``forward_views(...).fused.value``.
+    """
+    if not views:
+        raise ValueError("infer_fused needs at least one view")
+    acc = None
+    for v in sorted(views):
+        x = T.as_matrix(views[v])
+        _check_view_columns(params, v, x)
+        feat = _infer_mlp2(_infer_mlp2(x, params.encoders[v]), params.feature_net)
+        acc = feat if acc is None else acc + feat
+    return acc * (1.0 / len(views))
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -1,9 +1,11 @@
 """Config parsing, CLI verbs, artifacts, exit codes, reproducibility."""
 
 import json
+import struct
 
 import pytest
 
+from fedmvc import cli
 from fedmvc.cli import main, run_experiment, run_sweep
 from fedmvc.config import ExperimentConfig, config_from_mapping, load_config
 from fedmvc.data import generate_blobs, load_dataset, save_dataset
@@ -248,6 +250,40 @@ class TestDataVerbs:
                      "--data", str(tmp_path / "right.mvd"),
                      "--eval-views", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_gen_data_writes_the_dataset_run_generates(self, tmp_path, monkeypatch):
+        data_path = tmp_path / "blobs.mvd"
+        # the data fields of TINY, which the run below generates from
+        assert main(["gen-data", "--out", str(data_path), "--n-samples", "30",
+                     "--n-clusters", "2", "--view-dims", "4,3", "--separation",
+                     "5.0", "--noise-sigma", "1.0", "--seed", "3"]) == 0
+
+        generated = []
+        run_federation = cli.run_federation
+
+        def capture(config, dataset, **kwargs):
+            generated.append(dataset)
+            return run_federation(config, dataset, **kwargs)
+
+        monkeypatch.setattr(cli, "run_federation", capture)
+        cfg_path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
+                                   rounds=0, warmup_epochs=0)
+        assert main(["run", str(cfg_path)]) == 0
+        save_dataset(generated[0], tmp_path / "run.mvd")
+        assert data_path.read_bytes() == (tmp_path / "run.mvd").read_bytes()
+
+    def test_run_on_non_finite_dataset_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "d.mvd"
+        save_dataset(generate_blobs(2, 30, (4, 3), 5.0, 1.0, seed=2), path)
+        blob = bytearray(path.read_bytes())
+        # header: magic, u32 version, u32 V, u64 N, u32 K, u8 labels; u32 D_0
+        first_value = 4 + 21 + 4
+        blob[first_value:first_value + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        cfg_path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
+                                   data_path=str(path))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "view 0" in capsys.readouterr().err
 
     def test_run_on_saved_dataset_matches_labels(self, tmp_path):
         ds = generate_blobs(2, 30, (4, 3), 5.0, 1.0, seed=2)

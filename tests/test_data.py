@@ -215,6 +215,14 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match="view 1"):
             MultiViewDataset([np.zeros((10, 2)), np.zeros((9, 2))], None, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_view_and_row(self, bad):
+        views = [np.zeros((5, 2)), np.zeros((5, 3))]
+        views[1][3, 2] = bad
+        views[1][4, 0] = bad
+        with pytest.raises(DataFormatError, match="view 1 .* row 3"):
+            MultiViewDataset(views, None, 2)
+
     def test_standardized(self):
         ds = self._random_dataset()
         std = ds.standardized()

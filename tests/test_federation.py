@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedmvc import federation
 from fedmvc import tensor as T
 from fedmvc.config import ExperimentConfig
 from fedmvc.data import CLIENT_FULL, ClientShard, generate_blobs
@@ -32,6 +33,8 @@ from fedmvc.model import Architecture, forward_views, infer_fused, init_params
 
 ARCH = Architecture(view_dims=(4, 3), n_clusters=2, latent_dim=4, high_dim=5,
                     hidden=6)
+ARCH3 = Architecture(view_dims=(4, 3, 2), n_clusters=2, latent_dim=4, high_dim=5,
+                     hidden=6)
 
 
 def tiny_config(**overrides):
@@ -45,11 +48,12 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def make_client(client_id=0, ctype=CLIENT_FULL, subset=(0, 1), n=12, seed=5):
+def make_client(client_id=0, ctype=CLIENT_FULL, subset=(0, 1), n=12, seed=5,
+                arch=ARCH):
     rng = np.random.default_rng(seed)
     shard = ClientShard(client_id, ctype, subset, np.arange(n))
-    views = {v: rng.standard_normal((n, ARCH.view_dims[v])) for v in subset}
-    params = init_params(ARCH, seed=seed)
+    views = {v: rng.standard_normal((n, arch.view_dims[v])) for v in subset}
+    params = init_params(arch, seed=seed)
     return ClientState(shard=shard, views=views, params=params,
                        frozen_prev=params.clone(),
                        rng=np.random.default_rng(seed + 100))
@@ -163,6 +167,69 @@ class TestLocalTrainRound:
 
         local_train_round(client, global_params, cfg, round_index=2)
         assert np.array_equal(client.params.flatten(), manual.flatten())
+
+    def test_full_client_epochs_match_manual_assembly_with_batch_references(self):
+        # the round slices references inferred once over the shard; the manual
+        # assembly infers them per batch, as the drift term is defined
+        n, batch_size, epochs = 10, 4, 3
+        client = make_client(seed=31, n=n)
+        client.frozen_prev = init_params(ARCH, seed=32)
+        global_params = init_params(ARCH, seed=33)
+        cfg = tiny_config(local_epochs=epochs, batch_size=batch_size, lr=2e-3)
+
+        manual = client.params.clone()
+        trainable = manual.trainable_params((0, 1))
+        opt = T.make_optimizer("adam", cfg.lr)
+        rng = np.random.default_rng(31 + 100)
+        steps = 0
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):  # 4 + 4 + 2: no folded tail
+                rows = order[start:start + batch_size]
+                views_b = {v: client.views[v][rows] for v in client.views}
+                tape = T.Tape()
+                fwd = forward_views(tape, manual, views_b, want_probs=True)
+                comps = LossComponents(
+                    recon=reconstruction_loss([views_b[v] for v in (0, 1)],
+                                              [fwd.recons[v] for v in (0, 1)]),
+                    feature=feature_contrast_full([fwd.feats[v] for v in (0, 1)],
+                                                  cfg.tau),
+                    label=label_contrast([fwd.probs[v] for v in (0, 1)], cfg.tau),
+                )
+                comps.drift = drift_loss(
+                    fwd.fused,
+                    infer_fused(client.frozen_prev, views_b),
+                    infer_fused(global_params, views_b),
+                    [tape.leaf(p) for p in trainable],
+                    [p.value for p in global_params.trainable_params((0, 1))],
+                    cfg.tau, cfg.mu)
+                tape.backward(total_loss(CLIENT_FULL, comps, cfg.alpha))
+                opt.step(trainable)
+                steps += 1
+        assert steps == 9
+
+        local_train_round(client, global_params, cfg, round_index=2)
+        assert np.array_equal(client.params.flatten(), manual.flatten())
+
+    @pytest.mark.parametrize("ctype,subset,refs", [
+        ("full", (0, 1, 2), 2), ("partial", (0, 2), 2), ("single", (1,), 1)])
+    def test_drift_references_inferred_once_per_round(self, monkeypatch, ctype,
+                                                      subset, refs):
+        n = 11
+        calls = []
+
+        def counting(params, views):
+            calls.append({v: x.shape[0] for v, x in views.items()})
+            return infer_fused(params, views)
+
+        monkeypatch.setattr(federation, "infer_fused", counting)
+        client = make_client(ctype=ctype, subset=subset, n=n, seed=41, arch=ARCH3)
+        cfg = tiny_config(local_epochs=3, batch_size=4)
+        global_params = init_params(ARCH3, seed=42)
+        local_train_round(client, global_params, cfg, round_index=1)
+        assert calls == []
+        local_train_round(client, global_params, cfg, round_index=2)
+        assert calls == [dict.fromkeys(subset, n)] * refs
 
     def test_round_one_skips_drift(self):
         # identical params either way in round 1, whether or not the

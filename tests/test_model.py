@@ -160,6 +160,46 @@ class TestForward:
         assert np.array_equal(infer_fused(params, views), fwd.fused.value)
 
 
+ARCH3 = Architecture(view_dims=(5, 7, 3), n_clusters=3, latent_dim=4, high_dim=6,
+                     hidden=8)
+
+
+class TestInferFused:
+    """The tape-free forward, and the row slicing that drift references rely on."""
+
+    def _views(self, subset, n, seed):
+        rng = np.random.default_rng(seed)
+        return {v: rng.standard_normal((n, ARCH3.view_dims[v])) for v in subset}
+
+    @pytest.mark.parametrize("subset", [(1,), (0, 2), (0, 1, 2)])
+    def test_bitwise_equal_to_taped_forward(self, subset):
+        params = init_params(ARCH3, seed=4)
+        views = self._views(subset, 33, seed=len(subset))
+        fwd = forward_views(T.Tape(), params, views)
+        assert np.array_equal(infer_fused(params, views), fwd.fused.value)
+
+    @pytest.mark.parametrize("subset", [(2,), (0, 1, 2)])
+    @pytest.mark.parametrize("n", [7, 100, 257])
+    def test_slicing_whole_shard_equals_inferring_the_batch(self, n, subset):
+        params = init_params(ARCH3, seed=n)
+        views = self._views(subset, n, seed=n + 1)
+        whole = infer_fused(params, views)
+        rng = np.random.default_rng(n + 2)
+        for size in sorted({2, max(2, n // 3), n}):
+            rows = rng.permutation(n)[:size]
+            batch = infer_fused(params, {v: x[rows] for v, x in views.items()})
+            assert np.array_equal(whole[rows], batch)
+
+    def test_wrong_column_count(self):
+        params = init_params(ARCH3, seed=0)
+        with pytest.raises(DimensionError, match="view 1"):
+            infer_fused(params, {0: np.zeros((4, 5)), 1: np.zeros((4, 5))})
+
+    def test_empty_views_rejected(self):
+        with pytest.raises(ValueError):
+            infer_fused(init_params(ARCH3, seed=0), {})
+
+
 class TestMasking:
     def test_unowned_view_gets_zero_grad(self):
         params = init_params(ARCH, seed=3)
