@@ -25,7 +25,7 @@ from .config import (
 )
 from .data import generate_blobs, load_dataset, save_dataset
 from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError
-from .evaluation import MetricsReport, evaluate_global
+from .evaluation import MetricsReport, eval_view_order, evaluate_global
 from .federation import derive_seeds, run_federation
 from .model import load_checkpoint, save_checkpoint
 
@@ -82,6 +82,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     config.validate()
     seeds = derive_seeds(config.seed)
     dataset = _load_or_generate(config, seeds)
+    eval_view_order(config.eval_views, dataset.n_views)  # fail before training
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

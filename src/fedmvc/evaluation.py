@@ -183,6 +183,21 @@ def adjusted_rand_index(true_labels, pred_labels) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
+def eval_view_order(view_subset: Sequence[int] | None, n_views: int) -> list[int]:
+    """The views evaluation renders, in ascending order (all when None).
+
+    Raises ConfigError naming ``eval_views`` for a view out of range.
+    """
+    if view_subset is None:
+        return list(range(n_views))
+    views = sorted(view_subset)
+    for v in views:
+        if not 0 <= v < n_views:
+            raise ConfigError(
+                f"eval_views: view {v} out of range for a {n_views}-view dataset")
+    return views
+
+
 def evaluate_global(params: ModelParams, dataset: MultiViewDataset, *,
                     n_restarts: int = 10, seed=0,
                     view_subset: Sequence[int] | None = None,
@@ -195,15 +210,7 @@ def evaluate_global(params: ModelParams, dataset: MultiViewDataset, *,
     Unlabeled datasets yield a report with only the k-means objective.
     """
     work = dataset.standardized() if standardize else dataset
-    if view_subset is not None:
-        views = sorted(view_subset)
-        for v in views:
-            if not 0 <= v < work.n_views:
-                raise ConfigError(
-                    f"eval_views: view {v} out of range for a "
-                    f"{work.n_views}-view dataset")
-    else:
-        views = range(work.n_views)
+    views = eval_view_order(view_subset, work.n_views)
     fused = infer_fused(params, {v: work.views[v] for v in views})
     best, objectives = kmeans_best(fused, work.n_clusters, n_restarts, seed,
                                    max_iter, tol)

@@ -213,20 +213,8 @@ def drift_loss(fused: Tensor, pos_ref: np.ndarray, neg_ref: np.ndarray,
     neg = _row_cosines(fused, T.wrap(tape, neg_ref))
     loss = _one_vs_one_nt_xent(pos, neg, tau)
     if mu:
-        if len(local_params) != len(global_values):
-            raise DimensionError(
-                f"parameter lists differ in length: {len(local_params)} vs "
-                f"{len(global_values)}")
-        acc = None
-        for leaf, ref in zip(local_params, global_values):
-            ref = np.asarray(ref, dtype=np.float64)
-            if leaf.value.shape != ref.shape:
-                raise DimensionError(
-                    f"parameter layout mismatch: {leaf.value.shape} vs {ref.shape}")
-            diff = T.sub(leaf, T.wrap(tape, ref))
-            term = T.sum_all(T.mul(diff, diff))
-            acc = term if acc is None else T.add(acc, term)
-        loss = T.add(loss, T.scale(acc, mu / 2.0))
+        prox = T.sum_sq_dist(local_params, global_values)
+        loss = T.add(loss, T.scale(prox, mu / 2.0))
     return loss
 
 

@@ -134,7 +134,7 @@ def init_params(arch: Architecture, seed=0) -> ModelParams:
 
 def _forward_mlp2(x, layer: Sequence[Param]) -> Tensor:
     w1, b1, w2, b2 = layer
-    return T.affine(T.relu(T.affine(x, w1, b1)), w2, b2)
+    return T.affine(T.affine(x, w1, b1, relu=True), w2, b2)
 
 
 def _check_view_columns(params: ModelParams, v: int, x: np.ndarray) -> None:

@@ -10,6 +10,14 @@ computation graph -- and accumulates gradients into the participating
 Sized for small MLPs: no broadcasting beyond row-vector bias addition,
 no views, no in-place graph surgery. A tape and its tensors belong to a
 single execution context; independent tapes may run concurrently.
+
+Two ops are fused to keep the tape short. :func:`affine` is a whole dense
+layer, ``x @ W + b`` with an optional ReLU, in one node, and
+:func:`sum_sq_dist` is the proximal term ``sum_i ||w_i - g_i||^2`` over any
+number of parameters in one node. Each makes the numpy calls of the
+elementary ops it replaces (``matmul``, ``add_row``, ``relu``; ``sub``,
+``mul``, ``sum_all``, ``add``) in the same order, so values and gradients
+are bitwise equal to theirs; the elementary ops stay as the reference.
 """
 
 from __future__ import annotations
@@ -349,9 +357,74 @@ def normalize_rows(a) -> Tensor:
     return tape._track(Tensor(out, tape, backprop=backprop))
 
 
-def affine(x, weight, bias) -> Tensor:
-    """x @ weight + bias, the basic dense layer."""
-    return add_row(matmul(x, weight), bias)
+def affine(x, weight, bias, relu: bool = False) -> Tensor:
+    """x @ weight + bias, the dense layer, optionally followed by a ReLU.
+
+    One tape node. Forward and backward make the numpy calls of the
+    composite ``relu(add_row(matmul(x, weight), bias))`` in the same
+    order, so its value and every gradient are bitwise equal to it. The
+    gradient of ``x`` is not computed when ``x`` is a constant.
+    """
+    tape = _tape_of(x, weight, bias)
+    x, weight, bias = wrap(tape, x), wrap(tape, weight), wrap(tape, bias)
+    if x.value.shape[1] != weight.value.shape[0]:
+        raise DimensionError(
+            f"matmul shapes do not conform: {x.value.shape} x {weight.value.shape}")
+    if bias.value.shape != (1, weight.value.shape[1]):
+        raise DimensionError(
+            f"bias shape {bias.value.shape} does not match matrix "
+            f"{(x.value.shape[0], weight.value.shape[1])}")
+    xv, wv = x.value, weight.value
+    out = xv @ wv + bias.value
+    mask = None
+    if relu:
+        mask = out > 0
+        out = np.where(mask, out, 0.0)
+    x_is_constant = x.param is None and x._backprop is None
+
+    def backprop(g, acc):
+        if mask is not None:
+            g = g * mask
+        acc(bias, g.sum(axis=0, keepdims=True))
+        if not x_is_constant:
+            acc(x, g @ wv.T)
+        acc(weight, xv.T @ g)
+
+    return tape._track(Tensor(out, tape, backprop=backprop))
+
+
+def sum_sq_dist(leaves: Sequence[Tensor], refs: Sequence) -> Tensor:
+    """sum_i ||leaves[i] - refs[i]||^2 as one node; ``refs`` are constants.
+
+    The value sums each ``(d*d).sum()`` left to right and each leaf gets
+    ``t + t`` with ``t = g*d``, bitwise what the chain
+    ``add(sum_all(mul(d, d)), ...)`` over ``d = sub(leaf, ref)`` gives.
+    """
+    if len(leaves) != len(refs):
+        raise DimensionError(
+            f"parameter lists differ in length: {len(leaves)} vs {len(refs)}")
+    tape = _tape_of(*leaves)
+    leaves = [wrap(tape, leaf) for leaf in leaves]
+    diffs = []
+    total = None
+    for leaf, ref in zip(leaves, refs):
+        ref = np.asarray(ref, dtype=np.float64)
+        if leaf.value.shape != ref.shape:
+            raise DimensionError(
+                f"parameter layout mismatch: {leaf.value.shape} vs {ref.shape}")
+        d = leaf.value - ref
+        s = (d * d).sum()
+        total = s if total is None else total + s
+        diffs.append(d)
+
+    def backprop(g, acc):
+        gs = g[0, 0]
+        # last leaf first, as the chain's reverse replay reached them
+        for leaf, d in zip(reversed(leaves), reversed(diffs)):
+            t = gs * d
+            acc(leaf, t + t)
+
+    return tape._track(Tensor(np.array([[total]]), tape, backprop=backprop))
 
 
 def _check_finite_grads(params: Iterable[Param]) -> None:

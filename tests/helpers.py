@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from fedmvc import tensor as T
+
 
 def central_diff(f, x, h=1e-5):
     """Central-difference gradient of scalar f at matrix x."""
@@ -100,3 +102,14 @@ def drift_contrast_bruteforce(fused, pos_ref, neg_ref, tau):
         q = math.exp(cos(fused[i], neg_ref[i]) / tau)
         total += -math.log(p / (p + q))
     return total / n
+
+
+def sum_sq_dist_chain(leaves, refs):
+    """sum_i ||leaves[i] - refs[i]||^2 as separate sub/mul/sum_all/add nodes."""
+    tape = leaves[0].tape
+    acc = None
+    for leaf, ref in zip(leaves, refs):
+        diff = T.sub(leaf, tape.constant(ref))
+        term = T.sum_all(T.mul(diff, diff))
+        acc = term if acc is None else T.add(acc, term)
+    return acc

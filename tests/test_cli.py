@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from fedmvc import cli
+from fedmvc import cli, federation
 from fedmvc.cli import main, run_experiment, run_sweep
 from fedmvc.config import ExperimentConfig, config_from_mapping, load_config
 from fedmvc.data import generate_blobs, load_dataset, save_dataset
@@ -174,6 +174,17 @@ class TestMainExitCodes:
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
         assert main(["run", str(path), "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_out_of_range_eval_views_exit_2(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(federation, "local_train_round",
+                            lambda *args: calls.append(args))
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
+                               rounds=4, eval_every=4)
+        assert main(["run", str(path), "--eval-views", "7"]) == 2
+        assert "eval_views" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",

@@ -26,10 +26,19 @@ from fedmvc.losses import (
     drift_loss,
     feature_contrast_full,
     label_contrast,
+    partial_contrast,
     reconstruction_loss,
+    single_view_contrast,
     total_loss,
 )
-from fedmvc.model import Architecture, forward_views, infer_fused, init_params
+from fedmvc.model import (
+    Architecture,
+    encode,
+    forward_views,
+    high_features,
+    infer_fused,
+    init_params,
+)
 
 ARCH = Architecture(view_dims=(4, 3), n_clusters=2, latent_dim=4, high_dim=5,
                     hidden=6)
@@ -134,38 +143,67 @@ class TestLocalTrainRound:
         assert not np.array_equal(client.params.flatten(),
                                   init_params(ARCH, seed=5).flatten())
 
-    def test_full_client_one_step_matches_manual_assembly(self):
-        client = make_client(seed=11, n=8)
-        client.frozen_prev = init_params(ARCH, seed=12)
-        global_params = init_params(ARCH, seed=13)
-        cfg = tiny_config(local_epochs=1, batch_size=8, lr=2e-3)
+    @pytest.mark.parametrize("ctype,subset", [
+        ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
+        ids=["full", "partial", "single"])
+    def test_one_step_matches_manual_assembly(self, monkeypatch, ctype, subset):
+        # the single-view client's noisy forward shares leaves with the
+        # proximal term, so each leaf's gradient sums in tape order; the
+        # gradients are compared too, as one step may round a difference away
+        steps = []
+
+        class RecordingAdam(T.Adam):
+            def step(self, params):
+                steps.append([p.grad.copy() for p in params])
+                super().step(params)
+
+        monkeypatch.setattr(federation, "make_optimizer",
+                            lambda mode, lr: RecordingAdam(lr))
+        n = 8
+        client = make_client(ctype=ctype, subset=subset, n=n, seed=51, arch=ARCH3)
+        client.frozen_prev = init_params(ARCH3, seed=52)
+        global_params = init_params(ARCH3, seed=53)
+        cfg = tiny_config(local_epochs=1, batch_size=n, lr=2e-3)
 
         manual = client.params.clone()
-        rng = np.random.default_rng(11 + 100)
-        rows = rng.permutation(8)
-        views_b = {v: client.views[v][rows] for v in client.views}
-        order = sorted(views_b)
+        rng = np.random.default_rng(51 + 100)
+        rows = rng.permutation(n)
+        views_b = {v: client.views[v][rows] for v in subset}
         tape = T.Tape()
-        fwd = forward_views(tape, manual, views_b, want_probs=True)
+        fwd = forward_views(tape, manual, views_b, want_probs=ctype == "full")
+        feats = [fwd.feats[v] for v in subset]
         comps = LossComponents(
-            recon=reconstruction_loss([views_b[v] for v in order],
-                                      [fwd.recons[v] for v in order]),
-            feature=feature_contrast_full([fwd.feats[v] for v in order], cfg.tau),
-            label=label_contrast([fwd.probs[v] for v in order], cfg.tau),
-        )
-        trainable = manual.trainable_params((0, 1))
+            recon=reconstruction_loss([views_b[v] for v in subset],
+                                      [fwd.recons[v] for v in subset]))
+        frozen_feats = infer_fused(client.frozen_prev, views_b)
+        global_feats = infer_fused(global_params, views_b)
+        if ctype == "full":
+            comps.feature = feature_contrast_full(feats, cfg.tau)
+            comps.label = label_contrast([fwd.probs[v] for v in subset], cfg.tau)
+            pos, neg = frozen_feats, global_feats
+        elif ctype == "partial":
+            comps.partial = partial_contrast(fwd.fused, feats, cfg.tau)
+            pos, neg = global_feats, frozen_feats
+        else:
+            (v0,) = subset
+            x = views_b[v0]
+            noisy = x + rng.standard_normal(x.shape) * cfg.sigma_noise
+            noisy_feat = high_features(tape, manual, encode(tape, manual, noisy, v0))
+            comps.single = single_view_contrast(fwd.fused, fwd.feats[v0], noisy_feat,
+                                                cfg.tau)
+            pos, neg = global_feats, noisy_feat.value.copy()
+        trainable = manual.trainable_params(subset)
         comps.drift = drift_loss(
-            fwd.fused,
-            infer_fused(client.frozen_prev, views_b),
-            infer_fused(global_params, views_b),
-            [tape.leaf(p) for p in trainable],
-            [p.value for p in global_params.trainable_params((0, 1))],
+            fwd.fused, pos, neg, [tape.leaf(p) for p in trainable],
+            [p.value for p in global_params.trainable_params(subset)],
             cfg.tau, cfg.mu)
-        total = total_loss(CLIENT_FULL, comps, cfg.alpha)
-        tape.backward(total)
+        tape.backward(total_loss(ctype, comps, cfg.alpha))
+        grads = [p.grad.copy() for p in trainable]
         T.make_optimizer("adam", cfg.lr).step(trainable)
 
         local_train_round(client, global_params, cfg, round_index=2)
+        (seen,) = steps
+        assert all(np.array_equal(a, b) for a, b in zip(seen, grads, strict=True))
         assert np.array_equal(client.params.flatten(), manual.flatten())
 
     def test_full_client_epochs_match_manual_assembly_with_batch_references(self):

@@ -12,6 +12,7 @@ from helpers import (
     partial_contrast_bruteforce,
     rel_error,
     single_contrast_bruteforce,
+    sum_sq_dist_chain,
 )
 
 from fedmvc import tensor as T
@@ -398,6 +399,32 @@ class TestDriftLoss:
         _, grad = run(fused)
         fd = central_diff(lambda v: run(v)[0], fused)
         assert rel_error(grad, fd) < 1e-4
+
+    def test_proximal_gradients_bitwise_equal_to_separate_nodes(self):
+        # the weights also shape the features, so each leaf sums a forward
+        # gradient and the proximal one, in the order the chain summed them
+        alpha, mu = 0.5, 0.01
+
+        def run(with_prox):
+            rng = np.random.default_rng(24)
+            params = [T.Param(rng.uniform(-1, 1, shape)) for shape in ((3, 4), (1, 4))]
+            refs = [p.value + rng.normal(0.0, 0.1, p.shape) for p in params]
+            pos, neg = rows(rng, 5, 4), rows(rng, 5, 4)
+            tape = T.Tape()
+            fused = T.affine(tape.constant(rows(rng, 5, 3)), *params, relu=True)
+            leaves = [tape.leaf(p) for p in params]
+            drift = with_prox(fused, pos, neg, leaves, refs)
+            tape.backward(T.scale(drift, 1.0 - alpha))
+            return drift.value, [p.grad for p in params]
+
+        value, grads = run(lambda f, pos, neg, leaves, refs: drift_loss(
+            f, pos, neg, leaves, refs, TAU, mu))
+        ref_value, ref_grads = run(lambda f, pos, neg, leaves, refs: T.add(
+            drift_loss(f, pos, neg, [], [], TAU, 0.0),
+            T.scale(sum_sq_dist_chain(leaves, refs), mu / 2.0)))
+        assert np.array_equal(value, ref_value)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
 
     def test_references_receive_no_gradient(self):
         rng = np.random.default_rng(23)

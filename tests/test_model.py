@@ -63,6 +63,13 @@ class TestForward:
         assert z.value.shape == (9, 4)
         assert xhat.value.shape == (9, 5)
 
+    def test_each_mlp_is_two_tape_nodes(self):
+        # one fused dense node per layer: encoder and decoder are 2 each
+        params = init_params(ARCH, seed=0)
+        tape = T.Tape()
+        encode_decode(tape, params, np.ones((3, 5)), 0)
+        assert sum(node._backprop is not None for node in tape._nodes) == 4
+
     def test_wrong_column_count(self):
         params = init_params(ARCH, seed=0)
         with pytest.raises(DimensionError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import central_diff, rel_error
+from helpers import central_diff, rel_error, sum_sq_dist_chain
 
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError, TrainingError
@@ -165,6 +165,15 @@ class TestBackward:
         ("colsum", lambda t, x: T.sum_all(T.mul(T.colsum(x), T.colsum(x)))),
         ("rowsum", lambda t, x: T.sum_all(T.mul(T.rowsum(x), T.rowsum(x)))),
         ("transpose", lambda t, x: T.sum_all(T.mul(T.transpose(x), T.transpose(x)))),
+        ("affine_x", lambda t, x: _dense_loss(x, _W45, _B5)),
+        ("affine_relu_x", lambda t, x: _dense_loss(x, _W45, _B5, relu=True)),
+        ("affine_w", lambda t, x: _dense_loss(_X23, x, _B4)),
+        ("affine_relu_w", lambda t, x: _dense_loss(_X23, x, _B4, relu=True)),
+        ("affine_b", lambda t, x: _dense_loss(_X23, _W34, T.colsum(x))),
+        ("affine_relu_b", lambda t, x: _dense_loss(_X23, _W34, T.colsum(x), relu=True)),
+        ("sum_sq_dist_0", lambda t, x: _sum_sq_dist_at(t, x, 0)),
+        ("sum_sq_dist_1", lambda t, x: _sum_sq_dist_at(t, x, 1)),
+        ("sum_sq_dist_2", lambda t, x: _sum_sq_dist_at(t, x, 2)),
     ])
     def test_op_grads_match_finite_differences(self, op, builder):
         rng = np.random.default_rng(sum(map(ord, op)))
@@ -201,6 +210,22 @@ class TestBackward:
 
 
 _W = np.random.default_rng(123).uniform(-2, 2, (3, 4))
+_X23, _W34, _W45, _B4, _B5 = (np.random.default_rng(124).uniform(-2, 2, shape)
+                              for shape in ((2, 3), (3, 4), (4, 5), (1, 4), (1, 5)))
+
+
+def _dense_loss(x, weight, bias, relu=False):
+    # exp has a nonzero slope where a ReLU output is zero, so a lost mask shows
+    return T.sum_all(T.exp(T.scale(T.affine(x, weight, bias, relu=relu), 0.25)))
+
+
+def _sum_sq_dist_at(tape, x, pos):
+    """The squared-distance node over three leaves, ``x`` at ``pos``."""
+    leaves = [tape.constant(_B4), tape.constant(_W45)]
+    refs = [0.5 * _B4, _W45 + 1.0]
+    leaves.insert(pos, x)
+    refs.insert(pos, _W)
+    return T.sum_sq_dist(leaves, refs)
 
 
 class TestDeterminism:
@@ -217,6 +242,100 @@ class TestDeterminism:
         y2, g2 = run()
         assert np.array_equal(y1, y2)
         assert np.array_equal(g1, g2)
+
+
+def _composite_affine(x, weight, bias, relu=False):
+    y = T.add_row(T.matmul(x, weight), bias)
+    return T.relu(y) if relu else y
+
+
+def _mlp_params(rng, d_in=4, hidden=6, d_out=3):
+    return [T.Param(rng.uniform(-1, 1, shape))
+            for shape in ((d_in, hidden), (1, hidden), (hidden, d_out), (1, d_out))]
+
+
+class TestFusedOps:
+    """The one-node ops equal the composites they replace, bit for bit."""
+
+    @pytest.mark.parametrize("taped_input", [True, False])
+    def test_two_fused_layers_match_composite_bitwise(self, taped_input):
+        def run(dense):
+            rng = np.random.default_rng(17)
+            w1, b1, w2, b2 = _mlp_params(rng)
+            px = T.Param(rng.uniform(-2, 2, (7, 4)))
+            other = rng.uniform(-2, 2, (5, 4))
+            target = rng.uniform(-1, 1, (7, 3))
+            tape = T.Tape()
+            x = tape.leaf(px) if taped_input else tape.constant(px.value)
+            # the same layers on two inputs: shared leaves sum two gradients
+            ys = [dense(dense(inp, w1, b1, relu=True), w2, b2)
+                  for inp in (x, tape.constant(other))]
+            loss = T.add(
+                T.sum_all(T.mul(T.normalize_rows(ys[0]), tape.constant(target))),
+                T.sum_all(T.mul(ys[1], ys[1])))
+            tape.backward(loss)
+            return [y.value for y in ys], [p.grad for p in (w1, b1, w2, b2, px)]
+
+        values, grads = run(T.affine)
+        ref_values, ref_grads = run(_composite_affine)
+        for got, want in zip(values + grads, ref_values + ref_grads):
+            assert np.array_equal(got, want)
+        assert np.any(grads[4] != 0) == taped_input
+
+    def test_two_layer_mlp_records_two_op_nodes(self):
+        w1, b1, w2, b2 = _mlp_params(np.random.default_rng(0))
+        tape = T.Tape()
+        T.affine(T.affine(tape.constant(np.ones((3, 4))), w1, b1, relu=True), w2, b2)
+        assert sum(node._backprop is not None for node in tape._nodes) == 2
+
+    def test_affine_rejects_mismatched_shapes(self):
+        tape = T.Tape()
+        x = tape.constant(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            T.affine(x, np.ones((4, 2)), np.ones((1, 2)))
+        with pytest.raises(DimensionError):
+            T.affine(x, np.ones((3, 2)), np.ones((1, 3)))
+
+    def test_sum_sq_dist_matches_chain_bitwise(self):
+        alpha, mu = 0.3, 0.01
+
+        def run(prox):
+            rng = np.random.default_rng(23)
+            params = _mlp_params(rng)
+            refs = [p.value + rng.normal(0.0, 0.1, p.shape) for p in params]
+            tape = T.Tape()
+            y = T.affine(T.affine(tape.constant(rng.uniform(-2, 2, (5, 4))),
+                                  params[0], params[1], relu=True),
+                         params[2], params[3])
+            # the leaves already carry forward gradients when the term joins
+            drift = T.add(T.sum_all(T.mul(y, y)),
+                          T.scale(prox([tape.leaf(p) for p in params], refs), mu / 2))
+            loss = T.add(T.sum_all(y), T.scale(drift, 1.0 - alpha))
+            tape.backward(loss)
+            return loss.value, [p.grad for p in params]
+
+        value, grads = run(T.sum_sq_dist)
+        ref_value, ref_grads = run(sum_sq_dist_chain)
+        assert np.array_equal(value, ref_value)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_params", [1, 4, 30])
+    def test_sum_sq_dist_records_one_node(self, n_params):
+        params = [T.Param(np.full((2, 3), float(i))) for i in range(n_params)]
+        tape = T.Tape()
+        leaves = [tape.leaf(p) for p in params]
+        before = len(tape._nodes)
+        T.sum_sq_dist(leaves, [np.zeros((2, 3))] * n_params)
+        assert len(tape._nodes) - before == 1
+
+    def test_sum_sq_dist_rejects_mismatched_layouts(self):
+        tape = T.Tape()
+        leaf = tape.leaf(T.Param(np.zeros((2, 3))))
+        with pytest.raises(DimensionError):
+            T.sum_sq_dist([leaf], [np.zeros((3, 2))])
+        with pytest.raises(DimensionError):
+            T.sum_sq_dist([leaf], [np.zeros((2, 3))] * 2)
 
 
 class TestOptimizers:
