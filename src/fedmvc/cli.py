@@ -32,7 +32,7 @@ from .model import load_checkpoint, save_checkpoint
 ENV_OUTPUT_ROOT = "FEDMVC_OUT"
 
 _BOOL_FLAGS = ("no_drift", "no_contrast", "fedavg")
-_OPTIONAL_BOOLS = ("standardize", "deterministic")
+_OPTIONAL_BOOLS = ("standardize",)
 
 
 def _resolve_output_dir(path: str) -> Path:
@@ -297,7 +297,7 @@ def _cmd_inspect(args) -> int:
     print(f"high_dim: {arch.high_dim}")
     print(f"hidden: {arch.hidden}")
     print(f"n_clusters: {arch.n_clusters}")
-    print(f"parameters: {params.flatten().size}")
+    print(f"parameters: {params.vector.size}")
     return 0
 
 

@@ -15,9 +15,9 @@ from typing import Any
 
 from .data import SCENARIOS
 from .errors import ConfigError
+from .federation import ALPHA_C_MODES
+from .tensor import OPTIMIZERS
 
-OPTIMIZERS = ("adam", "sgd")
-WEIGHT_MODES = ("linear", "quadratic", "binary", "uniform")
 SWEEPABLE = ("alpha", "mu", "tau", "sigma_noise", "dirichlet_beta")
 
 
@@ -65,8 +65,6 @@ class ExperimentConfig:
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-6
     # execution
-    threads: int = 1
-    deterministic: bool = True
     checkpoint_every: int = 0
     resume_from: str | None = None
     output_dir: str = "runs/exp"
@@ -110,8 +108,8 @@ class ExperimentConfig:
         check(0.0 <= self.alpha <= 1.0, "alpha", "must lie in [0, 1]")
         check(self.mu >= 0, "mu", "must be >= 0")
         check(self.sigma_noise >= 0, "sigma_noise", "must be >= 0")
-        check(self.alpha_c_mode in WEIGHT_MODES, "alpha_c_mode",
-              f"must be one of {WEIGHT_MODES}")
+        check(self.alpha_c_mode in ALPHA_C_MODES, "alpha_c_mode",
+              f"must be one of {ALPHA_C_MODES}")
         check(self.eval_restarts >= 1, "eval_restarts", "must be >= 1")
         check(self.eval_every >= 1, "eval_every", "must be >= 1")
         if self.eval_views is not None:
@@ -119,7 +117,6 @@ class ExperimentConfig:
                   "must list at least one view")
         check(self.kmeans_max_iter >= 1, "kmeans_max_iter", "must be >= 1")
         check(self.kmeans_tol > 0, "kmeans_tol", "must be > 0")
-        check(self.threads >= 1, "threads", "must be >= 1")
         check(self.checkpoint_every >= 0, "checkpoint_every", "must be >= 0")
 
     def to_mapping(self) -> dict[str, Any]:
@@ -136,62 +133,58 @@ class ExperimentConfig:
         return dataclasses.replace(self, **updates)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
+def _parse_bool(value) -> bool:
+    if not isinstance(value, str):
+        return bool(value)
+    low = value.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _parse_int(value) -> int:
+    """An integer, refusing booleans and floats that are not whole numbers."""
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def _parse_int_tuple(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        parts = [p for p in value.replace(" ", "").split(",") if p]
-        return tuple(int(p) for p in parts)
-    return tuple(int(v) for v in value)
+        value = [p for p in value.replace(" ", "").split(",") if p]
+    return tuple(_parse_int(v) for v in value)
 
 
-def _parse_optional_beta(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        if value.strip().lower() in ("iid", "none", "inf"):
-            return None
-        return float(value)
-    return float(value)
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+# parsers by the type of a field's default
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: float, str: str,
+            tuple: _parse_int_tuple}
+# fields that may be None, with the parser of a value and the words for None
+_OPTIONAL = {
+    "data_path": (str, ("none",)),
+    "resume_from": (str, ("none",)),
+    "mixed_counts": (_parse_int_tuple, ("none",)),
+    "eval_views": (_parse_int_tuple, ("none",)),
+    "dirichlet_beta": (float, ("iid", "none", "inf")),
+}
 
 
 def parse_field(name: str, value):
     """Coerce one raw config value (possibly a string) to its field type."""
-    if name not in _FIELD_TYPES:
+    if name not in _DEFAULTS:
         raise ConfigError(f"unknown config key {name!r}")
     try:
-        if name in ("view_dims",):
-            return _parse_int_tuple(value)
-        if name in ("mixed_counts", "eval_views"):
+        if name in _OPTIONAL:
+            parse, none_words = _OPTIONAL[name]
             if value is None or (isinstance(value, str)
-                                 and value.strip().lower() == "none"):
+                                 and value.strip().lower() in none_words):
                 return None
-            return _parse_int_tuple(value)
-        if name == "dirichlet_beta":
-            return _parse_optional_beta(value)
-        if name in ("data_path", "resume_from"):
-            if value is None or (isinstance(value, str)
-                                 and value.strip().lower() == "none"):
-                return None
-            return str(value)
-        kind = _FIELD_TYPES[name]
-        if kind == "bool" or isinstance(ExperimentConfig.__dataclass_fields__[name].default, bool):
-            return _parse_bool(value) if isinstance(value, str) else bool(value)
-        if kind == "int" or isinstance(ExperimentConfig.__dataclass_fields__[name].default, int):
-            return int(value)
-        if kind == "float" or isinstance(ExperimentConfig.__dataclass_fields__[name].default, float):
-            return float(value)
-        return str(value)
+            return parse(value)
+        return _PARSERS[type(_DEFAULTS[name])](value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name}: could not parse value {value!r} ({err})") from err
 

@@ -1,9 +1,8 @@
 """Federated round loop: local training, balanced aggregation, broadcast.
 
-Clients are mutually independent within a round and may train on a
-thread pool; determinism holds in either mode because every client owns
-its data, parameters, and random stream, and the server always reduces
-in ascending client-id order.
+Clients train one after another. A run is deterministic per master seed:
+every client owns its data, parameters, and random stream, and the server
+always reduces in ascending client-id order.
 
 The drift term's reference features come from the frozen previous-round
 model and the broadcast global model. Neither changes within a round, so
@@ -17,7 +16,6 @@ batch on its own.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -112,7 +110,6 @@ class ClientState:
     params: ModelParams
     frozen_prev: ModelParams
     rng: np.random.Generator
-    optimizer: object | None = None
 
 
 @dataclass
@@ -183,7 +180,7 @@ def _drift_references(client: ClientState, global_params: ModelParams,
 def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParams,
                 loss_cfg: LossConfig, use_contrast: bool,
                 refs: tuple[np.ndarray, np.ndarray | None] | None,
-                trainable: Sequence[Param]) -> dict[str, float]:
+                trainable: Sequence[Param], optimizer) -> dict[str, float]:
     """One optimizer step on batch ``rows``; ``refs`` is None without drift."""
     use_drift = refs is not None
     shard = client.shard
@@ -244,7 +241,7 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
     if not np.isfinite(value):
         raise TrainingError(f"client {shard.client_id}: non-finite training loss")
     tape.backward(total)
-    client.optimizer.step(trainable)
+    optimizer.step(trainable)
 
     contrast = 0.0
     for part in (comps.feature, comps.label, comps.partial, comps.single):
@@ -275,7 +272,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     use_contrast = not config.no_contrast
     use_drift = round_index >= 2 and not config.no_drift
     trainable = client.params.trainable_params(client.shard.view_subset)
-    client.optimizer = make_optimizer(config.optimizer, config.lr)
+    optimizer = make_optimizer(config.optimizer, config.lr)
     refs = _drift_references(client, global_params) if use_drift else None
 
     sums: dict[str, float] = {}
@@ -284,7 +281,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     for _ in range(config.local_epochs):
         for rows in _batches(client.rng, n, config.batch_size):
             stats = _train_step(client, rows, global_params, loss_cfg,
-                                use_contrast, refs, trainable)
+                                use_contrast, refs, trainable, optimizer)
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1
@@ -324,30 +321,17 @@ def compute_weights(registry: Sequence[ClientInfo], total_views: int,
     return raw / raw.sum()
 
 
-def _weighted_param_lists(param_lists: Sequence[Sequence[Param]],
-                          weights: Sequence[float]) -> list[Param]:
-    out = []
-    for slot in zip(*param_lists):
-        shape = slot[0].value.shape
-        acc = np.zeros(shape)
-        for p, w in zip(slot, weights):
-            if p.value.shape != shape:
-                raise DimensionError(
-                    f"parameter layout mismatch: {p.value.shape} vs {shape}")
-            acc += w * p.value
-        out.append(Param(acc))
-    return out
-
-
 def aggregate(prev_global: ModelParams, client_params: Sequence[ModelParams],
               shards: Sequence[ClientShard], weights: Sequence[float]) -> ModelParams:
     """Weighted model average with per-view masking.
 
-    Shared nets average over every client. A view's autoencoder averages
-    over the clients that actually own the view, with their weights
-    renormalized; a view owned by nobody keeps the previous global values.
-    Clients are processed in ascending id order so the reduction is
-    bit-exact deterministic.
+    One weighted sum of the clients' parameter vectors in which every
+    coordinate has its own owners and weights. Shared nets average over
+    every client. A view's autoencoder averages over the clients that
+    actually own the view, with their weights renormalized; a view owned by
+    nobody keeps the previous global values. Each coordinate sums its
+    owners in ascending client-id order, so the reduction is bit-exact
+    deterministic.
     """
     if not (len(client_params) == len(shards) == len(weights)):
         raise ValueError("client params, shards, and weights must align")
@@ -357,26 +341,26 @@ def aggregate(prev_global: ModelParams, client_params: Sequence[ModelParams],
     weights = np.asarray([weights[i] for i in order], dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError(f"aggregation weights sum to {weights.sum()}, expected 1")
-
     arch = prev_global.arch
-    encoders, decoders = [], []
+    if any(p.arch != arch for p in client_params):
+        raise DimensionError("parameter layout mismatch: client architectures differ")
+
+    out = np.zeros_like(prev_global.vector)
+    # (coordinates, owners, their weights), each coordinate in exactly one
+    blocks = [(prev_global.shared_span(), range(len(shards)), weights)]
     for v in range(arch.n_views):
         owners = [i for i, s in enumerate(shards) if v in s.view_subset]
+        spans = prev_global.view_spans(v)
         if not owners:
-            encoders.append([p.copy() for p in prev_global.encoders[v]])
-            decoders.append([p.copy() for p in prev_global.decoders[v]])
+            for span in spans:
+                out[span] = prev_global.vector[span]
             continue
         w = weights[owners]
-        w = w / w.sum()
-        encoders.append(_weighted_param_lists(
-            [client_params[i].encoders[v] for i in owners], w))
-        decoders.append(_weighted_param_lists(
-            [client_params[i].decoders[v] for i in owners], w))
-    feature_net = _weighted_param_lists(
-        [p.feature_net for p in client_params], weights)
-    cluster_head = _weighted_param_lists(
-        [p.cluster_head for p in client_params], weights)
-    return ModelParams(arch, encoders, decoders, feature_net, cluster_head)
+        blocks += [(span, owners, w / w.sum()) for span in spans]
+    for span, owners, w in blocks:
+        for i, wi in zip(owners, w):
+            out[span] += wi * client_params[i].vector[span]
+    return ModelParams(arch, out)
 
 
 def broadcast(server: ServerState, clients: Sequence[ClientState]) -> None:
@@ -414,13 +398,6 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
             rng=np.random.default_rng(child),
         ))
     return clients
-
-
-def _map_clients(fn: Callable, clients: Sequence[ClientState], threads: int) -> list:
-    if threads <= 1:
-        return [fn(c) for c in clients]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, clients))
 
 
 def run_federation(config, dataset: MultiViewDataset,
@@ -461,21 +438,17 @@ def run_federation(config, dataset: MultiViewDataset,
                          registry=[ClientInfo(s.client_id, s.n_samples, s.n_views)
                                    for s in shards])
     clients = build_clients(work, shards, server.global_params, seeds.train)
-    threads = 1 if config.deterministic else max(1, config.threads)
-
-    _map_clients(
-        lambda c: pretrain_client(c, config.warmup_epochs, config.lr,
-                                  config.batch_size, config.optimizer),
-        clients, threads)
+    for c in clients:
+        pretrain_client(c, config.warmup_epochs, config.lr, config.batch_size,
+                        config.optimizer)
 
     weight_mode = "uniform" if config.fedavg else config.alpha_c_mode
     reports: list[RoundReport] = []
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
         try:
-            losses = _map_clients(
-                lambda c: local_train_round(c, server.global_params, config, r),
-                clients, threads)
+            losses = [local_train_round(c, server.global_params, config, r)
+                      for c in clients]
         except TrainingError as err:
             raise TrainingError(f"round {r}: {err}") from err
         weights = compute_weights(server.registry, work.n_views, weight_mode)

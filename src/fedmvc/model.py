@@ -45,19 +45,55 @@ class Architecture:
         return len(self.view_dims)
 
 
-class ModelParams:
-    """All weights of one participant, grouped by role.
+def _layer_shapes(arch: Architecture) -> list[tuple[int, int]]:
+    """Shape of every parameter in checkpoint order: all encoders, all
+    decoders, the feature net, the cluster head. Each subnet is
+    [W1, b1, W2, b2] ([W, b] for the head), so weights sit at even positions."""
+    def mlp2(d_in: int, d_out: int) -> list[tuple[int, int]]:
+        return [(d_in, arch.hidden), (1, arch.hidden), (arch.hidden, d_out), (1, d_out)]
 
-    Each subnet is a flat [W1, b1, W2, b2] list (the cluster head is a
-    single [W, b] pair). ``flatten``/``unflatten`` are exact inverses.
+    shapes = []
+    for d in arch.view_dims:
+        shapes += mlp2(d, arch.latent_dim)
+    for d in arch.view_dims:
+        shapes += mlp2(arch.latent_dim, d)
+    shapes += mlp2(arch.latent_dim, arch.high_dim)
+    return shapes + [(arch.high_dim, arch.n_clusters), (1, arch.n_clusters)]
+
+
+class ModelParams:
+    """All weights of one participant in one float64 ``vector``.
+
+    ``vector`` holds every parameter in checkpoint order (see
+    :func:`_layer_shapes`) and ``grad`` is its gradient buffer. Each
+    :class:`Param` is a reshaped view of both, grouped by role: a subnet is
+    a [W1, b1, W2, b2] list, the cluster head a [W, b] pair. Writing through
+    a ``Param`` changes ``vector``; ``clone`` copies the vector alone. The
+    constructor keeps the ``vector`` it is given (zeros by default) without
+    copying it.
     """
 
-    def __init__(self, arch: Architecture, encoders, decoders, feature_net, cluster_head):
+    def __init__(self, arch: Architecture, vector: np.ndarray | None = None):
+        shapes = _layer_shapes(arch)
+        bounds = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
+        size = bounds[-1]
+        if vector is None:
+            vector = np.zeros(size)
+        if vector.dtype != np.float64 or vector.shape != (size,):
+            raise DimensionError(f"parameter vector has {vector.size} {vector.dtype} "
+                                 f"values, architecture needs {size} float64")
         self.arch = arch
-        self.encoders: list[list[Param]] = encoders
-        self.decoders: list[list[Param]] = decoders
-        self.feature_net: list[Param] = feature_net
-        self.cluster_head: list[Param] = cluster_head
+        self.vector = vector
+        self.grad = np.zeros(size)
+        self._bounds = bounds
+        self._params = p = [
+            Param.view(vector[a:b].reshape(shape), self.grad[a:b].reshape(shape))
+            for a, b, shape in zip(bounds, bounds[1:], shapes)]
+        n = arch.n_views
+        self.encoders: list[list[Param]] = [p[4 * v:4 * v + 4] for v in range(n)]
+        self.decoders: list[list[Param]] = [p[4 * v:4 * v + 4] for v in range(n, 2 * n)]
+        self.feature_net: list[Param] = p[8 * n:8 * n + 4]
+        self.cluster_head: list[Param] = p[8 * n + 4:]
 
     def shared_params(self) -> list[Param]:
         return [*self.feature_net, *self.cluster_head]
@@ -74,62 +110,37 @@ class ModelParams:
         return out
 
     def all_params(self) -> list[Param]:
-        out: list[Param] = []
-        for v in range(self.arch.n_views):
-            out.extend(self.encoders[v])
-        for v in range(self.arch.n_views):
-            out.extend(self.decoders[v])
-        out.extend(self.feature_net)
-        out.extend(self.cluster_head)
-        return out
+        return list(self._params)
+
+    def view_spans(self, v: int) -> tuple[slice, slice]:
+        """Where view ``v``'s encoder and decoder sit in ``vector``."""
+        b, n = self._bounds, self.arch.n_views
+        return slice(b[4 * v], b[4 * v + 4]), slice(b[4 * (n + v)], b[4 * (n + v) + 4])
+
+    def shared_span(self) -> slice:
+        """Where the feature net and the cluster head sit in ``vector``."""
+        return slice(self._bounds[8 * self.arch.n_views], None)
 
     def clone(self) -> "ModelParams":
-        return ModelParams(
-            self.arch,
-            [[p.copy() for p in enc] for enc in self.encoders],
-            [[p.copy() for p in dec] for dec in self.decoders],
-            [p.copy() for p in self.feature_net],
-            [p.copy() for p in self.cluster_head],
-        )
+        return ModelParams(self.arch, self.vector.copy())
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([p.value.ravel() for p in self.all_params()])
+        return self.vector.copy()
 
     @classmethod
     def unflatten(cls, arch: Architecture, vec: np.ndarray) -> "ModelParams":
-        params = init_params(arch, seed=0)
-        offset = 0
-        for p in params.all_params():
-            size = p.value.size
-            if offset + size > vec.size:
-                raise DimensionError("parameter vector too short for architecture")
-            p.value[...] = vec[offset:offset + size].reshape(p.value.shape)
-            offset += size
-        if offset != vec.size:
-            raise DimensionError(
-                f"parameter vector has {vec.size} values, architecture needs {offset}")
-        return params
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Param:
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    return Param(rng.uniform(-s, s, size=(fan_in, fan_out)))
-
-
-def _mlp2(rng, d_in: int, d_hidden: int, d_out: int) -> list[Param]:
-    return [_glorot(rng, d_in, d_hidden), Param(np.zeros((1, d_hidden))),
-            _glorot(rng, d_hidden, d_out), Param(np.zeros((1, d_out)))]
+        return cls(arch, np.array(vec, dtype=np.float64))
 
 
 def init_params(arch: Architecture, seed=0) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    encoders = [_mlp2(rng, d, arch.hidden, arch.latent_dim) for d in arch.view_dims]
-    decoders = [_mlp2(rng, arch.latent_dim, arch.hidden, d) for d in arch.view_dims]
-    feature_net = _mlp2(rng, arch.latent_dim, arch.hidden, arch.high_dim)
-    cluster_head = [_glorot(rng, arch.high_dim, arch.n_clusters),
-                    Param(np.zeros((1, arch.n_clusters)))]
-    return ModelParams(arch, encoders, decoders, feature_net, cluster_head)
+    params = ModelParams(arch)
+    for w in params.all_params()[::2]:
+        fan_in, fan_out = w.shape
+        s = np.sqrt(6.0 / (fan_in + fan_out))
+        w.value[...] = rng.uniform(-s, s, size=(fan_in, fan_out))
+    return params
 
 
 def _forward_mlp2(x, layer: Sequence[Param]) -> Tensor:
@@ -252,7 +263,7 @@ def infer_fused(params: ModelParams, views: Mapping[int, np.ndarray]) -> np.ndar
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write architecture descriptor plus the flattened parameter vector."""
     arch = params.arch
-    vec = params.flatten()
+    vec = params.vector
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, arch.n_views))
@@ -288,7 +299,15 @@ def load_checkpoint(path, expect_arch: Architecture | None = None) -> ModelParam
     if expect_arch is not None and arch != expect_arch:
         raise DataFormatError(
             f"checkpoint architecture {arch} does not match expected {expect_arch}")
-    vec = np.frombuffer(take(8 * count, "parameter vector"), dtype="<f8").copy()
+    needed = sum(r * c for r, c in _layer_shapes(arch))
+    if count != needed:
+        raise DataFormatError(
+            f"parameter vector has {count} values, architecture needs {needed}")
+    vec = np.frombuffer(take(8 * count, "parameter vector"), dtype="<f8").astype(np.float64)
     if pos != len(blob):
         raise DataFormatError(f"unexpected {len(blob) - pos} trailing bytes")
-    return ModelParams.unflatten(arch, vec)
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise DataFormatError(
+            f"parameter vector holds a non-finite value at index {bad[0]}")
+    return ModelParams(arch, vec)

@@ -47,7 +47,8 @@ class Param:
     """A trainable matrix with a persistent gradient buffer.
 
     ``grad`` accumulates across backward passes until cleared by
-    :meth:`zero_grad` (optimizer steps clear it automatically).
+    :meth:`zero_grad` (optimizer steps clear it automatically). Both are
+    only ever updated in place, so they may be views of larger buffers.
     """
 
     __slots__ = ("value", "grad")
@@ -56,15 +57,19 @@ class Param:
         self.value = as_matrix(value).copy()
         self.grad = np.zeros_like(self.value)
 
+    @classmethod
+    def view(cls, value: Array, grad: Array) -> "Param":
+        """A Param over existing same-shaped buffers, which it does not copy."""
+        p = cls.__new__(cls)
+        p.value, p.grad = value, grad
+        return p
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
-
-    def copy(self) -> "Param":
-        return Param(self.value)
 
     def __repr__(self) -> str:
         return f"Param(shape={self.value.shape})"
@@ -479,9 +484,12 @@ class Adam:
             p.zero_grad()
 
 
+OPTIMIZERS = ("adam", "sgd")
+
+
 def make_optimizer(mode: str, lr: float):
     if mode == "sgd":
         return SGD(lr)
     if mode == "adam":
         return Adam(lr)
-    raise ValueError(f"unknown optimizer mode {mode!r} (expected 'sgd' or 'adam')")
+    raise ValueError(f"unknown optimizer mode {mode!r} (expected one of {OPTIMIZERS})")

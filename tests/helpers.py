@@ -113,3 +113,66 @@ def sum_sq_dist_chain(leaves, refs):
         term = T.sum_all(T.mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
     return acc
+
+
+def init_params_reference(arch, seed):
+    """Every parameter array in checkpoint order, drawn subnet by subnet.
+
+    Glorot-uniform weights and zero biases, one ``rng.uniform`` draw per
+    weight matrix in the order encoders, decoders, feature net, head.
+    """
+    rng = np.random.default_rng(seed)
+
+    def glorot(fan_in, fan_out):
+        s = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-s, s, size=(fan_in, fan_out))
+
+    def mlp2(d_in, d_out):
+        return [glorot(d_in, arch.hidden), np.zeros((1, arch.hidden)),
+                glorot(arch.hidden, d_out), np.zeros((1, d_out))]
+
+    arrays = []
+    for d in arch.view_dims:
+        arrays += mlp2(d, arch.latent_dim)
+    for d in arch.view_dims:
+        arrays += mlp2(arch.latent_dim, d)
+    arrays += mlp2(arch.latent_dim, arch.high_dim)
+    return arrays + [glorot(arch.high_dim, arch.n_clusters),
+                     np.zeros((1, arch.n_clusters))]
+
+
+def aggregate_reference(prev_global, client_params, shards, weights):
+    """Balanced aggregation parameter slot by parameter slot, flattened.
+
+    Clients in ascending id order; each slot starts from zeros and adds
+    ``w * value`` client by client. A view's slots use the weights of its
+    owners renormalised, the shared nets the raw weights, and a view that
+    nobody owns keeps ``prev_global``.
+    """
+    order = sorted(range(len(shards)), key=lambda i: shards[i].client_id)
+    client_params = [client_params[i] for i in order]
+    shards = [shards[i] for i in order]
+    weights = np.asarray([weights[i] for i in order], dtype=np.float64)
+
+    def mix(param_lists, w):
+        out = []
+        for slot in zip(*param_lists):
+            acc = np.zeros(slot[0].value.shape)
+            for p, wi in zip(slot, w):
+                acc += wi * p.value
+            out.append(acc)
+        return out
+
+    encoders, decoders = [], []
+    for v in range(prev_global.arch.n_views):
+        owners = [i for i, s in enumerate(shards) if v in s.view_subset]
+        if not owners:
+            encoders += [p.value.copy() for p in prev_global.encoders[v]]
+            decoders += [p.value.copy() for p in prev_global.decoders[v]]
+            continue
+        w = weights[owners]
+        w = w / w.sum()
+        encoders += mix([client_params[i].encoders[v] for i in owners], w)
+        decoders += mix([client_params[i].decoders[v] for i in owners], w)
+    shared = mix([p.feature_net + p.cluster_head for p in client_params], weights)
+    return np.concatenate([a.ravel() for a in encoders + decoders + shared])

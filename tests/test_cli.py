@@ -7,10 +7,10 @@ import pytest
 
 from fedmvc import cli, federation
 from fedmvc.cli import main, run_experiment, run_sweep
-from fedmvc.config import ExperimentConfig, config_from_mapping, load_config
+from fedmvc.config import ExperimentConfig, config_from_mapping, load_config, parse_field
 from fedmvc.data import generate_blobs, load_dataset, save_dataset
 from fedmvc.errors import ConfigError
-from fedmvc.model import load_checkpoint
+from fedmvc.model import Architecture, init_params, load_checkpoint, save_checkpoint
 
 TINY = dict(seed=3, n_clusters=2, n_samples=30, view_dims=(4, 3),
             separation=5.0, noise_sigma=1.0, n_clients=2, scenario="full_only",
@@ -76,6 +76,28 @@ class TestConfigParsing:
     def test_bad_value_parse(self):
         with pytest.raises(ConfigError, match="rounds"):
             config_from_mapping({"rounds": "many"})
+
+    @pytest.mark.parametrize("name,value", [
+        ("rounds", 2.9), ("seed", 1.5), ("rounds", True), ("hidden", False),
+        ("rounds", "2.9"), ("view_dims", [4, 2.5]), ("mixed_counts", [1, True, 1]),
+        ("eval_views", "0,1.5")])
+    def test_int_fields_reject_bools_and_fractions(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name}: could not parse"):
+            parse_field(name, value)
+
+    @pytest.mark.parametrize("name,value,expected", [
+        ("rounds", 3.0, 3), ("rounds", "4", 4), ("seed", -2, -2),
+        ("view_dims", [2.0, 3], (2, 3)), ("standardize", "off", False),
+        ("alpha", 1, 1.0), ("dirichlet_beta", "iid", None)])
+    def test_whole_values_parse(self, name, value, expected):
+        got = parse_field(name, value)
+        assert got == expected and type(got) is type(expected)
+
+    def test_json_fractional_rounds_rejected(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"rounds": 2.9}))
+        with pytest.raises(ConfigError, match="rounds"):
+            load_config(path)
 
 
 class TestRunExperiment:
@@ -206,6 +228,23 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "round 1" in err and "client" in err
 
+    @pytest.mark.parametrize("line", ["threads = 2", "deterministic = true"])
+    def test_removed_knob_in_config_file_exit_2(self, tmp_path, capsys, line):
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
+        path.write_text(path.read_text() + line + "\n")
+        assert main(["run", str(path)]) == 2
+        key = line.split()[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--threads", "2"], ["--deterministic"],
+                                       ["--no-deterministic"]])
+    def test_removed_knob_flag_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_flag_overrides_win(self, tmp_path):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
                                rounds=1, warmup_epochs=0)
@@ -304,3 +343,26 @@ class TestDataVerbs:
                                             warmup_epochs=0,
                                             data_path=str(path)))
         assert result.final.acc is not None
+
+    @pytest.mark.parametrize("fault,message", [
+        ("count", "parameter vector has"), ("nan", "non-finite value at index 3")])
+    def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, fault, message):
+        arch = Architecture((4, 3), 2, latent_dim=4, high_dim=4, hidden=6)
+        params = init_params(arch, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        blob = bytearray(path.read_bytes())
+        count_at = 4 + 8 + 4 * 2 + 16  # magic, version and V, dims, 4 x u32
+        if fault == "count":
+            struct.pack_into("<Q", blob, count_at, params.vector.size - 1)
+            del blob[-8:]
+        else:
+            struct.pack_into("<d", blob, count_at + 8 + 8 * 3, float("nan"))
+        path.write_bytes(bytes(blob))
+        save_dataset(generate_blobs(2, 20, (4, 3), 4.0, 1.0, seed=0),
+                     tmp_path / "d.mvd")
+        assert main(["inspect", "--checkpoint", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(path), "--data",
+                     str(tmp_path / "d.mvd"), "--eval-restarts", "1"]) == 2
+        assert message in capsys.readouterr().err

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from helpers import aggregate_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmvc import federation
 from fedmvc import tensor as T
 from fedmvc.config import ExperimentConfig
-from fedmvc.data import CLIENT_FULL, ClientShard, generate_blobs
+from fedmvc.data import CLIENT_FULL, ClientShard, client_type_for, generate_blobs
 from fedmvc.errors import ConfigError
 from fedmvc.federation import (
     ClientInfo,
@@ -387,6 +390,41 @@ class TestAggregate:
         assert np.abs(out.flatten() - mean).max() < 1e-12
 
 
+@st.composite
+def aggregation_cases(draw):
+    """Clients with random view subsets (views may go unowned), shuffled
+    ids and positive weights that sum to 1."""
+    view_dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n_views = len(view_dims)
+    n_clients = draw(st.integers(1, 6))
+    subsets = [tuple(sorted(draw(st.sets(st.integers(0, n_views - 1), min_size=1))))
+               for _ in range(n_clients)]
+    ids = draw(st.permutations(range(n_clients)))
+    raw = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n_clients,
+                                 max_size=n_clients)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return view_dims, subsets, ids, raw / raw.sum(), seed
+
+
+class TestAggregateProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(aggregation_cases())
+    def test_matches_per_slot_reference(self, case):
+        view_dims, subsets, ids, weights, seed = case
+        arch = Architecture(tuple(view_dims), n_clusters=2, latent_dim=2,
+                            high_dim=3, hidden=3)
+        rng = np.random.default_rng(seed)
+        prev, *params = [init_params(arch, seed=0) for _ in range(len(ids) + 1)]
+        for p in (prev, *params):
+            p.vector[:] = rng.standard_normal(p.vector.size)
+        shards = [ClientShard(cid, client_type_for(len(sub), len(view_dims)), sub,
+                              np.arange(3))
+                  for cid, sub in zip(ids, subsets)]
+        out = aggregate(prev, params, shards, weights)
+        expected = aggregate_reference(prev, params, shards, weights)
+        assert out.flatten().tobytes() == expected.tobytes()
+
+
 class TestBroadcast:
     def test_broadcast_and_idempotence(self):
         g = init_params(ARCH, seed=0)
@@ -475,15 +513,6 @@ class TestRunFederation:
         assert set(clients[0].views) == {1}
         assert clients[0].views[1].shape == (10, 3)
         assert np.array_equal(clients[1].views[0], ds.views[0][10:30])
-
-    def test_parallel_mode_matches_sequential(self):
-        cfg = tiny_config(n_clients=3, scenario="mixed", rounds=2,
-                          local_epochs=2, batch_size=16)
-        ds = generate_blobs(2, 60, (4, 3), 5.0, 1.0, seed=6)
-        seq, _ = run_federation(cfg, ds)
-        par, _ = run_federation(cfg.replace(deterministic=False, threads=4), ds)
-        assert np.array_equal(seq.global_params.flatten(),
-                              par.global_params.flatten())
 
     def test_training_beats_untrained_baseline(self):
         cfg = tiny_config(n_clients=3, scenario="mixed", n_samples=90,

@@ -1,7 +1,10 @@
 """Model construction, forward contracts, flatten/checkpoint roundtrips."""
 
+import struct
+
 import numpy as np
 import pytest
+from helpers import init_params_reference
 
 from fedmvc import tensor as T
 from fedmvc.errors import ConfigError, DataFormatError, DimensionError
@@ -46,6 +49,18 @@ class TestInit:
         expected_var = s ** 2 / 3.0
         assert abs(w.var() - expected_var) / expected_var < 0.2
         assert np.abs(w).max() <= s
+
+    def test_matches_subnet_by_subnet_draws(self):
+        # view 0's first encoder weight is (1, hidden), the shape of a bias
+        arch = Architecture(view_dims=(1, 3), n_clusters=2, latent_dim=4,
+                            high_dim=5, hidden=6)
+        params = init_params(arch, seed=11)
+        expected = init_params_reference(arch, seed=11)
+        got = [p.value for p in params.all_params()]
+        assert [a.shape for a in got] == [a.shape for a in expected]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+        assert params.encoders[0][0].shape == params.encoders[0][1].shape == (1, 6)
+        assert np.abs(params.encoders[0][0].value).min() > 0
 
     def test_bad_architecture(self):
         with pytest.raises(ConfigError):
@@ -221,6 +236,64 @@ class TestMasking:
         assert any(np.abs(p.grad).max() > 0 for p in params.view_params(0))
 
 
+class TestParameterVector:
+    def test_params_are_views_of_vector_and_grad(self):
+        params = init_params(ARCH, seed=2)
+        ordered = np.concatenate([p.value.ravel() for p in params.all_params()])
+        assert np.array_equal(ordered, params.vector)
+        for p in params.all_params():
+            assert np.shares_memory(p.value, params.vector)
+            assert np.shares_memory(p.grad, params.grad)
+        params.decoders[1][2].value[0, 0] = 123.0
+        assert np.count_nonzero(params.vector == 123.0) == 1
+        params.vector[-1] = 7.0
+        assert params.cluster_head[1].value[0, -1] == 7.0
+
+    def test_backward_fills_the_grad_vector(self):
+        params = init_params(ARCH, seed=3)
+        tape = T.Tape()
+        fwd = forward_views(tape, params, {0: np.ones((4, 5))})
+        tape.backward(reconstruction_loss([np.zeros((4, 5))], [fwd.recons[0]]))
+        ordered = np.concatenate([p.grad.ravel() for p in params.all_params()])
+        assert np.array_equal(ordered, params.grad)
+        enc, dec = params.view_spans(0)
+        assert np.abs(params.grad[enc]).max() > 0 and np.abs(params.grad[dec]).max() > 0
+        assert not params.grad[params.shared_span()].any()
+
+    def test_clone_shares_neither_buffer(self):
+        params = init_params(ARCH, seed=4)
+        other = params.clone()
+        assert np.array_equal(other.vector, params.vector)
+        assert not np.shares_memory(other.vector, params.vector)
+        assert not np.shares_memory(other.grad, params.grad)
+        for p in other.all_params():
+            assert np.shares_memory(p.value, other.vector)
+            assert not np.shares_memory(p.value, params.vector)
+
+    def test_spans_partition_the_vector(self):
+        params = init_params(ARCH, seed=5)
+        covered = np.zeros(params.vector.size, dtype=int)
+        for v in range(ARCH.n_views):
+            for span, net in zip(params.view_spans(v),
+                                 (params.encoders[v], params.decoders[v])):
+                covered[span] += 1
+                expected = np.concatenate([p.value.ravel() for p in net])
+                assert np.array_equal(params.vector[span], expected)
+        covered[params.shared_span()] += 1
+        assert (covered == 1).all()
+
+    def test_wrong_length_vector_rejected(self):
+        size = init_params(ARCH, seed=0).vector.size
+        with pytest.raises(DimensionError, match=f"needs {size}"):
+            ModelParams(ARCH, np.zeros(size + 1))
+
+
+def _checkpoint_offsets(arch):
+    """Byte offsets of the value count and of the first value in MVP1."""
+    count_at = 4 + 8 + 4 * arch.n_views + 16
+    return count_at, count_at + 8
+
+
 class TestFlattenCheckpoint:
     def test_flatten_unflatten_bijection(self):
         params = init_params(ARCH, seed=4)
@@ -265,4 +338,28 @@ class TestFlattenCheckpoint:
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match="magic"):
+            load_checkpoint(path)
+
+    def test_checkpoint_count_disagreeing_with_architecture(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(ARCH, seed=9), path)
+        blob = bytearray(path.read_bytes())
+        count_at, _ = _checkpoint_offsets(ARCH)
+        (count,) = struct.unpack_from("<Q", blob, count_at)
+        struct.pack_into("<Q", blob, count_at, count - 1)
+        path.write_bytes(bytes(blob[:-8]))  # the file agrees with its header
+        with pytest.raises(DataFormatError,
+                           match=f"parameter vector has {count - 1} values.*needs {count}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_checkpoint_non_finite_value(self, tmp_path, bad):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(ARCH, seed=10), path)
+        blob = bytearray(path.read_bytes())
+        _, first = _checkpoint_offsets(ARCH)
+        struct.pack_into("<d", blob, first + 8 * 17, bad)
+        struct.pack_into("<d", blob, first + 8 * 40, bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="parameter vector.*index 17$"):
             load_checkpoint(path)
