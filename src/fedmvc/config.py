@@ -134,9 +134,10 @@ class ExperimentConfig:
 
 
 def _parse_bool(value) -> bool:
-    if not isinstance(value, str):
-        return bool(value)
-    low = value.strip().lower()
+    """A boolean, or one of the words for one; numbers are refused."""
+    if isinstance(value, bool):
+        return value
+    low = value.strip().lower() if isinstance(value, str) else None
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
@@ -153,6 +154,13 @@ def _parse_int(value) -> int:
     return int(value)
 
 
+def _parse_float(value) -> float:
+    """A number, refusing booleans."""
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    return float(value)
+
+
 def _parse_int_tuple(value) -> tuple[int, ...]:
     if isinstance(value, str):
         value = [p for p in value.replace(" ", "").split(",") if p]
@@ -161,7 +169,7 @@ def _parse_int_tuple(value) -> tuple[int, ...]:
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 # parsers by the type of a field's default
-_PARSERS = {bool: _parse_bool, int: _parse_int, float: float, str: str,
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: str,
             tuple: _parse_int_tuple}
 # fields that may be None, with the parser of a value and the words for None
 _OPTIONAL = {
@@ -169,7 +177,7 @@ _OPTIONAL = {
     "resume_from": (str, ("none",)),
     "mixed_counts": (_parse_int_tuple, ("none",)),
     "eval_views": (_parse_int_tuple, ("none",)),
-    "dirichlet_beta": (float, ("iid", "none", "inf")),
+    "dirichlet_beta": (_parse_float, ("iid", "none", "inf")),
 }
 
 

@@ -37,8 +37,66 @@ def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _nearest(points: np.ndarray, centroids: np.ndarray,
+             sq_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid (ties to the lowest index) and its
+    squared distance to it.
+
+    Both are bitwise the argmin and the minimum of
+    ``_pairwise_sq_dists(points, centroids)``, at the cost of one matrix
+    product. ``points`` is C-contiguous; ``sq_norms`` is
+    ``(points ** 2).sum(axis=1)``.
+    """
+    # Labels come from the GEMM form ‖x‖² − 2·x·c + ‖c‖². Two facts bound
+    # how far each form's computed value is from the true ‖x − c‖², with
+    # u = eps/2 the unit roundoff and g_n = n·u/(1 − n·u):
+    #  * GEMM form: ‖x‖², x·c and ‖c‖² are dot products of length D, each
+    #    within g_D of the sum of its terms' magnitudes in any summation
+    #    order, with or without FMA; two more additions make the error at
+    #    most g_{D+2}·(‖x‖² + 2‖x‖‖c‖ + ‖c‖²) = g_{D+2}·(‖x‖ + ‖c‖)².
+    #  * Exact form: a subtraction and a square per term, then D − 1
+    #    additions: at most g_{D+2}·‖x − c‖² ≤ g_{D+2}·(‖x‖ + ‖c‖)².
+    # If the exact form ranks some centroid at or before the GEMM argmin,
+    # their GEMM values differ by at most those four errors,
+    # 4·g_{D+2}·(‖x‖ + max‖c‖)². A row with a single centroid within that
+    # margin of its best therefore has the exact form's label, whatever
+    # order BLAS used; every other row is redone with the exact form.
+    # `gamma` uses eps in place of u, so the margin is at least twice the
+    # bound: that covers the rounding of the margin, the norms and the
+    # differences themselves (relatively below g_{2D+8}, far under a half).
+    # 4·D·_TINY covers underflow (at most half a subnormal per product).
+    # An inf or NaN anywhere in a row's comparison makes it be redone.
+    d = points.shape[1]
+    c_sq = (centroids ** 2).sum(axis=1)
+    # one row per centroid, so the reductions below run across rows
+    d2 = centroids @ points.T
+    d2 *= -2.0
+    d2 += sq_norms
+    d2 += c_sq[:, None]
+    d2 -= d2.min(axis=0)
+    gamma = (d + 2) * _EPS / (1 - (d + 2) * _EPS)
+    margin = 4 * gamma * (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2 + 4 * d * _TINY
+    near = ~(d2 > margin)
+    labels = near.argmax(axis=0)
+    close = near.sum(axis=0) != 1
+    if close.any():
+        labels[close] = _pairwise_sq_dists(points[close], centroids).argmin(axis=1)
+    # ((x - c)**2).sum() row by row: the exact form's operations, in its order
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    return labels, diff.sum(axis=1)
+
+
 def kmeans_objective(points: np.ndarray, centroids: np.ndarray) -> float:
-    return float(_pairwise_sq_dists(points, centroids).min(axis=1).sum())
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    _, assigned = _nearest(points, centroids, (points ** 2).sum(axis=1))
+    return float(assigned.sum())
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -61,36 +119,52 @@ def kmeans(points, n_clusters: int, seed=0, max_iter: int = 300,
            tol: float = 1e-6) -> KMeansResult:
     """Lloyd iterations from a k-means++ start.
 
+    Each point is assigned to its nearest centroid, ties going to the
+    lowest index. The assignment takes one matrix product per iteration
+    and redoes exactly only the rows that rounding could decide
+    (``_nearest``), so labels, centroids, objective and trace are
+    bitwise those of computing every point-centroid distance as
+    ``((x - c)**2).sum()``, whatever order the BLAS sums in.
+
     The objective is non-increasing across iterations (``trace`` records
     it after each assignment step); an emptied cluster is repaired by
-    reseating it on the point currently farthest from its centroid.
+    reseating it on the point farthest from its centroid among clusters
+    that keep at least one other member.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n, k = points.shape[0], n_clusters
+    if k < 1:
+        raise ConfigError(f"n_clusters must be >= 1, got {k}")
     if n < k:
         raise ConfigError(f"k-means needs at least {k} points, got {n}")
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng)
+    sq_norms = (points ** 2).sum(axis=1)
     trace: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(points, centroids)
-        labels = d2.argmin(axis=1)
-        assigned = d2[np.arange(n), labels]
-        for j in range(k):
-            if not np.any(labels == j):
-                far = int(assigned.argmax())
-                centroids[j] = points[far]
-                labels[far] = j
-                assigned[far] = 0.0
+        labels, assigned = _nearest(points, centroids, sq_norms)
+        counts = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            far = int(np.where(counts[labels] >= 2, assigned, -np.inf).argmax())
+            counts[labels[far]] -= 1
+            counts[j] = 1
+            centroids[j] = points[far]
+            labels[far] = j
+            assigned[far] = 0.0
         trace.append(float(assigned.sum()))
-        new_centroids = np.array([points[labels == j].mean(axis=0) for j in range(k)])
+        # rows grouped by cluster, each group in its original row order;
+        # labels in the narrowest dtype let numpy radix-sort them
+        order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+        grouped = points[order]
+        ends = np.cumsum(counts)
+        new_centroids = np.array([grouped[end - count:end].mean(axis=0)
+                                  for count, end in zip(counts, ends)])
         shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
         centroids = new_centroids
         if shift < tol:
             break
-    labels = predict(points, centroids)
-    return KMeansResult(centroids, labels, kmeans_objective(points, centroids), trace)
+    labels, assigned = _nearest(points, centroids, sq_norms)
+    return KMeansResult(centroids, labels, float(assigned.sum()), trace)
 
 
 def kmeans_best(points, n_clusters: int, n_restarts: int = 10, seed=0,
@@ -114,9 +188,9 @@ def kmeans_best(points, n_clusters: int, n_restarts: int = 10, seed=0,
 
 def predict(points, centroids) -> np.ndarray:
     """Nearest-centroid labels; ties break toward the lowest index."""
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    return _pairwise_sq_dists(points, centroids).argmin(axis=1).astype(np.int64)
+    return _nearest(points, centroids, (points ** 2).sum(axis=1))[0]
 
 
 def _contingency(true_labels, pred_labels) -> np.ndarray:

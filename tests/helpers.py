@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from fedmvc import tensor as T
+from fedmvc.evaluation import KMeansResult, _kmeanspp_init
 
 
 def central_diff(f, x, h=1e-5):
@@ -176,3 +177,43 @@ def aggregate_reference(prev_global, client_params, shards, weights):
         decoders += mix([client_params[i].decoders[v] for i in owners], w)
     shared = mix([p.feature_net + p.cluster_head for p in client_params], weights)
     return np.concatenate([a.ravel() for a in encoders + decoders + shared])
+
+
+def pairwise_sq_dists_reference(points, centroids):
+    """Every point-centroid squared distance, from an N×K×D difference tensor."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def kmeans_reference(points, n_clusters, seed=0, max_iter=300, tol=1e-6):
+    """Lloyd's k-means from the full distance tensor and one mask per cluster.
+
+    The same k-means++ start, empty-cluster reseat and stopping rule as
+    ``fedmvc.evaluation.kmeans``; only the assignment (every distance
+    computed exactly) and the centroid update (a boolean mask per cluster)
+    are done the direct way.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n, k = points.shape[0], n_clusters
+    rng = np.random.default_rng(seed)
+    centroids = _kmeanspp_init(points, k, rng)
+    trace = []
+    for _ in range(max_iter):
+        d2 = pairwise_sq_dists_reference(points, centroids)
+        labels = d2.argmin(axis=1)
+        assigned = d2[np.arange(n), labels]
+        for j in range(k):
+            if not np.any(labels == j):
+                shared = np.bincount(labels, minlength=k)[labels] >= 2
+                far = int(np.where(shared, assigned, -np.inf).argmax())
+                centroids[j] = points[far]
+                labels[far] = j
+                assigned[far] = 0.0
+        trace.append(float(assigned.sum()))
+        new_centroids = np.array([points[labels == j].mean(axis=0) for j in range(k)])
+        shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+    d2 = pairwise_sq_dists_reference(points, centroids)
+    labels = d2.argmin(axis=1).astype(np.int64)
+    return KMeansResult(centroids, labels, float(d2.min(axis=1).sum()), trace)

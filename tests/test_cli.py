@@ -85,10 +85,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{name}: could not parse"):
             parse_field(name, value)
 
+    @pytest.mark.parametrize("name,value", [
+        ("alpha", True), ("lr", False), ("dirichlet_beta", True),
+        ("standardize", 2), ("standardize", 1), ("no_drift", 0),
+        ("fedavg", 1.0), ("standardize", "maybe"), ("no_contrast", [True])])
+    def test_float_and_bool_fields_reject_mistyped_values(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name}: could not parse"):
+            parse_field(name, value)
+
     @pytest.mark.parametrize("name,value,expected", [
         ("rounds", 3.0, 3), ("rounds", "4", 4), ("seed", -2, -2),
         ("view_dims", [2.0, 3], (2, 3)), ("standardize", "off", False),
-        ("alpha", 1, 1.0), ("dirichlet_beta", "iid", None)])
+        ("alpha", 1, 1.0), ("dirichlet_beta", "iid", None),
+        ("standardize", True, True), ("no_drift", " Yes ", True),
+        ("alpha", "0.25", 0.25), ("dirichlet_beta", 2, 2.0)])
     def test_whole_values_parse(self, name, value, expected):
         got = parse_field(name, value)
         assert got == expected and type(got) is type(expected)

@@ -1,10 +1,15 @@
 """k-means, prediction, and metric oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from helpers import kmeans_reference, pairwise_sq_dists_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmvc import evaluation
 from fedmvc.data import generate_blobs
 from fedmvc.errors import ConfigError
 from fedmvc.evaluation import (
@@ -70,6 +75,20 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans(np.zeros((2, 2)), 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_cluster_count(self, k):
+        with pytest.raises(ConfigError, match="n_clusters"):
+            kmeans(np.zeros((5, 2)), k)
+
+    def test_reseat_never_empties_a_singleton(self):
+        # every point ties, so each empty cluster is reseated; a reseat
+        # must not take the only point of a cluster reseated before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans(np.ones((5, 2)), 3)
+        assert result.trace == [0.0]
+        assert np.array_equal(result.centroids, np.ones((3, 2)))
+
     def test_fixed_point_consistency(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((50, 4))
@@ -80,6 +99,95 @@ class TestKMeans:
         points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         best, objectives = kmeans_best(points, 2, n_restarts=5, seed=0)
         assert best.objective == pytest.approx(min(objectives))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == \
+        np.asarray(b, dtype=np.float64).tobytes()
+
+
+@st.composite
+def point_sets(draw):
+    """Points that make near-ties: random, duplicated, or mirrored on a grid.
+
+    The grid rows come in mirror pairs across x0 = 0, with some rows on
+    that plane, so centroids at mirrored points leave rows on their
+    bisector. Scales of 2**-540 and 2**500 push the squares into the
+    subnormal range and near the top of the float range.
+    """
+    k = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 64))
+    n = draw(st.integers(k, 40))
+    kind = draw(st.sampled_from(["random", "duplicated", "bisector"]))
+    scale = draw(st.sampled_from([2.0 ** -540, 1.0, 2.0 ** 500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        points = rng.standard_normal((n, d))
+    elif kind == "duplicated":
+        distinct = rng.standard_normal((draw(st.integers(1, n)), d))
+        points = distinct[rng.integers(0, len(distinct), n)]
+    else:
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        points[1::2] = points[0::2][: n // 2]
+        points[1::2, 0] *= -1
+        points[::3, 0] = 0.0
+    return points * scale, k, draw(st.integers(0, 2 ** 16))
+
+
+class TestCertifiedAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_kmeans_bitwise_equals_reference(self, case):
+        points, k, seed = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kmeans(points, k, seed=seed)
+        want = kmeans_reference(points, k, seed=seed)
+        assert np.array_equal(got.labels, want.labels)
+        assert same_bits(got.centroids, want.centroids)
+        assert same_bits(got.objective, want.objective)
+        assert same_bits(got.trace, want.trace)
+        assert np.isfinite(got.centroids).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_predict_and_objective_match_exact_form(self, case):
+        points, k, seed = case
+        rng = np.random.default_rng(seed)
+        centroids = points[rng.choice(len(points), size=k, replace=False)]
+        # midpoints of centroid pairs lie on (or next to) their bisector
+        pairs = rng.integers(0, k, size=(len(points), 2))
+        probes = np.concatenate(
+            [points, (centroids[pairs[:, 0]] + centroids[pairs[:, 1]]) / 2])
+        exact = pairwise_sq_dists_reference(probes, centroids)
+        assert np.array_equal(predict(probes, centroids), exact.argmin(axis=1))
+        assert same_bits(kmeans_objective(probes, centroids),
+                         exact.min(axis=1).sum())
+
+    def test_rows_on_a_bisector_are_rechecked_exactly(self, monkeypatch):
+        rechecked = []
+        exact_form = evaluation._pairwise_sq_dists
+
+        def spy(points, centroids):
+            rechecked.append(points.copy())
+            return exact_form(points, centroids)
+
+        monkeypatch.setattr(evaluation, "_pairwise_sq_dists", spy)
+        centroids = np.array([[-1.0, 0.3], [1.0, 0.3]])
+        bisector = np.array([[0.0, -2.5], [0.0, 0.1], [0.0, 7.0]])
+        points = np.concatenate([bisector, [[-4.0, 0.0], [3.0, 1.0]]])
+        assert predict(points, centroids).tolist() == [0, 0, 0, 0, 1]
+        assert len(rechecked) == 1
+        assert np.array_equal(rechecked[0], bisector)
+
+    def test_underflowing_distances(self):
+        # the squares fall into the subnormal range, where rounding error is
+        # absolute; the margin's absolute term sends such rows to the exact form
+        unit = 2.0 ** -539
+        points = np.array([[1.0], [2.0], [6.0], [-2.0]]) * unit
+        centroids = np.array([[8.0], [4.0]]) * unit
+        exact = pairwise_sq_dists_reference(points, centroids)
+        assert np.array_equal(predict(points, centroids), exact.argmin(axis=1))
 
 
 class TestPredict:
