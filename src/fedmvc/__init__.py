@@ -12,7 +12,6 @@ from .errors import (
 )
 from .evaluation import MetricsReport, accuracy, adjusted_rand_index, evaluate_global, kmeans, normalized_mutual_info
 from .federation import RoundReport, ServerState, run_federation
-from .losses import LossConfig
 from .model import Architecture, ModelParams, init_params
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "DimensionError",
     "ExperimentConfig",
     "FedmvcError",
-    "LossConfig",
     "MetricsReport",
     "ModelParams",
     "MultiViewDataset",

@@ -24,15 +24,12 @@ from .config import (
     save_config,
 )
 from .data import generate_blobs, load_dataset, save_dataset
-from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError
+from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError, PartitionError
 from .evaluation import MetricsReport, eval_view_order, evaluate_global
 from .federation import derive_seeds, run_federation
 from .model import load_checkpoint, save_checkpoint
 
 ENV_OUTPUT_ROOT = "FEDMVC_OUT"
-
-_BOOL_FLAGS = ("no_drift", "no_contrast", "fedavg")
-_OPTIONAL_BOOLS = ("standardize",)
 
 
 def _resolve_output_dir(path: str) -> Path:
@@ -175,11 +172,12 @@ def run_sweep(config: ExperimentConfig, param: str, values: list) -> Path:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per config field; a boolean's kind follows its default."""
     for f in dataclasses.fields(ExperimentConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FLAGS:
+        if f.default is False:
             parser.add_argument(flag, action="store_true", default=None)
-        elif f.name in _OPTIONAL_BOOLS:
+        elif f.default is True:
             parser.add_argument(flag, action=argparse.BooleanOptionalAction,
                                 default=None)
         else:
@@ -231,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--eval-restarts", type=int, default=10)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=int, default=0,
+                        help="master seed; k-means is seeded from it as in run")
     p_eval.add_argument("--eval-views", default=None)
     p_eval.add_argument("--no-standardize", action="store_true")
 
@@ -278,7 +277,8 @@ def _cmd_eval(args) -> int:
     views = parse_field("eval_views", args.eval_views) if args.eval_views else None
     try:
         report = evaluate_global(params, dataset, n_restarts=args.eval_restarts,
-                                 seed=args.seed, view_subset=views,
+                                 seed=derive_seeds(args.seed).evaluation,
+                                 view_subset=views,
                                  standardize=not args.no_standardize)
     except DimensionError as err:
         raise ConfigError(f"checkpoint does not fit this dataset: {err}") from err
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DataFormatError) as err:
+    except (ConfigError, DataFormatError, PartitionError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

@@ -10,15 +10,89 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
-from .data import SCENARIOS
 from .errors import ConfigError
-from .federation import ALPHA_C_MODES
 from .tensor import OPTIMIZERS
 
 SWEEPABLE = ("alpha", "mu", "tau", "sigma_noise", "dirichlet_beta")
+SCENARIOS = ("full_only", "single_only", "mixed")
+ALPHA_C_MODES = ("linear", "quadratic", "binary", "uniform")
+
+
+def _at_least(low):
+    return lambda v: v >= low, f"must be >= {low}"
+
+
+def _one_of(choices):
+    return lambda v: v in choices, f"must be one of {choices}"
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+
+# The one range rule of each config value: field -> (holds, why). The
+# config, the model, the datasets and k-means all check through here.
+RULES = {
+    "seed": (lambda v: isinstance(v, int), "must be an integer"),
+    "n_clusters": _at_least(1),
+    "view_dims": (lambda v: len(v) >= 1 and all(d >= 1 for d in v),
+                  "must be a nonempty list of sizes >= 1"),
+    "separation": _at_least(0),
+    "noise_sigma": _at_least(0),
+    "n_clients": _at_least(1),
+    "scenario": _one_of(SCENARIOS),
+    "mixed_counts": (lambda v: len(v) == 3 and min(v) >= 0,
+                     "must be three nonnegative counts"),
+    "dirichlet_beta": (lambda v: v > 0, "must be > 0 (or 'iid')"),
+    "rounds": _at_least(0),
+    "warmup_epochs": _at_least(0),
+    "local_epochs": _at_least(0),
+    "batch_size": _at_least(1),
+    "lr": _POSITIVE,
+    "optimizer": _one_of(OPTIMIZERS),
+    "latent_dim": _at_least(1),
+    "high_dim": _at_least(1),
+    "hidden": _at_least(1),
+    "tau": _POSITIVE,
+    "alpha": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "mu": _at_least(0),
+    "sigma_noise": _at_least(0),
+    "alpha_c_mode": _one_of(ALPHA_C_MODES),
+    "eval_restarts": _at_least(1),
+    "eval_every": _at_least(1),
+    "eval_views": (lambda v: len(v) >= 1, "must list at least one view"),
+    "kmeans_max_iter": _at_least(1),
+    "kmeans_tol": _POSITIVE,
+    "checkpoint_every": _at_least(0),
+}
+
+# rules between two values: (field, other, holds(value, other), why)
+PAIR_RULES = (
+    ("n_samples", "n_clusters", lambda n, k: n >= k, "must be >= n_clusters={}"),
+    ("mixed_counts", "n_clients", lambda m, c: sum(m) == c, "must sum to n_clients={}"),
+)
+
+
+def _reject(field: str, why: str, value):
+    raise ConfigError(f"{field}: {why} (got {value!r})")
+
+
+def check(**values) -> None:
+    """Check the given config values by their rules, each value alone and
+    then every pair rule whose two fields are both given.
+
+    A field that may be None passes when it is None. Raises ConfigError
+    ``"<field>: <why> (got <value>)"`` for the first rule broken.
+    """
+    given = {k: v for k, v in values.items() if not (v is None and k in _OPTIONAL)}
+    for field, value in given.items():
+        if field in RULES and not RULES[field][0](value):
+            _reject(field, RULES[field][1], value)
+    for field, other, holds, why in PAIR_RULES:
+        if field in given and other in given and not holds(given[field], given[other]):
+            _reject(field, why.format(given[other]), given[field])
 
 
 @dataclass
@@ -57,7 +131,6 @@ class ExperimentConfig:
     # ablations
     no_drift: bool = False
     no_contrast: bool = False
-    fedavg: bool = False
     # evaluation
     eval_restarts: int = 10
     eval_every: int = 1
@@ -70,54 +143,8 @@ class ExperimentConfig:
     output_dir: str = "runs/exp"
 
     def validate(self) -> None:
-        """Check every field; error messages name the offending field."""
-        def check(cond: bool, field: str, why: str):
-            if not cond:
-                raise ConfigError(f"{field}: {why} (got {getattr(self, field)!r})")
-
-        check(isinstance(self.seed, int), "seed", "must be an integer")
-        check(self.n_clusters >= 1, "n_clusters", "must be >= 1")
-        check(self.n_samples >= self.n_clusters, "n_samples",
-              "must be >= n_clusters")
-        check(len(self.view_dims) >= 1 and all(d >= 1 for d in self.view_dims),
-              "view_dims", "must be a nonempty list of sizes >= 1")
-        check(self.separation >= 0, "separation", "must be >= 0")
-        check(self.noise_sigma >= 0, "noise_sigma", "must be >= 0")
-        check(self.n_clients >= 1, "n_clients", "must be >= 1")
-        check(self.scenario in SCENARIOS, "scenario",
-              f"must be one of {SCENARIOS}")
-        if self.mixed_counts is not None:
-            check(len(self.mixed_counts) == 3 and min(self.mixed_counts) >= 0,
-                  "mixed_counts", "must be three nonnegative counts")
-            check(sum(self.mixed_counts) == self.n_clients, "mixed_counts",
-                  f"must sum to n_clients={self.n_clients}")
-        if self.dirichlet_beta is not None:
-            check(self.dirichlet_beta > 0, "dirichlet_beta",
-                  "must be > 0 (or 'iid')")
-        check(self.rounds >= 0, "rounds", "must be >= 0")
-        check(self.warmup_epochs >= 0, "warmup_epochs", "must be >= 0")
-        check(self.local_epochs >= 0, "local_epochs", "must be >= 0")
-        check(self.batch_size >= 1, "batch_size", "must be >= 1")
-        check(self.lr > 0, "lr", "must be > 0")
-        check(self.optimizer in OPTIMIZERS, "optimizer",
-              f"must be one of {OPTIMIZERS}")
-        check(self.latent_dim >= 1, "latent_dim", "must be >= 1")
-        check(self.high_dim >= 1, "high_dim", "must be >= 1")
-        check(self.hidden >= 1, "hidden", "must be >= 1")
-        check(self.tau > 0, "tau", "must be > 0")
-        check(0.0 <= self.alpha <= 1.0, "alpha", "must lie in [0, 1]")
-        check(self.mu >= 0, "mu", "must be >= 0")
-        check(self.sigma_noise >= 0, "sigma_noise", "must be >= 0")
-        check(self.alpha_c_mode in ALPHA_C_MODES, "alpha_c_mode",
-              f"must be one of {ALPHA_C_MODES}")
-        check(self.eval_restarts >= 1, "eval_restarts", "must be >= 1")
-        check(self.eval_every >= 1, "eval_every", "must be >= 1")
-        if self.eval_views is not None:
-            check(len(self.eval_views) >= 1, "eval_views",
-                  "must list at least one view")
-        check(self.kmeans_max_iter >= 1, "kmeans_max_iter", "must be >= 1")
-        check(self.kmeans_tol > 0, "kmeans_tol", "must be > 0")
-        check(self.checkpoint_every >= 0, "checkpoint_every", "must be >= 0")
+        """Check every field by the rules of :func:`check`."""
+        check(**{f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
     def to_mapping(self) -> dict[str, Any]:
         """JSON-ready dict with every default materialized."""
@@ -204,6 +231,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
+# a comment starts at a '#' that begins the line or follows whitespace
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def load_config(path) -> ExperimentConfig:
     """Read a config file: JSON if it looks like JSON, else key=value lines."""
     try:
@@ -220,8 +251,8 @@ def load_config(path) -> ExperimentConfig:
         return config_from_mapping(mapping)
     mapping = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")

@@ -12,14 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check
 from .errors import ConfigError, DataFormatError, PartitionError
 
 CLIENT_FULL = "full"
 CLIENT_PARTIAL = "partial"
 CLIENT_SINGLE = "single"
 CLIENT_TYPES = (CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE)
-
-SCENARIOS = ("full_only", "single_only", "mixed")
 
 _MAGIC = b"MVD1"
 _VERSION = 1
@@ -36,8 +35,7 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.views:
             raise DataFormatError("dataset needs at least one view")
-        if self.n_clusters < 1:
-            raise ConfigError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        check(n_clusters=self.n_clusters)
         self.views = [np.ascontiguousarray(v, dtype=np.float64) for v in self.views]
         n = self.views[0].shape[0]
         for i, v in enumerate(self.views):
@@ -136,15 +134,8 @@ def generate_blobs(n_clusters: int, n_samples: int, view_dims: Sequence[int],
     sample. ``separation=0`` collapses every view to pure noise around the
     origin.
     """
-    if n_clusters < 1:
-        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
-    if n_samples < n_clusters:
-        raise ConfigError(
-            f"n_samples ({n_samples}) must be >= n_clusters ({n_clusters})")
-    if any(d < 1 for d in view_dims):
-        raise ConfigError(f"view dims must all be >= 1, got {tuple(view_dims)}")
-    if separation < 0 or noise_sigma < 0:
-        raise ConfigError("separation and noise_sigma must be >= 0")
+    check(n_clusters=n_clusters, n_samples=n_samples, view_dims=tuple(view_dims),
+          separation=separation, noise_sigma=noise_sigma)
     rng = np.random.default_rng(seed)
 
     base, extra = divmod(n_samples, n_clusters)
@@ -180,21 +171,19 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None, seed=0,
     symmetric Dirichlet with concentration ``beta``; smaller ``beta``
     means more skew. ``beta=None`` requests the IID split (a uniform
     shuffle cut into near-equal chunks). Draws are repeated until every
-    client holds at least one sample, up to ``max_retries`` times.
+    client holds at least one sample, up to ``max_retries`` times; with
+    fewer samples than clients no draw is made.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if n_clients < 1:
-        raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
-    if beta is not None and not beta > 0:
-        raise ConfigError(f"dirichlet beta must be > 0, got {beta}")
+    check(n_clients=n_clients, dirichlet_beta=beta)
+    if n < n_clients:
+        raise PartitionError(
+            f"cannot give every client a sample (beta={beta}, n_clients={n_clients}, "
+            f"n_samples={n})")
     rng = np.random.default_rng(seed)
 
     if beta is None:
-        if n < n_clients:
-            raise PartitionError(
-                f"cannot give every client a sample (iid, n_clients={n_clients}, "
-                f"n_samples={n})")
         order = rng.permutation(n)
         return [np.sort(chunk.astype(np.int64)) for chunk in np.array_split(order, n_clients)]
 
@@ -224,12 +213,9 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
     fixes the composition as (full, partial, single). Assignments are
     redrawn until every view is held by at least one client.
     """
-    if n_clients < 1:
-        raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
+    check(n_clients=n_clients, scenario=scenario)
     if n_views < 1:
         raise ConfigError(f"n_views must be >= 1, got {n_views}")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r} (expected one of {SCENARIOS})")
     rng = np.random.default_rng(seed)
 
     all_views = tuple(range(n_views))
@@ -244,9 +230,7 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
         if n_views < 2:
             raise ConfigError("mixed scenario requires at least 2 views")
         if counts is not None:
-            if min(counts) < 0 or sum(counts) != n_clients:
-                raise ConfigError(
-                    f"mixed counts {counts} must be nonnegative and sum to {n_clients}")
+            check(mixed_counts=tuple(counts), n_clients=n_clients)
             if counts[1] > 0 and n_views < 3:
                 raise ConfigError("partial clients need at least 3 views")
 

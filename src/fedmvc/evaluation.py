@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .config import check
 from .data import MultiViewDataset
 from .errors import ConfigError
 from .model import ModelParams, infer_fused
@@ -133,10 +134,7 @@ def kmeans(points, n_clusters: int, seed=0, max_iter: int = 300,
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, k = points.shape[0], n_clusters
-    if k < 1:
-        raise ConfigError(f"n_clusters must be >= 1, got {k}")
-    if n < k:
-        raise ConfigError(f"k-means needs at least {k} points, got {n}")
+    check(n_clusters=k, n_samples=n)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng)
     sq_norms = (points ** 2).sum(axis=1)
@@ -172,8 +170,7 @@ def kmeans_best(points, n_clusters: int, n_restarts: int = 10, seed=0,
                 ) -> tuple[KMeansResult, list[float]]:
     """Best of several seeded restarts (ties keep the earliest restart),
     plus every restart's final objective."""
-    if n_restarts < 1:
-        raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
+    check(eval_restarts=n_restarts)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     best = None
@@ -260,8 +257,10 @@ def adjusted_rand_index(true_labels, pred_labels) -> float:
 def eval_view_order(view_subset: Sequence[int] | None, n_views: int) -> list[int]:
     """The views evaluation renders, in ascending order (all when None).
 
-    Raises ConfigError naming ``eval_views`` for a view out of range.
+    Raises ConfigError naming ``eval_views`` for an empty list or a view
+    out of range.
     """
+    check(eval_views=view_subset)
     if view_subset is None:
         return list(range(n_views))
     views = sorted(view_subset)

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import check
 from .data import (
     CLIENT_FULL,
     CLIENT_PARTIAL,
@@ -34,7 +35,6 @@ from .data import (
 from .errors import ConfigError, DimensionError, TrainingError
 from .losses import (
     LossComponents,
-    LossConfig,
     drift_loss,
     feature_contrast_full,
     label_contrast,
@@ -54,8 +54,6 @@ from .model import (
     init_params,
 )
 from .tensor import Param, Tape, make_optimizer
-
-ALPHA_C_MODES = ("linear", "quadratic", "binary", "uniform")
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def _drift_references(client: ClientState, global_params: ModelParams,
 
 
 def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParams,
-                loss_cfg: LossConfig, use_contrast: bool,
+                config, use_contrast: bool,
                 refs: tuple[np.ndarray, np.ndarray | None] | None,
                 trainable: Sequence[Param], optimizer) -> dict[str, float]:
     """One optimizer step on batch ``rows``; ``refs`` is None without drift."""
@@ -198,7 +196,7 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
     if ctype == CLIENT_SINGLE and (use_contrast or use_drift):
         (v0,) = shard.view_subset
         x = views_b[v0]
-        noisy = x + client.rng.standard_normal(x.shape) * loss_cfg.sigma_noise
+        noisy = x + client.rng.standard_normal(x.shape) * config.sigma_noise
         noisy_feat = high_features(tape, client.params,
                                    encode(tape, client.params, noisy, v0))
 
@@ -206,21 +204,21 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
     if ctype == CLIENT_FULL:
         if use_contrast:
             comps.feature = feature_contrast_full(
-                [fwd.feats[v] for v in order], loss_cfg.tau)
-            comps.label = label_contrast([fwd.probs[v] for v in order], loss_cfg.tau)
+                [fwd.feats[v] for v in order], config.tau)
+            comps.label = label_contrast([fwd.probs[v] for v in order], config.tau)
         else:
             comps.feature, comps.label = zero(), zero()
     elif ctype == CLIENT_PARTIAL:
         # a one-sample shard has no in-batch negatives to contrast against
         if use_contrast and rows.size >= 2:
             comps.partial = partial_contrast(
-                fwd.fused, [fwd.feats[v] for v in order], loss_cfg.tau)
+                fwd.fused, [fwd.feats[v] for v in order], config.tau)
         else:
             comps.partial = zero()
     else:
         (v0,) = shard.view_subset
         comps.single = (single_view_contrast(fwd.fused, fwd.feats[v0], noisy_feat,
-                                             loss_cfg.tau)
+                                             config.tau)
                         if use_contrast else zero())
 
     if use_drift:
@@ -234,9 +232,9 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
         global_values = [p.value for p in
                          global_params.trainable_params(shard.view_subset)]
         comps.drift = drift_loss(fwd.fused, pos, neg, leaves, global_values,
-                                 loss_cfg.tau, loss_cfg.mu)
+                                 config.tau, config.mu)
 
-    total = total_loss(ctype, comps, loss_cfg.alpha)
+    total = total_loss(ctype, comps, config.alpha)
     value = float(total.value[0, 0])
     if not np.isfinite(value):
         raise TrainingError(f"client {shard.client_id}: non-finite training loss")
@@ -267,8 +265,6 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
         raise ValueError("local training requires the broadcast global parameters")
     if round_index < 1:
         raise ValueError(f"round_index must be >= 1, got {round_index}")
-    loss_cfg = LossConfig(tau=config.tau, alpha=config.alpha, mu=config.mu,
-                          sigma_noise=config.sigma_noise)
     use_contrast = not config.no_contrast
     use_drift = round_index >= 2 and not config.no_drift
     trainable = client.params.trainable_params(client.shard.view_subset)
@@ -280,7 +276,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     n = client.shard.n_samples
     for _ in range(config.local_epochs):
         for rows in _batches(client.rng, n, config.batch_size):
-            stats = _train_step(client, rows, global_params, loss_cfg,
+            stats = _train_step(client, rows, global_params, config,
                                 use_contrast, refs, trainable, optimizer)
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
@@ -299,9 +295,7 @@ def _coverage_factor(n_views: int, total_views: int, mode: str) -> float:
         return ratio ** 2
     if mode == "binary":
         return 1.0 if n_views == total_views else 0.5
-    if mode == "uniform":
-        return 1.0
-    raise ConfigError(f"unknown alpha_c_mode {mode!r} (expected one of {ALPHA_C_MODES})")
+    return 1.0  # uniform
 
 
 def compute_weights(registry: Sequence[ClientInfo], total_views: int,
@@ -309,6 +303,7 @@ def compute_weights(registry: Sequence[ClientInfo], total_views: int,
     """Aggregation weights: sample count scaled by view coverage, normalized."""
     if not registry:
         raise ValueError("cannot compute weights for an empty client registry")
+    check(alpha_c_mode=mode)
     raw = []
     for info in registry:
         if info.n_samples < 1:
@@ -410,6 +405,7 @@ def run_federation(config, dataset: MultiViewDataset,
     Deterministic per master seed; ``round_hook`` (if given) runs after
     each round's broadcast with the updated server state.
     """
+    config.validate()
     if seeds is None:
         seeds = derive_seeds(config.seed)
     if dataset.labels is None and config.dirichlet_beta is not None:
@@ -442,7 +438,6 @@ def run_federation(config, dataset: MultiViewDataset,
         pretrain_client(c, config.warmup_epochs, config.lr, config.batch_size,
                         config.optimizer)
 
-    weight_mode = "uniform" if config.fedavg else config.alpha_c_mode
     reports: list[RoundReport] = []
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
@@ -451,7 +446,7 @@ def run_federation(config, dataset: MultiViewDataset,
                       for c in clients]
         except TrainingError as err:
             raise TrainingError(f"round {r}: {err}") from err
-        weights = compute_weights(server.registry, work.n_views, weight_mode)
+        weights = compute_weights(server.registry, work.n_views, config.alpha_c_mode)
         server.global_params = aggregate(server.global_params,
                                          [c.params for c in clients],
                                          shards, weights)

@@ -17,28 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Scalar knobs shared by every client's objective."""
-
-    tau: float = 0.5
-    alpha: float = 0.5
-    mu: float = 0.01
-    sigma_noise: float = 0.1
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.mu < 0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
-        if self.sigma_noise < 0:
-            raise ConfigError(f"sigma_noise must be >= 0, got {self.sigma_noise}")
 
 
 def cosine_sim(a, b, on_zero: str = "zero") -> float:

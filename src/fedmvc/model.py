@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataFormatError, DimensionError
+from .config import check
+from .errors import DataFormatError, DimensionError
 from .tensor import Param, Tape, Tensor
 
 _MAGIC = b"MVP1"
@@ -34,11 +35,8 @@ class Architecture:
 
     def __post_init__(self):
         object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
-        for name in ("n_clusters", "latent_dim", "high_dim", "hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.view_dims or any(d < 1 for d in self.view_dims):
-            raise ConfigError(f"view_dims must all be >= 1, got {self.view_dims}")
+        check(view_dims=self.view_dims, n_clusters=self.n_clusters,
+              latent_dim=self.latent_dim, high_dim=self.high_dim, hidden=self.hidden)
 
     @property
     def n_views(self) -> int:

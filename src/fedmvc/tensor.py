@@ -18,6 +18,8 @@ number of parameters in one node. Each makes the numpy calls of the
 elementary ops it replaces (``matmul``, ``add_row``, ``relu``; ``sub``,
 ``mul``, ``sum_all``, ``add``) in the same order, so values and gradients
 are bitwise equal to theirs; the elementary ops stay as the reference.
+Nothing in the package needs ``add_row`` and ``relu`` on their own, so those
+two live in the tests (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -225,21 +227,6 @@ def mul(a, b) -> Tensor:
     return tape._track(Tensor(av * bv, tape, backprop=backprop))
 
 
-def add_row(x, row) -> Tensor:
-    """Add a 1 x C row vector to every row of an N x C matrix."""
-    tape = _tape_of(x, row)
-    x, row = wrap(tape, x), wrap(tape, row)
-    if row.value.shape != (1, x.value.shape[1]):
-        raise DimensionError(
-            f"bias shape {row.value.shape} does not match matrix {x.value.shape}")
-
-    def backprop(g, acc):
-        acc(x, g)
-        acc(row, g.sum(axis=0, keepdims=True))
-
-    return tape._track(Tensor(x.value + row.value, tape, backprop=backprop))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -256,17 +243,6 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
         acc(a, g)
 
     return a.tape._track(Tensor(a.value + c, a.tape, backprop=backprop))
-
-
-def relu(a) -> Tensor:
-    tape = _tape_of(a)
-    a = wrap(tape, a)
-    mask = a.value > 0
-
-    def backprop(g, acc):
-        acc(a, g * mask)
-
-    return tape._track(Tensor(np.where(mask, a.value, 0.0), tape, backprop=backprop))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -366,8 +342,9 @@ def affine(x, weight, bias, relu: bool = False) -> Tensor:
     """x @ weight + bias, the dense layer, optionally followed by a ReLU.
 
     One tape node. Forward and backward make the numpy calls of the
-    composite ``relu(add_row(matmul(x, weight), bias))`` in the same
-    order, so its value and every gradient are bitwise equal to it. The
+    composite ``relu(add_row(matmul(x, weight), bias))`` (``relu`` and
+    ``add_row`` are in ``tests/helpers.py``) in the same order, so its
+    value and every gradient are bitwise equal to it. The
     gradient of ``x`` is not computed when ``x`` is a constant.
     """
     tape = _tape_of(x, weight, bias)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from fedmvc import tensor as T
+from fedmvc.errors import DimensionError
 from fedmvc.evaluation import KMeansResult, _kmeanspp_init
 
 
@@ -103,6 +104,34 @@ def drift_contrast_bruteforce(fused, pos_ref, neg_ref, tau):
         q = math.exp(cos(fused[i], neg_ref[i]) / tau)
         total += -math.log(p / (p + q))
     return total / n
+
+
+def add_row(x, row):
+    """Add a 1 x C row vector to every row of an N x C matrix; with
+    ``matmul`` and ``relu``, the elementary reference for ``T.affine``."""
+    tape = T._tape_of(x, row)
+    x, row = T.wrap(tape, x), T.wrap(tape, row)
+    if row.value.shape != (1, x.value.shape[1]):
+        raise DimensionError(
+            f"bias shape {row.value.shape} does not match matrix {x.value.shape}")
+
+    def backprop(g, acc):
+        acc(x, g)
+        acc(row, g.sum(axis=0, keepdims=True))
+
+    return tape._track(T.Tensor(x.value + row.value, tape, backprop=backprop))
+
+
+def relu(a):
+    """Elementwise max(a, 0) as its own tape node (see ``add_row``)."""
+    tape = T._tape_of(a)
+    a = T.wrap(tape, a)
+    mask = a.value > 0
+
+    def backprop(g, acc):
+        acc(a, g * mask)
+
+    return tape._track(T.Tensor(np.where(mask, a.value, 0.0), tape, backprop=backprop))
 
 
 def sum_sq_dist_chain(leaves, refs):

@@ -1,15 +1,35 @@
 """Config parsing, CLI verbs, artifacts, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedmvc import cli, federation
-from fedmvc.cli import main, run_experiment, run_sweep
-from fedmvc.config import ExperimentConfig, config_from_mapping, load_config, parse_field
-from fedmvc.data import generate_blobs, load_dataset, save_dataset
+from fedmvc.cli import build_parser, main, run_experiment, run_sweep
+from fedmvc.config import (
+    PAIR_RULES,
+    RULES,
+    ExperimentConfig,
+    config_from_mapping,
+    load_config,
+    parse_field,
+)
+from fedmvc.data import (
+    MultiViewDataset,
+    assign_views,
+    dirichlet_partition,
+    generate_blobs,
+    load_dataset,
+    save_dataset,
+)
 from fedmvc.errors import ConfigError
+from fedmvc.evaluation import eval_view_order, kmeans, kmeans_best
+from fedmvc.federation import ClientInfo, compute_weights
 from fedmvc.model import Architecture, init_params, load_checkpoint, save_checkpoint
 
 TINY = dict(seed=3, n_clusters=2, n_samples=30, view_dims=(4, 3),
@@ -88,7 +108,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("name,value", [
         ("alpha", True), ("lr", False), ("dirichlet_beta", True),
         ("standardize", 2), ("standardize", 1), ("no_drift", 0),
-        ("fedavg", 1.0), ("standardize", "maybe"), ("no_contrast", [True])])
+        ("no_drift", 1.0), ("standardize", "maybe"), ("no_contrast", [True])])
     def test_float_and_bool_fields_reject_mistyped_values(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name}: could not parse"):
             parse_field(name, value)
@@ -108,6 +128,123 @@ class TestConfigParsing:
         path.write_text(json.dumps({"rounds": 2.9}))
         with pytest.raises(ConfigError, match="rounds"):
             load_config(path)
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config files", 1)[1].split("```")[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        cfg = load_config(path)
+        cfg.validate()
+        assert cfg.n_clusters == 3 and cfg.mixed_counts == (2, 2, 2)
+        assert cfg.scenario == "mixed" and cfg.alpha_c_mode == "linear"
+        assert cfg.no_contrast is False
+
+    def test_comment_starts_at_line_start_or_after_whitespace(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("# a run\nrounds = 4\t# R\n  # indented\n"
+                        "output_dir = runs/a#1 # the # after 'a' is part of the path\n")
+        cfg = load_config(path)
+        assert cfg.rounds == 4 and cfg.output_dir == "runs/a#1"
+
+
+# a value each rule rejects, for every rule of the table
+BAD_VALUES = {
+    "seed": 1.5, "n_clusters": 0, "view_dims": (3, 0), "separation": -1.0,
+    "noise_sigma": -0.5, "n_clients": 0, "scenario": "ring",
+    "mixed_counts": (3, -1, 4), "dirichlet_beta": 0.0, "rounds": -1,
+    "warmup_epochs": -1, "local_epochs": -1, "batch_size": 0, "lr": 0.0,
+    "optimizer": "rmsprop", "latent_dim": 0, "high_dim": 0, "hidden": 0,
+    "tau": 0.0, "alpha": 1.5, "mu": -0.1, "sigma_noise": -1.0,
+    "alpha_c_mode": "cubic", "eval_restarts": 0, "eval_every": 0,
+    "eval_views": (), "kmeans_max_iter": 0, "kmeans_tol": 0.0,
+    "checkpoint_every": -1,
+}
+
+_POINTS = np.arange(8.0).reshape(4, 2)
+
+# the library entries that take each value from outside the config
+LIBRARY_ENTRIES = {
+    "n_clusters": [
+        lambda v: Architecture((2,), v),
+        lambda v: MultiViewDataset([_POINTS], None, v),
+        lambda v: generate_blobs(v, 10, (2,), 1.0, 1.0),
+        lambda v: kmeans(_POINTS, v)],
+    "view_dims": [
+        lambda v: Architecture(v, 2),
+        lambda v: generate_blobs(2, 10, v, 1.0, 1.0)],
+    "separation": [lambda v: generate_blobs(2, 10, (2,), v, 1.0)],
+    "noise_sigma": [lambda v: generate_blobs(2, 10, (2,), 1.0, v)],
+    "n_clients": [
+        lambda v: dirichlet_partition(np.zeros(10), v, 1.0),
+        lambda v: dirichlet_partition(np.zeros(10), v, None),
+        lambda v: assign_views(v, 3, "mixed")],
+    "scenario": [lambda v: assign_views(2, 3, v)],
+    "mixed_counts": [lambda v: assign_views(6, 3, "mixed", counts=v)],
+    "dirichlet_beta": [lambda v: dirichlet_partition(np.zeros(10), 2, v)],
+    "latent_dim": [lambda v: Architecture((2,), 2, latent_dim=v)],
+    "high_dim": [lambda v: Architecture((2,), 2, high_dim=v)],
+    "hidden": [lambda v: Architecture((2,), 2, hidden=v)],
+    "alpha_c_mode": [lambda v: compute_weights([ClientInfo(0, 5, 1)], 1, v)],
+    "eval_restarts": [lambda v: kmeans_best(_POINTS, 2, n_restarts=v)],
+    "eval_views": [lambda v: eval_view_order(v, 3)],
+}
+
+# fields no rule constrains; n_samples has a pair rule only
+UNCONSTRAINED = {"data_path", "standardize", "no_drift", "no_contrast",
+                 "resume_from", "output_dir"}
+
+
+def _message(call) -> str:
+    with pytest.raises(ConfigError) as err:
+        call()
+    return str(err.value)
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("field", sorted(RULES))
+    def test_rule_rejects_alike_everywhere(self, field):
+        bad = BAD_VALUES[field]
+        expected = _message(ExperimentConfig(**{field: bad}).validate)
+        assert expected == f"{field}: {RULES[field][1]} (got {bad!r})"
+        for entry in LIBRARY_ENTRIES.get(field, []):
+            assert _message(lambda: entry(bad)) == expected
+
+    @pytest.mark.parametrize("fields,entries", [
+        ({"n_samples": 2, "n_clusters": 3},
+         [lambda: generate_blobs(3, 2, (2,), 1.0, 1.0),
+          lambda: kmeans(_POINTS[:2], 3)]),
+        ({"mixed_counts": (1, 1, 1), "n_clients": 4},
+         [lambda: assign_views(4, 3, "mixed", counts=(1, 1, 1))]),
+    ], ids=[rule[0] for rule in PAIR_RULES])
+    def test_pair_rule_rejects_alike_everywhere(self, fields, entries):
+        field, other = next((f, o) for f, o, _, _ in PAIR_RULES if f in fields)
+        expected = _message(ExperimentConfig(**fields).validate)
+        assert expected.startswith(f"{field}: ") and f"{other}={fields[other]}" in expected
+        for entry in entries:
+            assert _message(entry) == expected
+
+    def test_every_field_has_a_rule_or_is_listed_unconstrained(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        ruled = set(RULES) | {name for rule in PAIR_RULES for name in rule[:2]}
+        assert ruled <= fields
+        assert not UNCONSTRAINED & set(RULES)
+        assert fields == ruled | UNCONSTRAINED
+
+    def test_every_field_has_one_flag_of_the_kind_its_default_implies(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        run = subparsers.choices["run"]
+        fields = dataclasses.fields(ExperimentConfig)
+        assert ({a.dest for a in run._actions}
+                == {f.name for f in fields} | {"help", "config"})
+        for f in fields:
+            (action,) = [a for a in run._actions if a.dest == f.name]
+            assert "--" + f.name.replace("_", "-") in action.option_strings
+            kind = (argparse._StoreTrueAction if f.default is False
+                    else argparse.BooleanOptionalAction if f.default is True
+                    else argparse._StoreAction)
+            assert type(action) is kind, f.name
 
 
 class TestRunExperiment:
@@ -238,7 +375,8 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "round 1" in err and "client" in err
 
-    @pytest.mark.parametrize("line", ["threads = 2", "deterministic = true"])
+    @pytest.mark.parametrize("line", ["threads = 2", "deterministic = true",
+                                      "fedavg = true"])
     def test_removed_knob_in_config_file_exit_2(self, tmp_path, capsys, line):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
         path.write_text(path.read_text() + line + "\n")
@@ -248,12 +386,22 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--threads", "2"], ["--deterministic"],
-                                       ["--no-deterministic"]])
+                                       ["--no-deterministic"], ["--fedavg"]])
     def test_removed_knob_flag_exit_2(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["run", *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["iid", "1.0"])
+    def test_more_clients_than_samples_exit_2(self, tmp_path, capsys, beta):
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
+                               dirichlet_beta=beta)
+        assert main(["run", str(path), "--n-clients", "50", "--n-samples", "40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        beta_text = "None" if beta == "iid" else beta
+        assert f"beta={beta_text}, n_clients=50, n_samples=40" in err
 
     def test_flag_overrides_win(self, tmp_path):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
@@ -292,6 +440,21 @@ class TestDataVerbs:
         text = capsys.readouterr().out
         assert "views: 2" in text and "parameters:" in text
 
+    def test_eval_seeds_k_means_as_run_does(self, tmp_path, capsys):
+        data_path = tmp_path / "blobs.mvd"
+        save_dataset(generate_blobs(6, 60, (4, 3), 3.0, 1.0, seed=5), data_path)
+        out = tmp_path / "out"
+        # one evaluation, so the run's k-means restarts are the first ones
+        # drawn from its evaluation seed
+        result = run_experiment(tiny_config(out, data_path=str(data_path),
+                                            eval_every=2, eval_restarts=1))
+        acc, nmi, ari, objective = result.csv_path.read_text().splitlines()[-1].split(",")[2:]
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(data_path), "--eval-restarts", "1",
+                     "--seed", str(TINY["seed"])]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}")
+
     def test_eval_missing_files_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", "/nope.ckpt",
                      "--data", "/nope.mvd"]) == 2
@@ -310,6 +473,10 @@ class TestDataVerbs:
                      "--data", str(tmp_path / "right.mvd"),
                      "--eval-views", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(tmp_path / "right.mvd"),
+                     "--eval-views", ","]) == 2
+        assert "eval_views: must list at least one view" in capsys.readouterr().err
 
     def test_gen_data_writes_the_dataset_run_generates(self, tmp_path, monkeypatch):
         data_path = tmp_path / "blobs.mvd"

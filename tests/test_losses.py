@@ -17,10 +17,9 @@ from helpers import (
 
 from fedmvc import tensor as T
 from fedmvc.data import CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE
-from fedmvc.errors import ConfigError, DimensionError
+from fedmvc.errors import DimensionError
 from fedmvc.losses import (
     LossComponents,
-    LossConfig,
     cluster_size_entropy,
     cosine_sim,
     drift_loss,
@@ -493,21 +492,6 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             total_loss(CLIENT_PARTIAL, LossComponents(recon=tape.constant([[1.0]])),
                        0.5)
-
-    def test_defaults(self):
-        cfg = LossConfig()
-        assert cfg.alpha == 0.5
-        assert cfg.mu == 0.01
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            LossConfig(tau=0.0)
-        with pytest.raises(ConfigError):
-            LossConfig(alpha=1.5)
-        with pytest.raises(ConfigError):
-            LossConfig(mu=-0.1)
-        with pytest.raises(ConfigError):
-            LossConfig(sigma_noise=-1.0)
 
 
 class TestFiniteness:

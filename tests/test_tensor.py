@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import central_diff, rel_error, sum_sq_dist_chain
+from helpers import add_row, central_diff, rel_error, relu as relu_op, sum_sq_dist_chain
 
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError, TrainingError
@@ -47,14 +47,14 @@ class TestForward:
 
     def test_relu(self):
         tape = T.Tape()
-        y = T.relu(tape.constant([[-1.0, 0.0, 2.0]]))
+        y = relu_op(tape.constant([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(y.value, [[0.0, 0.0, 2.0]])
 
     def test_relu_identity_on_nonnegative(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 3, (4, 5))
         tape = T.Tape()
-        assert np.array_equal(T.relu(tape.constant(x)).value, x)
+        assert np.array_equal(relu_op(tape.constant(x)).value, x)
 
     def test_softmax_uniform(self):
         tape = T.Tape()
@@ -147,14 +147,14 @@ class TestBackward:
 
         p1 = T.Param(w1)
         tape = T.Tape()
-        y = T.affine(T.relu(T.affine(tape.constant(x), p1, T.Param(b1))),
+        y = T.affine(relu_op(T.affine(tape.constant(x), p1, T.Param(b1))),
                      T.Param(w2), T.Param(b2))
         diff = T.sub(y, tape.constant(target))
         tape.backward(T.sum_all(T.mul(diff, diff)))
         assert rel_error(p1.grad, central_diff(run, w1)) < 1e-4
 
     @pytest.mark.parametrize("op,builder", [
-        ("relu", lambda t, x: T.sum_all(T.mul(T.relu(x), T.relu(x)))),
+        ("relu", lambda t, x: T.sum_all(T.mul(relu_op(x), relu_op(x)))),
         ("softmax", lambda t, x: T.sum_all(T.mul(T.softmax_rows(x),
                                                  t.constant(_W)))),
         ("normalize", lambda t, x: T.sum_all(T.mul(T.normalize_rows(x),
@@ -199,7 +199,7 @@ class TestBackward:
         def run(rv):
             p = T.Param(rv)
             tape = T.Tape()
-            y = T.add_row(tape.constant(x), tape.leaf(p))
+            y = add_row(tape.constant(x), tape.leaf(p))
             loss = T.sum_all(T.mul(y, y))
             tape.backward(loss)
             return float(loss.value[0, 0]), p.grad
@@ -235,7 +235,7 @@ class TestDeterminism:
             p = T.Param(rng.uniform(-1, 1, (6, 6)))
             tape = T.Tape()
             x = tape.constant(rng.uniform(-1, 1, (5, 6)))
-            y = T.softmax_rows(T.relu(T.matmul(x, tape.leaf(p))))
+            y = T.softmax_rows(relu_op(T.matmul(x, tape.leaf(p))))
             tape.backward(T.sum_all(T.mul(y, y)))
             return y.value.copy(), p.grad.copy()
         y1, g1 = run()
@@ -245,8 +245,8 @@ class TestDeterminism:
 
 
 def _composite_affine(x, weight, bias, relu=False):
-    y = T.add_row(T.matmul(x, weight), bias)
-    return T.relu(y) if relu else y
+    y = add_row(T.matmul(x, weight), bias)
+    return relu_op(y) if relu else y
 
 
 def _mlp_params(rng, d_in=4, hidden=6, d_out=3):
