@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import (
     SWEEPABLE,
     ExperimentConfig,
+    check,
     config_from_mapping,
     load_config,
     parse_field,
@@ -203,6 +204,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+# the config values `eval` takes as flags: the master seed (k-means is seeded
+# from it as in `run`) and the k-means settings
+_EVAL_FIELDS = ("seed", "eval_restarts", "kmeans_max_iter", "kmeans_tol")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedmvc",
@@ -228,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--eval-restarts", type=int, default=10)
-    p_eval.add_argument("--seed", type=int, default=0,
-                        help="master seed; k-means is seeded from it as in run")
+    for name in _EVAL_FIELDS:
+        p_eval.add_argument("--" + name.replace("_", "-"), default=None,
+                            metavar=name.upper())
     p_eval.add_argument("--eval-views", default=None)
     p_eval.add_argument("--no-standardize", action="store_true")
 
@@ -267,7 +273,19 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _eval_settings(args) -> dict:
+    """The eval flags as config values, parsed and checked as ``run`` does;
+    a flag not given takes the config default."""
+    defaults = ExperimentConfig()
+    values = {name: getattr(defaults, name) if getattr(args, name) is None
+              else parse_field(name, getattr(args, name))
+              for name in _EVAL_FIELDS}
+    check(**values)
+    return values
+
+
 def _cmd_eval(args) -> int:
+    settings = _eval_settings(args)
     if not Path(args.checkpoint).exists():
         raise ConfigError(f"checkpoint: file not found: {args.checkpoint}")
     if not Path(args.data).exists():
@@ -276,9 +294,12 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     views = parse_field("eval_views", args.eval_views) if args.eval_views else None
     try:
-        report = evaluate_global(params, dataset, n_restarts=args.eval_restarts,
-                                 seed=derive_seeds(args.seed).evaluation,
+        report = evaluate_global(params, dataset,
+                                 n_restarts=settings["eval_restarts"],
+                                 seed=derive_seeds(settings["seed"]).evaluation,
                                  view_subset=views,
+                                 max_iter=settings["kmeans_max_iter"],
+                                 tol=settings["kmeans_tol"],
                                  standardize=not args.no_standardize)
     except DimensionError as err:
         raise ConfigError(f"checkpoint does not fit this dataset: {err}") from err

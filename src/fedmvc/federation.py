@@ -91,10 +91,14 @@ class RoundReport:
 class ClientState:
     """One participant: its shard, weights, and frozen previous-round copy.
 
-    ``frozen_prev`` is refreshed to an exact copy of ``params`` at the end
-    of every local training round and never receives gradients. ``views``
-    holds only the rows and views this client owns; nothing else about the
-    dataset is reachable from here. The rng is consumed in a fixed order:
+    ``params`` and ``frozen_prev`` are fixed buffers, allocated once by
+    :func:`build_clients`: :func:`broadcast` copies the global model into
+    ``params``, and ``frozen_prev`` is overwritten with an exact copy of
+    ``params`` at the end of every local training round. Only ``params``
+    has a gradient buffer, and the optimizer steps only the client's owned
+    spans of it (``ModelParams.owned_spans``). ``views`` holds only the
+    rows and views this client owns; nothing else about the dataset is
+    reachable from here. The rng is consumed in a fixed order:
     one permutation per local epoch, then one noise draw per batch on
     single-view clients. From round 2 on, the drift reference features of
     ``frozen_prev`` and of the global model are inferred once per round,
@@ -132,8 +136,11 @@ def pretrain_client(client: ClientState, epochs: int, lr: float,
     """Warm up the client's autoencoders on reconstruction alone."""
     if not client.views:
         raise ConfigError(f"client {client.shard.client_id} has no data")
-    trainable = client.params.trainable_params(client.shard.view_subset)
-    opt = make_optimizer(optimizer_mode, lr)
+    # the reconstruction loss never reaches the shared nets: their gradient
+    # is zero, and a zero-gradient step would leave them bitwise as they are
+    params = client.params
+    opt = make_optimizer(optimizer_mode, lr, params.vector, params.grad,
+                         params.owned_spans(client.shard.view_subset, shared=False))
     n = client.shard.n_samples
     total, steps = 0.0, 0
     for _ in range(epochs):
@@ -150,7 +157,7 @@ def pretrain_client(client: ClientState, epochs: int, lr: float,
                 raise TrainingError(
                     f"client {client.shard.client_id}: non-finite warm-up loss")
             tape.backward(loss)
-            opt.step(trainable)
+            opt.step()
             total += value
             steps += 1
     return {"recon": total / steps if steps else 0.0}
@@ -239,7 +246,7 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
     if not np.isfinite(value):
         raise TrainingError(f"client {shard.client_id}: non-finite training loss")
     tape.backward(total)
-    optimizer.step(trainable)
+    optimizer.step()
 
     contrast = 0.0
     for part in (comps.feature, comps.label, comps.partial, comps.single):
@@ -267,8 +274,10 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
         raise ValueError(f"round_index must be >= 1, got {round_index}")
     use_contrast = not config.no_contrast
     use_drift = round_index >= 2 and not config.no_drift
-    trainable = client.params.trainable_params(client.shard.view_subset)
-    optimizer = make_optimizer(config.optimizer, config.lr)
+    params, subset = client.params, client.shard.view_subset
+    trainable = params.trainable_params(subset)
+    optimizer = make_optimizer(config.optimizer, config.lr, params.vector,
+                               params.grad, params.owned_spans(subset))
     refs = _drift_references(client, global_params) if use_drift else None
 
     sums: dict[str, float] = {}
@@ -281,7 +290,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1
-    client.frozen_prev = client.params.clone()
+    np.copyto(client.frozen_prev.vector, client.params.vector)
     if steps == 0:
         return {"recon": 0.0, "contrast": 0.0, "drift": 0.0, "total": 0.0}
     return {k: v / steps for k, v in sums.items()}
@@ -359,18 +368,23 @@ def aggregate(prev_global: ModelParams, client_params: Sequence[ModelParams],
 
 
 def broadcast(server: ServerState, clients: Sequence[ClientState]) -> None:
-    """Replace every client's working params with the global model.
+    """Copy the global model into every client's working params.
 
+    The copy goes into the client's own buffer, so no model is allocated.
     Frozen snapshots are left untouched; repeated broadcasts are idempotent.
     """
     for c in clients:
-        c.params = server.global_params.clone()
+        np.copyto(c.params.vector, server.global_params.vector)
 
 
 def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
                   base_params: ModelParams,
                   train_seed: np.random.SeedSequence) -> list[ClientState]:
-    """Materialize client states; each holds only its own rows and views."""
+    """Materialize client states; each holds only its own rows and views.
+
+    Each client gets the two model buffers it keeps for the whole run: a
+    trainable working copy of ``base_params`` and a grad-less frozen one.
+    """
     children = train_seed.spawn(len(shards))
     clients = []
     for shard, child in zip(shards, children):
@@ -388,7 +402,7 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
         clients.append(ClientState(
             shard=shard,
             views=views,
-            params=base_params.clone(),
+            params=base_params.clone(trainable=True),
             frozen_prev=base_params.clone(),
             rng=np.random.default_rng(child),
         ))

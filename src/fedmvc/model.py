@@ -63,15 +63,22 @@ class ModelParams:
     """All weights of one participant in one float64 ``vector``.
 
     ``vector`` holds every parameter in checkpoint order (see
-    :func:`_layer_shapes`) and ``grad`` is its gradient buffer. Each
-    :class:`Param` is a reshaped view of both, grouped by role: a subnet is
-    a [W1, b1, W2, b2] list, the cluster head a [W, b] pair. Writing through
-    a ``Param`` changes ``vector``; ``clone`` copies the vector alone. The
+    :func:`_layer_shapes`). Each :class:`Param` is a reshaped view of it,
+    grouped by role: a subnet is a [W1, b1, W2, b2] list, the cluster head a
+    [W, b] pair. Writing through a ``Param`` changes ``vector``. The
     constructor keeps the ``vector`` it is given (zeros by default) without
     copying it.
+
+    Only a model built with ``trainable=True`` has a ``grad`` vector (and
+    ``Param.grad`` views of it); every other model's ``grad`` is None, so a
+    backward pass into it fails. In a run, each client's working model is
+    the one trainable model; the global model, the frozen snapshots and
+    loaded checkpoints are read only for their values. An optimizer updates
+    a client's :meth:`owned_spans` of ``vector`` and ``grad`` directly.
     """
 
-    def __init__(self, arch: Architecture, vector: np.ndarray | None = None):
+    def __init__(self, arch: Architecture, vector: np.ndarray | None = None,
+                 trainable: bool = False):
         shapes = _layer_shapes(arch)
         bounds = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
         size = bounds[-1]
@@ -82,10 +89,11 @@ class ModelParams:
                                  f"values, architecture needs {size} float64")
         self.arch = arch
         self.vector = vector
-        self.grad = np.zeros(size)
+        self.grad = np.zeros(size) if trainable else None
         self._bounds = bounds
         self._params = p = [
-            Param.view(vector[a:b].reshape(shape), self.grad[a:b].reshape(shape))
+            Param.view(vector[a:b].reshape(shape),
+                       None if self.grad is None else self.grad[a:b].reshape(shape))
             for a, b, shape in zip(bounds, bounds[1:], shapes)]
         n = arch.n_views
         self.encoders: list[list[Param]] = [p[4 * v:4 * v + 4] for v in range(n)]
@@ -119,8 +127,26 @@ class ModelParams:
         """Where the feature net and the cluster head sit in ``vector``."""
         return slice(self._bounds[8 * self.arch.n_views], None)
 
-    def clone(self) -> "ModelParams":
-        return ModelParams(self.arch, self.vector.copy())
+    def owned_spans(self, view_subset: Sequence[int], shared: bool = True) -> list[slice]:
+        """The coordinates a client with ``view_subset`` trains, ascending.
+
+        The owned views' encoder and decoder spans, plus the shared span
+        when ``shared``; spans that touch are merged into one.
+        """
+        spans = [span for v in view_subset for span in self.view_spans(v)]
+        if shared:
+            spans.append(slice(self._bounds[8 * self.arch.n_views], self._bounds[-1]))
+        merged: list[slice] = []
+        for span in sorted(spans, key=lambda s: s.start):
+            if merged and merged[-1].stop == span.start:
+                merged[-1] = slice(merged[-1].start, span.stop)
+            else:
+                merged.append(span)
+        return merged
+
+    def clone(self, trainable: bool = False) -> "ModelParams":
+        """A copy of the vector, with a zero ``grad`` only if ``trainable``."""
+        return ModelParams(self.arch, self.vector.copy(), trainable)
 
     def flatten(self) -> np.ndarray:
         return self.vector.copy()

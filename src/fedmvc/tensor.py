@@ -24,7 +24,7 @@ two live in the tests (``tests/helpers.py``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class Param:
     ``grad`` accumulates across backward passes until cleared by
     :meth:`zero_grad` (optimizer steps clear it automatically). Both are
     only ever updated in place, so they may be views of larger buffers.
+    A view may have no ``grad`` (None): its values are read, never trained,
+    and a backward pass into it raises.
     """
 
     __slots__ = ("value", "grad")
@@ -140,6 +142,10 @@ class Tape:
             if g is None:
                 continue
             if node.param is not None:
+                if node.param.grad is None:
+                    raise ValueError(
+                        "backward into a parameter without a gradient buffer "
+                        "(only a trainable model takes gradients)")
                 node.param.grad += g
             if node._backprop is not None:
                 node._backprop(g, accumulate)
@@ -409,64 +415,106 @@ def sum_sq_dist(leaves: Sequence[Tensor], refs: Sequence) -> Tensor:
     return tape._track(Tensor(np.array([[total]]), tape, backprop=backprop))
 
 
-def _check_finite_grads(params: Iterable[Param]) -> None:
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise TrainingError("non-finite gradient encountered during optimizer step")
+class _SpanOptimizer:
+    """Steps the coordinates ``spans`` of a flat parameter vector ``value``
+    from the same coordinates of ``grad``, and clears them after each step.
+
+    Every update is elementwise, so stepping a few long spans gives the
+    bits that stepping each parameter on its own would. Per-coordinate
+    state and scratch live in vectors as long as all spans together;
+    ``_segments`` pairs each span with its slice of those vectors.
+    """
+
+    def __init__(self, value: Array, grad: Array | None, spans: Sequence[slice]):
+        if grad is None:
+            raise ValueError("optimizer needs a model with a gradient buffer")
+        self.value, self.grad = value, grad
+        self._segments = []
+        offset = 0
+        for span in spans:
+            size = value[span].size
+            self._segments.append((span, slice(offset, offset + size)))
+            offset += size
+        self._work = np.empty(offset)
+
+    def _check_finite_grads(self) -> None:
+        for span, _ in self._segments:
+            if not np.isfinite(self.grad[span]).all():
+                raise TrainingError("non-finite gradient encountered during optimizer step")
 
 
-class SGD:
-    """Plain gradient descent; clears gradients after each step."""
+class SGD(_SpanOptimizer):
+    """Plain gradient descent over owned spans; clears their gradients."""
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice]):
+        super().__init__(value, grad, spans)
         self.lr = float(lr)
 
-    def step(self, params: Sequence[Param]) -> None:
-        _check_finite_grads(params)
-        for p in params:
-            p.value -= self.lr * p.grad
-            p.zero_grad()
+    def step(self) -> None:
+        self._check_finite_grads()
+        for span, seg in self._segments:
+            g, step = self.grad[span], self._work[seg]
+            np.multiply(self.lr, g, out=step)
+            self.value[span] -= step
+            g[...] = 0.0
 
 
-class Adam:
-    """Adam with the conventional defaults; state keyed per parameter."""
+class Adam(_SpanOptimizer):
+    """Adam with the conventional defaults over owned spans.
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    The moments ``m`` and ``v`` are one vector each over all spans. Each
+    step makes the numpy calls of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
+    (1-b2)*g**2``, ``w -= lr*m_hat / (sqrt(v_hat) + eps)`` in that order,
+    writing into its own buffers instead of new arrays, so the result is
+    bitwise that of the per-parameter loop (``tests/helpers.py``).
+    """
+
+    def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice],
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        super().__init__(value, grad, spans)
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._state: dict[int, tuple[Array, Array]] = {}
+        self._m = np.zeros(self._work.size)
+        self._v = np.zeros(self._work.size)
+        self._denom = np.empty(self._work.size)
         self._step = 0
 
-    def step(self, params: Sequence[Param]) -> None:
-        _check_finite_grads(params)
+    def step(self) -> None:
+        self._check_finite_grads()
         self._step += 1
         t = self._step
         b1, b2 = self.beta1, self.beta2
-        for p in params:
-            state = self._state.get(id(p))
-            if state is None:
-                state = (np.zeros_like(p.value), np.zeros_like(p.value))
-                self._state[id(p)] = state
-            m, v = state
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+        for span, seg in self._segments:
+            g, w = self.grad[span], self.value[span]
+            m, v, a, d = self._m[seg], self._v[seg], self._work[seg], self._denom[seg]
             m *= b1
-            m += (1 - b1) * p.grad
+            np.multiply(1 - b1, g, out=a)
+            m += a
             v *= b2
-            v += (1 - b2) * p.grad ** 2
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+            np.square(g, out=a)
+            np.multiply(1 - b2, a, out=a)
+            v += a
+            np.divide(m, c1, out=a)            # m_hat
+            np.divide(v, c2, out=d)            # v_hat
+            np.sqrt(d, out=d)
+            d += self.eps
+            np.multiply(self.lr, a, out=a)
+            a /= d
+            w -= a
+            g[...] = 0.0
 
 
 OPTIMIZERS = ("adam", "sgd")
 
 
-def make_optimizer(mode: str, lr: float):
+def make_optimizer(mode: str, lr: float, value: Array, grad: Array,
+                   spans: Sequence[slice]):
+    """An optimizer of ``mode`` over the ``spans`` of ``value`` and ``grad``."""
     if mode == "sgd":
-        return SGD(lr)
+        return SGD(lr, value, grad, spans)
     if mode == "adam":
-        return Adam(lr)
+        return Adam(lr, value, grad, spans)
     raise ValueError(f"unknown optimizer mode {mode!r} (expected one of {OPTIMIZERS})")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from fedmvc import tensor as T
-from fedmvc.errors import DimensionError
+from fedmvc.errors import DimensionError, TrainingError
 from fedmvc.evaluation import KMeansResult, _kmeanspp_init
 
 
@@ -143,6 +143,58 @@ def sum_sq_dist_chain(leaves, refs):
         term = T.sum_all(T.mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
     return acc
+
+
+def _check_finite_grads_reference(params):
+    for p in params:
+        if not np.isfinite(p.grad).all():
+            raise TrainingError("non-finite gradient encountered during optimizer step")
+
+
+class SGDReference:
+    """Plain gradient descent, one Param at a time: the reference for
+    ``T.SGD``, which steps spans of a model's flat vector."""
+
+    def __init__(self, lr):
+        self.lr = float(lr)
+
+    def step(self, params):
+        _check_finite_grads_reference(params)
+        for p in params:
+            p.value -= self.lr * p.grad
+            p.zero_grad()
+
+
+class AdamReference:
+    """Adam with its state keyed per Param: the reference for ``T.Adam``."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = float(lr)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self._state = {}
+        self._step = 0
+
+    def step(self, params):
+        _check_finite_grads_reference(params)
+        self._step += 1
+        t = self._step
+        b1, b2 = self.beta1, self.beta2
+        for p in params:
+            state = self._state.get(id(p))
+            if state is None:
+                state = (np.zeros_like(p.value), np.zeros_like(p.value))
+                self._state[id(p)] = state
+            m, v = state
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad ** 2
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.zero_grad()
 
 
 def init_params_reference(arch, seed):

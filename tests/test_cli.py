@@ -455,6 +455,38 @@ class TestDataVerbs:
         assert capsys.readouterr().out.strip() == (
             f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}")
 
+    def test_eval_reproduces_a_run_with_non_default_k_means(self, tmp_path, capsys):
+        data_path = tmp_path / "blobs.mvd"
+        save_dataset(generate_blobs(6, 60, (4, 3), 3.0, 1.0, seed=5), data_path)
+        out = tmp_path / "out"
+        result = run_experiment(tiny_config(out, data_path=str(data_path), rounds=1,
+                                            eval_restarts=1, kmeans_max_iter=1,
+                                            kmeans_tol=1e-3))
+        acc, nmi, ari, objective = result.csv_path.read_text().splitlines()[-1].split(",")[2:]
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(data_path), "--eval-restarts", "1",
+                     "--seed", str(TINY["seed"]), "--kmeans-max-iter", "1",
+                     "--kmeans-tol", "1e-3"]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}")
+
+    @pytest.mark.parametrize("flag,bad", [
+        ("--eval-restarts", "1.5"), ("--eval-restarts", "0"), ("--seed", "1.5"),
+        ("--seed", "true"), ("--kmeans-max-iter", "0"), ("--kmeans-max-iter", "x"),
+        ("--kmeans-tol", "0"), ("--kmeans-tol", "nan")])
+    def test_eval_flags_reject_as_run_does(self, tmp_path, capsys, flag, bad):
+        arch = Architecture((4, 3), 2, latent_dim=4, high_dim=4, hidden=6)
+        save_checkpoint(init_params(arch, seed=0), tmp_path / "model.ckpt")
+        save_dataset(generate_blobs(2, 20, (4, 3), 4.0, 1.0, seed=0),
+                     tmp_path / "d.mvd")
+        assert main(["run", "--output-dir", str(tmp_path / "out"), flag, bad]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("configuration error: " + flag[2:].replace("-", "_"))
+        assert main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path / "d.mvd"), flag, bad]) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
+
     def test_eval_missing_files_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--checkpoint", "/nope.ckpt",
                      "--data", "/nope.mvd"]) == 2

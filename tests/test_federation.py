@@ -36,11 +36,14 @@ from fedmvc.losses import (
 )
 from fedmvc.model import (
     Architecture,
+    ModelParams,
     encode,
     forward_views,
     high_features,
     infer_fused,
     init_params,
+    load_checkpoint,
+    save_checkpoint,
 )
 
 ARCH = Architecture(view_dims=(4, 3), n_clusters=2, latent_dim=4, high_dim=5,
@@ -65,7 +68,7 @@ def make_client(client_id=0, ctype=CLIENT_FULL, subset=(0, 1), n=12, seed=5,
     rng = np.random.default_rng(seed)
     shard = ClientShard(client_id, ctype, subset, np.arange(n))
     views = {v: rng.standard_normal((n, arch.view_dims[v])) for v in subset}
-    params = init_params(arch, seed=seed)
+    params = init_params(arch, seed=seed).clone(trainable=True)
     return ClientState(shard=shard, views=views, params=params,
                        frozen_prev=params.clone(),
                        rng=np.random.default_rng(seed + 100))
@@ -98,7 +101,7 @@ class TestPretrain:
 
     def test_single_step_matches_manual(self):
         client = make_client(seed=7)
-        manual = client.params.clone()
+        manual = client.params.clone(trainable=True)
         rng = np.random.default_rng(7 + 100)  # same stream the client consumes
         rows = rng.permutation(client.shard.n_samples)
 
@@ -111,11 +114,30 @@ class TestPretrain:
             recons.append(xhat)
         loss = reconstruction_loss([client.views[v][rows] for v in order], recons)
         tape.backward(loss)
-        T.make_optimizer("adam", 1e-3).step(manual.trainable_params((0, 1)))
+        T.make_optimizer("adam", 1e-3, manual.vector, manual.grad,
+                         manual.owned_spans((0, 1))).step()
 
         pretrain_client(client, epochs=1, lr=1e-3,
                         batch_size=client.shard.n_samples)
         assert np.array_equal(client.params.flatten(), manual.flatten())
+
+    @pytest.mark.parametrize("ctype,subset", [
+        ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
+        ids=["full", "partial", "single"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_warmup_never_touches_the_shared_nets(self, ctype, subset, optimizer):
+        # warm-up steps only the owned autoencoder spans; that is exact only
+        # because the reconstruction loss gives the shared nets no gradient
+        client = make_client(ctype=ctype, subset=subset, n=11, seed=61, arch=ARCH3)
+        shared = client.params.shared_span()
+        before = client.params.vector.copy()
+        pretrain_client(client, epochs=3, lr=1e-2, batch_size=4,
+                        optimizer_mode=optimizer)
+        assert client.params.vector[shared].tobytes() == before[shared].tobytes()
+        assert not client.params.grad.any()
+        for v in subset:  # the owned autoencoders did train
+            for span in client.params.view_spans(v):
+                assert not np.array_equal(client.params.vector[span], before[span])
 
 
 class TestLocalTrainRound:
@@ -156,19 +178,19 @@ class TestLocalTrainRound:
         steps = []
 
         class RecordingAdam(T.Adam):
-            def step(self, params):
-                steps.append([p.grad.copy() for p in params])
-                super().step(params)
+            def step(self):
+                steps.append(self.grad.copy())
+                super().step()
 
         monkeypatch.setattr(federation, "make_optimizer",
-                            lambda mode, lr: RecordingAdam(lr))
+                            lambda mode, lr, *buffers: RecordingAdam(lr, *buffers))
         n = 8
         client = make_client(ctype=ctype, subset=subset, n=n, seed=51, arch=ARCH3)
         client.frozen_prev = init_params(ARCH3, seed=52)
         global_params = init_params(ARCH3, seed=53)
         cfg = tiny_config(local_epochs=1, batch_size=n, lr=2e-3)
 
-        manual = client.params.clone()
+        manual = client.params.clone(trainable=True)
         rng = np.random.default_rng(51 + 100)
         rows = rng.permutation(n)
         views_b = {v: client.views[v][rows] for v in subset}
@@ -201,12 +223,13 @@ class TestLocalTrainRound:
             [p.value for p in global_params.trainable_params(subset)],
             cfg.tau, cfg.mu)
         tape.backward(total_loss(ctype, comps, cfg.alpha))
-        grads = [p.grad.copy() for p in trainable]
-        T.make_optimizer("adam", cfg.lr).step(trainable)
+        grad = manual.grad.copy()
+        T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
+                         manual.owned_spans(subset)).step()
 
         local_train_round(client, global_params, cfg, round_index=2)
         (seen,) = steps
-        assert all(np.array_equal(a, b) for a, b in zip(seen, grads, strict=True))
+        assert np.array_equal(seen, grad)
         assert np.array_equal(client.params.flatten(), manual.flatten())
 
     def test_full_client_epochs_match_manual_assembly_with_batch_references(self):
@@ -218,9 +241,10 @@ class TestLocalTrainRound:
         global_params = init_params(ARCH, seed=33)
         cfg = tiny_config(local_epochs=epochs, batch_size=batch_size, lr=2e-3)
 
-        manual = client.params.clone()
+        manual = client.params.clone(trainable=True)
         trainable = manual.trainable_params((0, 1))
-        opt = T.make_optimizer("adam", cfg.lr)
+        opt = T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
+                               manual.owned_spans((0, 1)))
         rng = np.random.default_rng(31 + 100)
         steps = 0
         for _ in range(epochs):
@@ -245,7 +269,7 @@ class TestLocalTrainRound:
                     [p.value for p in global_params.trainable_params((0, 1))],
                     cfg.tau, cfg.mu)
                 tape.backward(total_loss(CLIENT_FULL, comps, cfg.alpha))
-                opt.step(trainable)
+                opt.step()
                 steps += 1
         assert steps == 9
 
@@ -537,3 +561,63 @@ class TestRunFederation:
         cfg_iid = tiny_config(rounds=0, warmup_epochs=0, dirichlet_beta=None)
         server, _ = run_federation(cfg_iid, unlabeled)
         assert server.round_index == 0
+
+    def test_round_loop_allocates_no_model(self, monkeypatch, tmp_path):
+        # after build_clients, each round constructs one model (the
+        # aggregate) and clones none: broadcast and the frozen snapshot copy
+        # into the buffers every client holds for the whole run
+        counts = {"init": 0, "clone": 0}
+        seen = {}
+        init, clone = ModelParams.__init__, ModelParams.clone
+
+        def counting_init(self, *args, **kwargs):
+            counts["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_clone(self, *args, **kwargs):
+            counts["clone"] += 1
+            return clone(self, *args, **kwargs)
+
+        def capture(*args, **kwargs):
+            clients = build_clients(*args, **kwargs)
+            seen["clients"] = clients
+            seen["buffers"] = [(c.params, c.params.vector, c.frozen_prev,
+                                c.frozen_prev.vector) for c in clients]
+            counts.update(init=0, clone=0)
+            return clients
+
+        per_round = []
+
+        def hook(server, report):
+            per_round.append(dict(counts))
+
+        monkeypatch.setattr(ModelParams, "__init__", counting_init)
+        monkeypatch.setattr(ModelParams, "clone", counting_clone)
+        monkeypatch.setattr(federation, "build_clients", capture)
+        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+                          view_dims=(4, 3, 2), rounds=3, warmup_epochs=1,
+                          batch_size=8)
+        ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
+        server, _ = run_federation(cfg, ds, round_hook=hook)
+        assert per_round == [{"init": r, "clone": 0} for r in (1, 2, 3)]
+        clients = seen["clients"]
+        for c, held in zip(clients, seen["buffers"], strict=True):
+            now = (c.params, c.params.vector, c.frozen_prev, c.frozen_prev.vector)
+            assert all(a is b for a, b in zip(now, held))
+        assert {c.shard.client_type for c in clients} == {"full", "partial", "single"}
+        assert all(c.params.grad is not None and c.frozen_prev.grad is None
+                   for c in clients)
+
+        # only the clients' working models take gradients
+        views = {v: ds.views[v][:5] for v in range(3)}
+        save_checkpoint(server.global_params, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        grad_less = [server.global_params, clients[0].frozen_prev, loaded]
+        for model in grad_less:
+            assert model.grad is None
+            tape = T.Tape()
+            fwd = forward_views(tape, model, views)
+            loss = reconstruction_loss([views[v] for v in range(3)],
+                                       [fwd.recons[v] for v in range(3)])
+            with pytest.raises(ValueError, match="without a gradient buffer"):
+                tape.backward(loss)

@@ -224,7 +224,7 @@ class TestInferFused:
 
 class TestMasking:
     def test_unowned_view_gets_zero_grad(self):
-        params = init_params(ARCH, seed=3)
+        params = init_params(ARCH, seed=3).clone(trainable=True)
         rng = np.random.default_rng(11)
         tape = T.Tape()
         fwd = forward_views(tape, params, {0: rng.standard_normal((6, 5))},
@@ -238,7 +238,7 @@ class TestMasking:
 
 class TestParameterVector:
     def test_params_are_views_of_vector_and_grad(self):
-        params = init_params(ARCH, seed=2)
+        params = init_params(ARCH, seed=2).clone(trainable=True)
         ordered = np.concatenate([p.value.ravel() for p in params.all_params()])
         assert np.array_equal(ordered, params.vector)
         for p in params.all_params():
@@ -250,7 +250,7 @@ class TestParameterVector:
         assert params.cluster_head[1].value[0, -1] == 7.0
 
     def test_backward_fills_the_grad_vector(self):
-        params = init_params(ARCH, seed=3)
+        params = init_params(ARCH, seed=3).clone(trainable=True)
         tape = T.Tape()
         fwd = forward_views(tape, params, {0: np.ones((4, 5))})
         tape.backward(reconstruction_loss([np.zeros((4, 5))], [fwd.recons[0]]))
@@ -261,14 +261,26 @@ class TestParameterVector:
         assert not params.grad[params.shared_span()].any()
 
     def test_clone_shares_neither_buffer(self):
-        params = init_params(ARCH, seed=4)
-        other = params.clone()
+        params = init_params(ARCH, seed=4).clone(trainable=True)
+        other = params.clone(trainable=True)
         assert np.array_equal(other.vector, params.vector)
         assert not np.shares_memory(other.vector, params.vector)
         assert not np.shares_memory(other.grad, params.grad)
         for p in other.all_params():
             assert np.shares_memory(p.value, other.vector)
             assert not np.shares_memory(p.value, params.vector)
+
+    def test_only_a_trainable_clone_has_a_grad(self, tmp_path):
+        params = init_params(ARCH, seed=4)
+        save_checkpoint(params, tmp_path / "m.ckpt")
+        for model in (params, params.clone(), load_checkpoint(tmp_path / "m.ckpt"),
+                      ModelParams.unflatten(ARCH, params.flatten())):
+            assert model.grad is None
+            assert all(p.grad is None for p in model.all_params())
+        trainable = params.clone(trainable=True)
+        assert not trainable.grad.any()
+        assert all(np.shares_memory(p.grad, trainable.grad)
+                   for p in trainable.all_params())
 
     def test_spans_partition_the_vector(self):
         params = init_params(ARCH, seed=5)

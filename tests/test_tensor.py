@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
-from helpers import add_row, central_diff, rel_error, relu as relu_op, sum_sq_dist_chain
+from helpers import (
+    AdamReference,
+    SGDReference,
+    add_row,
+    central_diff,
+    rel_error,
+    relu as relu_op,
+    sum_sq_dist_chain,
+)
 
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError, TrainingError
+from fedmvc.model import Architecture, init_params
 
 
 def scalar(t):
@@ -338,51 +347,145 @@ class TestFusedOps:
             T.sum_sq_dist([leaf], [np.zeros((2, 3))] * 2)
 
 
+def one_coordinate(value, grad=0.0):
+    """A one-entry parameter vector and its gradient, for the span optimizers."""
+    return np.array([value]), np.array([grad]), [slice(0, 1)]
+
+
 class TestOptimizers:
     def test_sgd_step(self):
-        p = T.Param([[1.0]])
-        p.grad[...] = 1.0
-        T.SGD(lr=0.1).step([p])
-        assert np.allclose(p.value, [[0.9]])
-        assert np.array_equal(p.grad, [[0.0]])
+        value, grad, spans = one_coordinate(1.0, grad=1.0)
+        T.SGD(0.1, value, grad, spans).step()
+        assert np.allclose(value, [0.9])
+        assert np.array_equal(grad, [0.0])
 
     def test_sgd_zero_grad_no_move(self):
-        p = T.Param([[3.0]])
-        T.SGD(lr=0.5).step([p])
-        assert np.allclose(p.value, [[3.0]])
+        value, grad, spans = one_coordinate(3.0)
+        T.SGD(0.5, value, grad, spans).step()
+        assert np.allclose(value, [3.0])
 
     def test_adam_first_step_matches_formula(self):
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for g in (0.01, 1.0, 250.0):
-            p = T.Param([[1.0]])
-            p.grad[...] = g
-            T.Adam(lr=lr).step([p])
+            value, grad, spans = one_coordinate(1.0, grad=g)
+            T.Adam(lr, value, grad, spans).step()
             m_hat = (1 - b1) * g / (1 - b1)
             v_hat = (1 - b2) * g * g / (1 - b2)
             expected = 1.0 - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert np.allclose(p.value, [[expected]], rtol=1e-12)
-            assert abs(abs(1.0 - p.value[0, 0]) - lr) < lr * 1e-4
+            assert np.allclose(value, [expected], rtol=1e-12)
+            assert abs(abs(1.0 - value[0]) - lr) < lr * 1e-4
 
     def test_adam_two_steps_match_manual(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         grads = [0.7, -1.3]
-        p = T.Param([[0.5]])
-        opt = T.Adam(lr=lr)
+        value, grad, spans = one_coordinate(0.5)
+        opt = T.Adam(lr, value, grad, spans)
         w, m, v = 0.5, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
-            p.grad[...] = g
-            opt.step([p])
+            grad[...] = g
+            opt.step()
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-        assert np.allclose(p.value, [[w]], rtol=1e-12)
+        assert np.allclose(value, [w], rtol=1e-12)
 
     def test_non_finite_grad_raises(self):
-        p = T.Param([[1.0]])
-        p.grad[...] = np.nan
+        value, grad, spans = one_coordinate(1.0, grad=np.nan)
         with pytest.raises(TrainingError):
-            T.Adam(lr=0.1).step([p])
+            T.Adam(0.1, value, grad, spans).step()
 
     def test_unknown_mode(self):
+        value, grad, spans = one_coordinate(1.0)
         with pytest.raises(ValueError):
-            T.make_optimizer("rmsprop", 0.1)
+            T.make_optimizer("rmsprop", 0.1, value, grad, spans)
+
+
+ARCH3 = Architecture(view_dims=(4, 3, 2), n_clusters=2, latent_dim=4, high_dim=5,
+                     hidden=6)
+SUBSETS = [(1,), (0, 2), (0, 1, 2)]
+REFERENCES = {"sgd": SGDReference, "adam": AdamReference}
+
+
+def owned_coordinates(params, spans):
+    mask = np.zeros(params.vector.size, dtype=bool)
+    for span in spans:
+        mask[span] = True
+    return mask
+
+
+class TestOwnedSpans:
+    @pytest.mark.parametrize("subset", SUBSETS, ids=str)
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_spans_cover_the_trainable_params_merged(self, subset, shared):
+        params = init_params(ARCH3, seed=0).clone(trainable=True)
+        spans = params.owned_spans(subset, shared=shared)
+        trained = (params.trainable_params(subset) if shared
+                   else [p for v in subset for p in params.view_params(v)])
+        expected = np.zeros(params.vector.size, dtype=bool)
+        for p in trained:  # mark each parameter's coordinates in the vector
+            params.vector[...] = 0.0
+            p.value[...] = 1.0
+            expected |= params.vector == 1.0
+        assert np.array_equal(owned_coordinates(params, spans), expected)
+        # ascending, disjoint and never touching: touching spans are merged
+        for a, b in zip(spans, spans[1:]):
+            assert a.stop < b.start
+
+    def test_span_counts(self):
+        params = init_params(ARCH3, seed=0)
+        # the layout is enc0 enc1 enc2 dec0 dec1 dec2 shared
+        assert params.owned_spans((0, 1, 2)) == [slice(0, params.vector.size)]
+        # enc0 | enc2 dec0 | dec2 shared
+        assert len(params.owned_spans((0, 2))) == 3
+        # enc1 | dec1 | shared
+        assert len(params.owned_spans((1,))) == 3
+        assert len(params.owned_spans((1,), shared=False)) == 2
+
+
+class TestSpanOptimizersMatchReference:
+    @pytest.mark.parametrize("mode", sorted(REFERENCES))
+    @pytest.mark.parametrize("subset", SUBSETS, ids=str)
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bitwise_equal_to_per_param_steps(self, mode, subset, shared):
+        rng = np.random.default_rng(len(subset) + 10 * shared)
+        spanned = init_params(ARCH3, seed=1).clone(trainable=True)
+        reference = spanned.clone(trainable=True)
+        spans = spanned.owned_spans(subset, shared=shared)
+        owned = owned_coordinates(spanned, spans)
+        ref_params = (reference.trainable_params(subset) if shared
+                      else [p for v in sorted(subset) for p in reference.view_params(v)])
+        opt = T.make_optimizer(mode, 3e-3, spanned.vector, spanned.grad, spans)
+        ref_opt = REFERENCES[mode](3e-3)
+        for _ in range(6):
+            # gradients on every coordinate, over six orders of magnitude
+            g = rng.standard_normal(spanned.grad.size) * 10.0 ** rng.uniform(
+                -3, 3, spanned.grad.size)
+            spanned.grad[...] = g
+            reference.grad[...] = g
+            unowned_before = spanned.vector[~owned].copy()
+            opt.step()
+            ref_opt.step(ref_params)
+            assert spanned.vector.tobytes() == reference.vector.tobytes()
+            assert spanned.grad.tobytes() == reference.grad.tobytes()
+            assert not spanned.grad[owned].any()
+            assert np.array_equal(spanned.grad[~owned], g[~owned])
+            assert spanned.vector[~owned].tobytes() == unowned_before.tobytes()
+
+    @pytest.mark.parametrize("mode", sorted(REFERENCES))
+    @pytest.mark.parametrize("subset", SUBSETS, ids=str)
+    def test_non_finite_grad_raises_before_any_update(self, mode, subset):
+        params = init_params(ARCH3, seed=2).clone(trainable=True)
+        spans = params.owned_spans(subset)
+        opt = T.make_optimizer(mode, 1e-3, params.vector, params.grad, spans)
+        before = params.vector.copy()
+        params.grad[spans[0]] = 1.0
+        params.grad[spans[-1].stop - 1] = np.nan
+        with pytest.raises(TrainingError):
+            opt.step()
+        assert params.vector.tobytes() == before.tobytes()
+
+    def test_grad_less_model_rejected(self):
+        params = init_params(ARCH3, seed=3)
+        with pytest.raises(ValueError, match="gradient buffer"):
+            T.make_optimizer("adam", 1e-3, params.vector, params.grad,
+                             params.owned_spans((0,)))
