@@ -263,7 +263,7 @@ def forward_views(tape: Tape, params: ModelParams, views: Mapping[int, np.ndarra
 def _infer_mlp2(x: np.ndarray, layer: Sequence[Param]) -> np.ndarray:
     w1, b1, w2, b2 = (p.value for p in layer)
     h = x @ w1 + b1
-    return np.where(h > 0, h, 0.0) @ w2 + b2
+    return np.fmax(h, 0.0) @ w2 + b2
 
 
 def infer_fused(params: ModelParams, views: Mapping[int, np.ndarray]) -> np.ndarray:
