@@ -129,13 +129,27 @@ class Tape:
         if loss.value.shape != (1, 1):
             raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
         grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
+        owned: set[int] = set()  # nodes whose buffer this pass allocated
 
         def accumulate(node: Tensor, g: Array) -> None:
-            buf = grads.get(id(node))
+            # A C-contiguous, writeable first gradient is kept as it is. It
+            # may be held elsewhere (``add`` hands one ``g`` to both parents),
+            # so it is never written in place: a second gradient makes a new
+            # sum. Any other first gradient (``g.T``, ``broadcast_to`` views)
+            # is copied with its memory layout kept, and then added into.
+            key = id(node)
+            buf = grads.get(key)
             if buf is None:
-                grads[id(node)] = np.array(g, dtype=np.float64)
-            else:
+                if g.flags.c_contiguous and g.flags.writeable:
+                    grads[key] = g
+                else:
+                    grads[key] = np.array(g, dtype=np.float64)
+                    owned.add(key)
+            elif key in owned:
                 buf += g
+            else:
+                grads[key] = np.add(buf, g, out=np.empty_like(buf))
+                owned.add(key)
 
         for node in reversed(self._nodes):
             g = grads.get(id(node))
