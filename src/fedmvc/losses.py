@@ -44,12 +44,7 @@ def reconstruction_loss(inputs: Sequence, recons: Sequence[Tensor]) -> Tensor:
     if len(inputs) != len(recons) or not recons:
         raise ValueError("need one input per reconstruction")
     n = recons[0].value.shape[0]
-    total = None
-    for x, xhat in zip(inputs, recons):
-        diff = T.sub(xhat, x)
-        term = T.sum_all(T.mul(diff, diff))
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / n)
+    return T.scale(T.sum_sq_dist(recons, inputs), 1.0 / n)
 
 
 def _diag_and_offdiag(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -403,11 +403,13 @@ def sum_sq_dist(leaves: Sequence[Tensor], refs: Sequence) -> Tensor:
 
     The value sums each ``(d*d).sum()`` left to right and each leaf gets
     ``t + t`` with ``t = g*d``, bitwise what the chain
-    ``add(sum_all(mul(d, d)), ...)`` over ``d = sub(leaf, ref)`` gives.
+    ``add(sum_all(mul(d, d)), ...)`` over ``d = sub(leaf, ref)`` gives. It is
+    the proximal term over parameters and, scaled by 1/N, the
+    reconstruction loss over views.
     """
     if len(leaves) != len(refs):
         raise DimensionError(
-            f"parameter lists differ in length: {len(leaves)} vs {len(refs)}")
+            f"operand lists differ in length: {len(leaves)} vs {len(refs)}")
     tape = _tape_of(*leaves)
     leaves = [wrap(tape, leaf) for leaf in leaves]
     diffs = []
@@ -416,7 +418,7 @@ def sum_sq_dist(leaves: Sequence[Tensor], refs: Sequence) -> Tensor:
         ref = np.asarray(ref, dtype=np.float64)
         if leaf.value.shape != ref.shape:
             raise DimensionError(
-                f"parameter layout mismatch: {leaf.value.shape} vs {ref.shape}")
+                f"shape mismatch: {leaf.value.shape} vs {ref.shape}")
         d = leaf.value - ref
         s = (d * d).sum()
         total = s if total is None else total + s
