@@ -53,7 +53,7 @@ from .model import (
     infer_fused,
     init_params,
 )
-from .tensor import Param, Tape, make_optimizer
+from .tensor import Param, Tape, make_optimizer, optimizer_workspace
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,21 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
 
 
 def pretrain_client(client: ClientState, epochs: int, lr: float,
-                    batch_size: int, optimizer_mode: str = "adam") -> dict[str, float]:
-    """Warm up the client's autoencoders on reconstruction alone."""
+                    batch_size: int, optimizer_mode: str = "adam",
+                    workspace: np.ndarray | None = None) -> dict[str, float]:
+    """Warm up the client's autoencoders on reconstruction alone.
+
+    ``workspace`` (from ``tensor.optimizer_workspace``) holds the optimizer's
+    state; a run hands every client the same one.
+    """
     if not client.views:
         raise ConfigError(f"client {client.shard.client_id} has no data")
     # the reconstruction loss never reaches the shared nets: their gradient
     # is zero, and a zero-gradient step would leave them bitwise as they are
     params = client.params
     opt = make_optimizer(optimizer_mode, lr, params.vector, params.grad,
-                         params.owned_spans(client.shard.view_subset, shared=False))
+                         params.owned_spans(client.shard.view_subset, shared=False),
+                         workspace)
     n = client.shard.n_samples
     total, steps = 0.0, 0
     for _ in range(epochs):
@@ -261,12 +267,15 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
 
 
 def local_train_round(client: ClientState, global_params: ModelParams, config,
-                      round_index: int) -> dict[str, float]:
+                      round_index: int,
+                      workspace: np.ndarray | None = None) -> dict[str, float]:
     """One round of local optimization, then refresh the frozen snapshot.
 
     The drift term is active from round 2 on: in round 1 neither the
     frozen snapshot nor the global model has moved past initialization,
-    so there is nothing meaningful to contrast against.
+    so there is nothing meaningful to contrast against. The round's
+    optimizer starts from zero state in ``workspace``, as in
+    :func:`pretrain_client`.
     """
     if global_params is None:
         raise ValueError("local training requires the broadcast global parameters")
@@ -277,7 +286,7 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     params, subset = client.params, client.shard.view_subset
     trainable = params.trainable_params(subset)
     optimizer = make_optimizer(config.optimizer, config.lr, params.vector,
-                               params.grad, params.owned_spans(subset))
+                               params.grad, params.owned_spans(subset), workspace)
     refs = _drift_references(client, global_params) if use_drift else None
 
     sums: dict[str, float] = {}
@@ -448,15 +457,18 @@ def run_federation(config, dataset: MultiViewDataset,
                          registry=[ClientInfo(s.client_id, s.n_samples, s.n_views)
                                    for s in shards])
     clients = build_clients(work, shards, server.global_params, seeds.train)
+    # one optimizer state for the whole run: the optimizers of the warm-ups
+    # and local rounds come one after another and each starts from zero
+    workspace = optimizer_workspace(server.global_params.vector.size)
     for c in clients:
         pretrain_client(c, config.warmup_epochs, config.lr, config.batch_size,
-                        config.optimizer)
+                        config.optimizer, workspace)
 
     reports: list[RoundReport] = []
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
         try:
-            losses = [local_train_round(c, server.global_params, config, r)
+            losses = [local_train_round(c, server.global_params, config, r, workspace)
                       for c in clients]
         except TrainingError as err:
             raise TrainingError(f"round {r}: {err}") from err

@@ -440,11 +440,15 @@ class _SpanOptimizer:
 
     Every update is elementwise, so stepping a few long spans gives the
     bits that stepping each parameter on its own would. Per-coordinate
-    state and scratch live in vectors as long as all spans together;
-    ``_segments`` pairs each span with its slice of those vectors.
+    state and scratch are rows of ``workspace`` (see
+    :func:`optimizer_workspace`), cut to the length of all spans together;
+    ``_segments`` pairs each span with its slice of those rows. Optimizers
+    built one after another may share one workspace, so a run allocates it
+    once; without one, the optimizer allocates its own.
     """
 
-    def __init__(self, value: Array, grad: Array | None, spans: Sequence[slice]):
+    def __init__(self, value: Array, grad: Array | None, spans: Sequence[slice],
+                 workspace: Array | None = None):
         if grad is None:
             raise ValueError("optimizer needs a model with a gradient buffer")
         self.value, self.grad = value, grad
@@ -454,7 +458,13 @@ class _SpanOptimizer:
             size = value[span].size
             self._segments.append((span, slice(offset, offset + size)))
             offset += size
-        self._work = np.empty(offset)
+        if workspace is None:
+            workspace = optimizer_workspace(offset)
+        if workspace.shape[1] < offset:
+            raise ValueError(f"optimizer workspace holds {workspace.shape[1]} "
+                             f"coordinates, the spans need {offset}")
+        self._rows = workspace[:, :offset]
+        self._work = self._rows[0]
 
     def _check_finite_grads(self) -> None:
         for span, _ in self._segments:
@@ -465,8 +475,9 @@ class _SpanOptimizer:
 class SGD(_SpanOptimizer):
     """Plain gradient descent over owned spans; clears their gradients."""
 
-    def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice]):
-        super().__init__(value, grad, spans)
+    def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice],
+                 workspace: Array | None = None):
+        super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
 
     def step(self) -> None:
@@ -485,19 +496,21 @@ class Adam(_SpanOptimizer):
     step makes the numpy calls of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
     (1-b2)*g**2``, ``w -= lr*m_hat / (sqrt(v_hat) + eps)`` in that order,
     writing into its own buffers instead of new arrays, so the result is
-    bitwise that of the per-parameter loop (``tests/helpers.py``).
+    bitwise that of the per-parameter loop (``tests/helpers.py``). ``m`` and
+    ``v`` are zeroed when the optimizer is built.
     """
 
     def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice],
+                 workspace: Array | None = None,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(value, grad, spans)
+        super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = np.zeros(self._work.size)
-        self._v = np.zeros(self._work.size)
-        self._denom = np.empty(self._work.size)
+        self._work, self._denom, self._m, self._v = self._rows
+        self._m[...] = 0.0
+        self._v[...] = 0.0
         self._step = 0
 
     def step(self) -> None:
@@ -529,11 +542,17 @@ class Adam(_SpanOptimizer):
 OPTIMIZERS = ("adam", "sgd")
 
 
+def optimizer_workspace(size: int) -> Array:
+    """State and scratch rows for any optimizer over at most ``size`` coordinates."""
+    return np.empty((4, size))
+
+
 def make_optimizer(mode: str, lr: float, value: Array, grad: Array,
-                   spans: Sequence[slice]):
-    """An optimizer of ``mode`` over the ``spans`` of ``value`` and ``grad``."""
+                   spans: Sequence[slice], workspace: Array | None = None):
+    """An optimizer of ``mode`` over the ``spans`` of ``value`` and ``grad``,
+    with its state and scratch in ``workspace`` if one is given."""
     if mode == "sgd":
-        return SGD(lr, value, grad, spans)
+        return SGD(lr, value, grad, spans, workspace)
     if mode == "adam":
-        return Adam(lr, value, grad, spans)
+        return Adam(lr, value, grad, spans, workspace)
     raise ValueError(f"unknown optimizer mode {mode!r} (expected one of {OPTIMIZERS})")

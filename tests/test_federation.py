@@ -621,3 +621,29 @@ class TestRunFederation:
                                        [fwd.recons[v] for v in range(3)])
             with pytest.raises(ValueError, match="without a gradient buffer"):
                 tape.backward(loss)
+
+    def test_run_allocates_one_optimizer_workspace(self, monkeypatch):
+        # every warm-up and local-round optimizer keeps its state in one
+        # workspace allocated per run; nothing of it is held per client
+        workspaces, built = [], []
+        make = federation.make_optimizer
+
+        def allocating(size):
+            workspaces.append(T.optimizer_workspace(size))
+            return workspaces[-1]
+
+        def recording(*args):
+            built.append(args[-1])
+            return make(*args)
+
+        monkeypatch.setattr(federation, "optimizer_workspace", allocating)
+        monkeypatch.setattr(federation, "make_optimizer", recording)
+        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+                          view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
+                          batch_size=8)
+        ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
+        server, _ = run_federation(cfg, ds)
+        (workspace,) = workspaces
+        assert workspace.shape[1] == server.global_params.vector.size
+        assert len(built) == 3 + 3 * 2
+        assert all(w is workspace for w in built)

@@ -484,6 +484,35 @@ class TestSpanOptimizersMatchReference:
             opt.step()
         assert params.vector.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("mode", sorted(REFERENCES))
+    def test_shared_workspace_matches_own_state(self, mode):
+        # a workspace left dirty by an earlier optimizer gives the bits of a
+        # fresh optimizer: Adam zeroes m and v when it is built
+        rng = np.random.default_rng(5)
+        workspace = T.optimizer_workspace(init_params(ARCH3, seed=4).vector.size)
+        workspace[...] = rng.standard_normal(workspace.shape)
+        for subset in SUBSETS:
+            shared = init_params(ARCH3, seed=4).clone(trainable=True)
+            own = shared.clone(trainable=True)
+            spans = shared.owned_spans(subset)
+            opt = T.make_optimizer(mode, 3e-3, shared.vector, shared.grad, spans,
+                                   workspace)
+            own_opt = T.make_optimizer(mode, 3e-3, own.vector, own.grad, spans)
+            for _ in range(3):
+                g = rng.standard_normal(shared.grad.size)
+                shared.grad[...] = g
+                own.grad[...] = g
+                opt.step()
+                own_opt.step()
+            assert shared.vector.tobytes() == own.vector.tobytes()
+            assert np.shares_memory(opt._work, workspace)
+
+    def test_short_workspace_rejected(self):
+        params = init_params(ARCH3, seed=3).clone(trainable=True)
+        with pytest.raises(ValueError, match="workspace"):
+            T.make_optimizer("adam", 1e-3, params.vector, params.grad,
+                             params.owned_spans((0, 1, 2)), T.optimizer_workspace(10))
+
     def test_grad_less_model_rejected(self):
         params = init_params(ARCH3, seed=3)
         with pytest.raises(ValueError, match="gradient buffer"):
