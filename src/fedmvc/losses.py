@@ -4,12 +4,12 @@ Every contrastive term measures similarity with row-wise cosine, so all
 of them are invariant to a common positive rescaling of the feature
 rows. Reference features (from the frozen previous-round model or the
 broadcast global model) enter as plain arrays: they are constants and
-never receive gradients.
+never receive gradients. Each contrast and the reconstruction loss are one
+tape node each (see ``fedmvc.tensor``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,48 +47,16 @@ def reconstruction_loss(inputs: Sequence, recons: Sequence[Tensor]) -> Tensor:
     return T.scale(T.sum_sq_dist(recons, inputs), 1.0 / n)
 
 
-def _diag_and_offdiag(n: int) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(n)
-    return eye, 1.0 - eye
-
-
-def _cross_view_nt_xent(items: Sequence[Tensor], tau: float, denom: int) -> Tensor:
-    """Cycled-partner NT-Xent over matched rows of the given matrices.
-
-    Row i of view v is paired with row i of the next view n = (v+1) mod V;
-    the denominator sums similarities against every row of both views and
-    subtracts e^{1/tau}, the anchor's similarity to itself.
-    """
-    n_views = len(items)
-    n_rows = items[0].value.shape[0]
-    units = [T.normalize_rows(t) for t in items]
-    eye, _ = _diag_and_offdiag(n_rows)
-    inv_tau = 1.0 / tau
-    total = None
-    for v in range(n_views):
-        nxt = (v + 1) % n_views
-        a, b = units[v], units[nxt]
-        s_own = T.matmul(a, T.transpose(a))
-        s_pair = T.matmul(a, T.transpose(b))
-        den = T.add_scalar(
-            T.add(T.rowsum(T.exp(T.scale(s_own, inv_tau))),
-                  T.rowsum(T.exp(T.scale(s_pair, inv_tau)))),
-            -math.exp(inv_tau))
-        pos = T.rowsum(T.mul(s_pair, eye))
-        term = T.sub(T.log(den), T.scale(pos, inv_tau))
-        total = term if total is None else T.add(total, term)
-    return T.scale(T.sum_all(total), 1.0 / denom)
-
-
 def feature_contrast_full(feats: Sequence[Tensor], tau: float) -> Tensor:
-    """Cross-view contrast on high-level features (full-view clients)."""
+    """Cross-view contrast on high-level features (full-view clients): the
+    cycled-partner NT-Xent over matched rows (``tensor.cycled_nt_xent``)."""
     if len(feats) < 2:
         raise ValueError("feature contrast needs at least two views")
     shape = feats[0].value.shape
     for f in feats:
         if f.value.shape != shape:
             raise DimensionError("all feature matrices must share one shape")
-    return _cross_view_nt_xent(feats, tau, denom=shape[0])
+    return T.cycled_nt_xent(feats, tau, denom=shape[0])
 
 
 def cluster_size_entropy(probs: Sequence[Tensor]) -> Tensor:
@@ -115,8 +83,7 @@ def label_contrast(probs: Sequence[Tensor], tau: float) -> Tensor:
     for q in probs:
         if q.value.shape != (n, k):
             raise DimensionError("all assignment matrices must share one shape")
-    columns = [T.transpose(q) for q in probs]
-    contrast = _cross_view_nt_xent(columns, tau, denom=k)
+    contrast = T.cycled_nt_xent(probs, tau, denom=k, columns=True)
     return T.add(contrast, cluster_size_entropy(probs))
 
 
@@ -128,49 +95,22 @@ def partial_contrast(fused: Tensor, feats: Sequence[Tensor], tau: float) -> Tens
     """
     if not feats:
         raise ValueError("partial contrast needs at least one view")
-    n = fused.value.shape[0]
-    if n < 2:
+    if fused.value.shape[0] < 2:
         raise ValueError("partial contrast needs at least two samples")
-    eye, offdiag = _diag_and_offdiag(n)
-    inv_tau = 1.0 / tau
-    u_fused = T.normalize_rows(fused)
-    total = None
     for f in feats:
         if f.value.shape != fused.value.shape:
             raise DimensionError("feature matrices must match the fused shape")
-        sims = T.matmul(u_fused, T.transpose(T.normalize_rows(f)))
-        e = T.exp(T.scale(sims, inv_tau))
-        den = T.rowsum(T.mul(e, offdiag))
-        pos = T.rowsum(T.mul(sims, eye))
-        term = T.sub(T.log(den), T.scale(pos, inv_tau))
-        total = term if total is None else T.add(total, term)
-    return T.scale(T.sum_all(total), 1.0 / n)
-
-
-def _one_vs_one_nt_xent(pos_sims: Tensor, neg_sims: Tensor, tau: float) -> Tensor:
-    """-(1/N) sum_i log( e^{pos_i/tau} / (e^{pos_i/tau} + e^{neg_i/tau}) )."""
-    n = pos_sims.value.shape[0]
-    inv_tau = 1.0 / tau
-    den = T.add(T.exp(T.scale(pos_sims, inv_tau)), T.exp(T.scale(neg_sims, inv_tau)))
-    term = T.sub(T.log(den), T.scale(pos_sims, inv_tau))
-    return T.scale(T.sum_all(term), 1.0 / n)
-
-
-def _row_cosines(a: Tensor, b: Tensor) -> Tensor:
-    return T.rowsum(T.mul(T.normalize_rows(a), T.normalize_rows(b)))
+    return T.partial_nt_xent(fused, feats, tau)
 
 
 def single_view_contrast(fused: Tensor, feat: Tensor, feat_noisy, tau: float) -> Tensor:
     """Noise-enhanced contrast for one-view clients: the perturbed-input
-    features act as the negative against the clean positives."""
-    tape = fused.tape
-    feat_noisy = T.wrap(tape, feat_noisy)
+    features act as the negative against the clean positives, cos(fused,
+    clean) against cos(clean, noisy)."""
+    feat_noisy = T.wrap(fused.tape, feat_noisy)
     if not (fused.value.shape == feat.value.shape == feat_noisy.value.shape):
         raise DimensionError("fused, clean, and noisy features must share one shape")
-    u_feat = T.normalize_rows(feat)
-    pos = T.rowsum(T.mul(T.normalize_rows(fused), u_feat))
-    neg = T.rowsum(T.mul(u_feat, T.normalize_rows(feat_noisy)))
-    return _one_vs_one_nt_xent(pos, neg, tau)
+    return T.one_vs_one_nt_xent(fused, feat, feat, feat_noisy, tau)
 
 
 def drift_loss(fused: Tensor, pos_ref: np.ndarray, neg_ref: np.ndarray,
@@ -183,10 +123,7 @@ def drift_loss(fused: Tensor, pos_ref: np.ndarray, neg_ref: np.ndarray,
     ``global_values`` the matching global arrays; the reference feature
     matrices are constants.
     """
-    tape = fused.tape
-    pos = _row_cosines(fused, T.wrap(tape, pos_ref))
-    neg = _row_cosines(fused, T.wrap(tape, neg_ref))
-    loss = _one_vs_one_nt_xent(pos, neg, tau)
+    loss = T.one_vs_one_nt_xent(fused, pos_ref, fused, neg_ref, tau)
     if mu:
         prox = T.sum_sq_dist(local_params, global_values)
         loss = T.add(loss, T.scale(prox, mu / 2.0))

@@ -11,19 +11,29 @@ Sized for small MLPs: no broadcasting beyond row-vector bias addition,
 no views, no in-place graph surgery. A tape and its tensors belong to a
 single execution context; independent tapes may run concurrently.
 
-Two ops are fused to keep the tape short. :func:`affine` is a whole dense
-layer, ``x @ W + b`` with an optional ReLU, in one node, and
-:func:`sum_sq_dist` is the proximal term ``sum_i ||w_i - g_i||^2`` over any
-number of parameters in one node. Each makes the numpy calls of the
-elementary ops it replaces (``matmul``, ``add_row``, ``relu``; ``sub``,
-``mul``, ``sum_all``, ``add``) in the same order, so values and gradients
-are bitwise equal to theirs; the elementary ops stay as the reference.
-Nothing in the package needs ``add_row`` and ``relu`` on their own, so those
-two live in the tests (``tests/helpers.py``).
+Whole layers and whole loss terms are single nodes, to keep the tape
+short: :func:`affine` (a dense layer, ``x @ W + b`` with an optional ReLU),
+:func:`sum_sq_dist` (the proximal term and the reconstruction loss) and
+three NT-Xent contrasts over row cosines (:func:`cycled_nt_xent`,
+:func:`partial_nt_xent`, :func:`one_vs_one_nt_xent`). Each makes the numpy
+calls of the chain of elementary ops it replaces, on arrays of the same
+memory layout, and sums every gradient in the order the chain did, so its
+value and gradients are bitwise equal to the chain's. Those elementary ops
+(``matmul``, ``transpose``, ``exp``, ``log``, ``rowsum``, ``normalize_rows``,
+``add_scalar``, ``sub``, ``mul``, ``add_row``, ``relu``) and the chains live
+in ``tests/helpers.py`` as the reference. The ReLU is ``np.fmax(x, 0.0)``,
+bitwise equal to ``np.where(x > 0, x, 0.0)`` for every input and faster.
+
+:meth:`Tape.backward` keeps a node's first gradient without copying it when
+it is C-contiguous and writeable, and never writes into such a kept array:
+a second gradient makes a new sum. A transposed or broadcast first gradient
+is copied with its layout kept, so every buffer has the layout a copy of
+each first gradient had.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,11 +142,8 @@ class Tape:
         owned: set[int] = set()  # nodes whose buffer this pass allocated
 
         def accumulate(node: Tensor, g: Array) -> None:
-            # A C-contiguous, writeable first gradient is kept as it is. It
-            # may be held elsewhere (``add`` hands one ``g`` to both parents),
-            # so it is never written in place: a second gradient makes a new
-            # sum. Any other first gradient (``g.T``, ``broadcast_to`` views)
-            # is copied with its memory layout kept, and then added into.
+            # a kept first gradient may be held elsewhere (``add`` hands one
+            # ``g`` to both parents), so only copies are added into in place
             key = id(node)
             buf = grads.get(key)
             if buf is None:
@@ -183,30 +190,6 @@ def _tape_of(*xs) -> Tape:
     raise ValueError("at least one operand must be a Tensor")
 
 
-def matmul(a, b) -> Tensor:
-    tape = _tape_of(a, b)
-    a, b = wrap(tape, a), wrap(tape, b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(
-            f"matmul shapes do not conform: {a.value.shape} x {b.value.shape}")
-    av, bv = a.value, b.value
-
-    def backprop(g, acc):
-        acc(a, g @ bv.T)
-        acc(b, av.T @ g)
-
-    return tape._track(Tensor(av @ bv, tape, backprop=backprop))
-
-
-def transpose(a: Tensor) -> Tensor:
-    tape = a.tape
-
-    def backprop(g, acc):
-        acc(a, g.T)
-
-    return tape._track(Tensor(a.value.T.copy(), tape, backprop=backprop))
-
-
 def _binary_same_shape(a, b, name):
     tape = _tape_of(a, b)
     a, b = wrap(tape, a), wrap(tape, b)
@@ -226,27 +209,6 @@ def add(a, b) -> Tensor:
     return tape._track(Tensor(a.value + b.value, tape, backprop=backprop))
 
 
-def sub(a, b) -> Tensor:
-    tape, a, b = _binary_same_shape(a, b, "sub")
-
-    def backprop(g, acc):
-        acc(a, g)
-        acc(b, -g)
-
-    return tape._track(Tensor(a.value - b.value, tape, backprop=backprop))
-
-
-def mul(a, b) -> Tensor:
-    tape, a, b = _binary_same_shape(a, b, "mul")
-    av, bv = a.value, b.value
-
-    def backprop(g, acc):
-        acc(a, g * bv)
-        acc(b, g * av)
-
-    return tape._track(Tensor(av * bv, tape, backprop=backprop))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -254,33 +216,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         acc(a, g * c)
 
     return a.tape._track(Tensor(a.value * c, a.tape, backprop=backprop))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backprop(g, acc):
-        acc(a, g)
-
-    return a.tape._track(Tensor(a.value + c, a.tape, backprop=backprop))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.value)
-
-    def backprop(g, acc):
-        acc(a, g * out)
-
-    return a.tape._track(Tensor(out, a.tape, backprop=backprop))
-
-
-def log(a: Tensor) -> Tensor:
-    av = a.value
-
-    def backprop(g, acc):
-        acc(a, g / av)
-
-    return a.tape._track(Tensor(np.log(av), a.tape, backprop=backprop))
 
 
 def xlogx(a: Tensor) -> Tensor:
@@ -293,17 +228,6 @@ def xlogx(a: Tensor) -> Tensor:
         acc(a, g * np.where(pos, np.log(np.where(pos, av, 1.0)) + 1.0, 0.0))
 
     return a.tape._track(Tensor(out, a.tape, backprop=backprop))
-
-
-def rowsum(a: Tensor) -> Tensor:
-    """Sum along each row: N x C -> N x 1."""
-    shape = a.value.shape
-
-    def backprop(g, acc):
-        acc(a, np.broadcast_to(g, shape))
-
-    return a.tape._track(Tensor(a.value.sum(axis=1, keepdims=True), a.tape,
-                                backprop=backprop))
 
 
 def colsum(a: Tensor) -> Tensor:
@@ -338,22 +262,6 @@ def softmax_rows(a) -> Tensor:
 
     def backprop(g, acc):
         acc(a, (g - (g * out).sum(axis=1, keepdims=True)) * out)
-
-    return tape._track(Tensor(out, tape, backprop=backprop))
-
-
-def normalize_rows(a) -> Tensor:
-    """Scale each row to unit L2 norm; all-zero rows stay zero."""
-    tape = _tape_of(a)
-    a = wrap(tape, a)
-    norms = np.linalg.norm(a.value, axis=1, keepdims=True)
-    nonzero = norms > 0
-    safe = np.where(nonzero, norms, 1.0)
-    out = a.value / safe
-
-    def backprop(g, acc):
-        gx = (g - (g * out).sum(axis=1, keepdims=True) * out) / safe
-        acc(a, np.where(nonzero, gx, 0.0))
 
     return tape._track(Tensor(out, tape, backprop=backprop))
 
@@ -432,6 +340,178 @@ def sum_sq_dist(leaves: Sequence[Tensor], refs: Sequence) -> Tensor:
             acc(leaf, t + t)
 
     return tape._track(Tensor(np.array([[total]]), tape, backprop=backprop))
+
+
+def _unit_rows(x: Array) -> tuple[Array, Array, Array]:
+    """Rows of ``x`` scaled to unit L2 norm, with the norms used and the
+    nonzero mask; an all-zero row stays zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    nonzero = norms > 0
+    safe = np.where(nonzero, norms, 1.0)
+    return x / safe, safe, nonzero
+
+
+def _unit_rows_grad(g: Array, unit: Array, safe: Array, nonzero: Array) -> Array:
+    """The gradient through :func:`_unit_rows`; zero for an all-zero row."""
+    gx = (g - (g * unit).sum(axis=1, keepdims=True) * unit) / safe
+    return np.where(nonzero, gx, 0.0)
+
+
+def cycled_nt_xent(items: Sequence, tau: float, denom: int,
+                   columns: bool = False) -> Tensor:
+    """Cycled-partner NT-Xent over the row cosines of ``items``, one node.
+
+    Row i of item v is paired with row i of item n = (v+1) mod V. The
+    denominator sums the exponentiated similarities against every row of
+    both items and subtracts e^{1/tau}, the anchor's similarity to itself.
+    The summed terms are divided by ``denom``. With ``columns`` the rows are
+    the items' columns.
+    """
+    tape = _tape_of(*items)
+    items = [wrap(tape, t) for t in items]
+    units = [_unit_rows(t.value.T.copy() if columns else t.value) for t in items]
+    n_views, n = len(items), units[0][0].shape[0]
+    eye = np.eye(n)
+    inv_tau = 1.0 / tau
+    self_term = float(-math.exp(inv_tau))
+    saved = []
+    total = None
+    for v in range(n_views):
+        a, b = units[v][0], units[(v + 1) % n_views][0]
+        # transposed copies, as the chain's transpose nodes made them: the
+        # products then run through the same BLAS calls, and the forward
+        # stays a general product rather than a symmetric rank-k update
+        a_t, b_t = a.T.copy(), b.T.copy()
+        s_own, s_pair = a @ a_t, a @ b_t
+        e_own, e_pair = np.exp(s_own * inv_tau), np.exp(s_pair * inv_tau)
+        den = (e_own.sum(axis=1, keepdims=True)
+               + e_pair.sum(axis=1, keepdims=True)) + self_term
+        term = np.log(den) - (s_pair * eye).sum(axis=1, keepdims=True) * inv_tau
+        total = term if total is None else total + term
+        saved.append((a_t, b_t, e_own, e_pair, den))
+
+    def backprop(g, acc):
+        each = np.full((n, 1), (g * (1.0 / denom))[0, 0])
+        g_pos = (-each) * inv_tau
+        g_units = [None] * n_views
+
+        def into(v, x):  # the first gradient is kept, later ones added into it
+            buf = g_units[v]
+            g_units[v] = x if buf is None else np.add(buf, x, out=buf)
+
+        for v in reversed(range(n_views)):
+            a = units[v][0]
+            a_t, b_t, e_own, e_pair, den = saved[v]
+            g_den = each / den
+            g_pair = g_pos * eye
+            g_pair += (g_den * e_pair) * inv_tau
+            g_own = (g_den * e_own) * inv_tau
+            into(v, g_pair @ b_t.T)
+            into((v + 1) % n_views, (a.T @ g_pair).T)
+            into(v, g_own @ a_t.T)
+            into(v, (a.T @ g_own).T)
+        for v in reversed(range(n_views)):
+            g_item = _unit_rows_grad(g_units[v], *units[v])
+            acc(items[v], g_item.T if columns else g_item)
+
+    return tape._track(Tensor(np.array([[total.sum()]]) * (1.0 / denom), tape,
+                              backprop=backprop))
+
+
+def partial_nt_xent(fused, feats: Sequence, tau: float) -> Tensor:
+    """NT-Xent of the fused rows against each feature matrix, one node.
+
+    Row i of ``fused`` is paired with row i of each matrix in ``feats``; the
+    denominator runs over the other rows only (j != i). The summed terms are
+    divided by the row count.
+    """
+    tape = _tape_of(fused, *feats)
+    fused, feats = wrap(tape, fused), [wrap(tape, f) for f in feats]
+    n = fused.value.shape[0]
+    eye = np.eye(n)
+    offdiag = 1.0 - eye
+    inv_tau = 1.0 / tau
+    fused_units = _unit_rows(fused.value)
+    u_fused = fused_units[0]
+    saved = []
+    total = None
+    for f in feats:
+        units = _unit_rows(f.value)
+        u_t = units[0].T.copy()
+        sims = u_fused @ u_t
+        e = np.exp(sims * inv_tau)
+        den = (e * offdiag).sum(axis=1, keepdims=True)
+        term = np.log(den) - (sims * eye).sum(axis=1, keepdims=True) * inv_tau
+        total = term if total is None else total + term
+        saved.append((units, u_t, e, den))
+
+    def backprop(g, acc):
+        each = np.full((n, 1), (g * (1.0 / n))[0, 0])
+        g_pos = (-each) * inv_tau
+        g_fused = None
+        for f, (units, u_t, e, den) in zip(reversed(feats), reversed(saved)):
+            g_sims = g_pos * eye
+            g_sims += (((each / den) * offdiag) * e) * inv_tau
+            g_u = g_sims @ u_t.T
+            g_fused = g_u if g_fused is None else np.add(g_fused, g_u, out=g_fused)
+            acc(f, _unit_rows_grad((u_fused.T @ g_sims).T, *units))
+        acc(fused, _unit_rows_grad(g_fused, *fused_units))
+
+    return tape._track(Tensor(np.array([[total.sum()]]) * (1.0 / n), tape,
+                              backprop=backprop))
+
+
+def one_vs_one_nt_xent(a, b, c, d, tau: float) -> Tensor:
+    """-(1/N) sum_i log(e^{p_i/tau} / (e^{p_i/tau} + e^{q_i/tau})), one node,
+    where p_i = cos(a_i, b_i) is the positive and q_i = cos(c_i, d_i) the
+    negative row cosine.
+
+    Each operand is normalised on its own, except that ``c`` shares ``b``'s
+    unit rows when it is ``b`` (as in the single-view contrast, where the
+    clean features are the positive's partner and the negative's anchor):
+    then the two gradients are summed before one normalisation backward. A
+    constant operand (a reference) gets no gradient.
+    """
+    tape = _tape_of(a, b, c, d)
+    a, b, c, d = (wrap(tape, t) for t in (a, b, c, d))
+    if not (a.value.shape == b.value.shape == c.value.shape == d.value.shape):
+        raise DimensionError("all four feature matrices must share one shape")
+    shared = c is b
+    ua, ub, ud = _unit_rows(a.value), _unit_rows(b.value), _unit_rows(d.value)
+    uc = ub if shared else _unit_rows(c.value)
+    n = a.value.shape[0]
+    inv_tau = 1.0 / tau
+    pos = (ua[0] * ub[0]).sum(axis=1, keepdims=True)
+    neg = (uc[0] * ud[0]).sum(axis=1, keepdims=True)
+    e_pos, e_neg = np.exp(pos * inv_tau), np.exp(neg * inv_tau)
+    den = e_pos + e_neg
+    term = np.log(den) - pos * inv_tau
+
+    def backprop(g, acc):
+        each = np.full((n, 1), (g * (1.0 / n))[0, 0])
+        g_den = each / den
+        g_neg = (g_den * e_neg) * inv_tau
+        g_pos = (-each) * inv_tau
+        g_pos += (g_den * e_pos) * inv_tau
+
+        def give(t, g_unit, units):
+            if t.param is not None or t._backprop is not None:  # not a constant
+                acc(t, _unit_rows_grad(g_unit, *units))
+
+        # the order in which the chain's nodes reached the operands
+        give(d, g_neg * uc[0], ud)
+        if shared:
+            give(a, g_pos * ub[0], ua)
+            g_b = g_neg * ud[0]
+            g_b += g_pos * ua[0]
+            give(b, g_b, ub)
+        else:
+            give(c, g_neg * ud[0], uc)
+            give(b, g_pos * ua[0], ub)
+            give(a, g_pos * ub[0], ua)
+
+    return tape._track(Tensor(np.array([[term.sum()]]) * (1.0 / n), tape,
+                              backprop=backprop))
 
 
 class _SpanOptimizer:

@@ -106,6 +106,171 @@ def drift_contrast_bruteforce(fused, pos_ref, neg_ref, tau):
     return total / n
 
 
+# The elementary tape ops that the fused nodes in ``fedmvc.tensor`` replace.
+# Nothing in the package uses them on their own any more; they build the
+# reference chains below, which the fused nodes are held to bit for bit.
+
+
+def matmul(a, b):
+    tape = T._tape_of(a, b)
+    a, b = T.wrap(tape, a), T.wrap(tape, b)
+    if a.value.shape[1] != b.value.shape[0]:
+        raise DimensionError(
+            f"matmul shapes do not conform: {a.value.shape} x {b.value.shape}")
+    av, bv = a.value, b.value
+
+    def backprop(g, acc):
+        acc(a, g @ bv.T)
+        acc(b, av.T @ g)
+
+    return tape._track(T.Tensor(av @ bv, tape, backprop=backprop))
+
+
+def transpose(a):
+    tape = a.tape
+
+    def backprop(g, acc):
+        acc(a, g.T)
+
+    return tape._track(T.Tensor(a.value.T.copy(), tape, backprop=backprop))
+
+
+def sub(a, b):
+    tape, a, b = T._binary_same_shape(a, b, "sub")
+
+    def backprop(g, acc):
+        acc(a, g)
+        acc(b, -g)
+
+    return tape._track(T.Tensor(a.value - b.value, tape, backprop=backprop))
+
+
+def mul(a, b):
+    tape, a, b = T._binary_same_shape(a, b, "mul")
+    av, bv = a.value, b.value
+
+    def backprop(g, acc):
+        acc(a, g * bv)
+        acc(b, g * av)
+
+    return tape._track(T.Tensor(av * bv, tape, backprop=backprop))
+
+
+def add_scalar(a, c: float):
+    c = float(c)
+
+    def backprop(g, acc):
+        acc(a, g)
+
+    return a.tape._track(T.Tensor(a.value + c, a.tape, backprop=backprop))
+
+
+def exp(a):
+    out = np.exp(a.value)
+
+    def backprop(g, acc):
+        acc(a, g * out)
+
+    return a.tape._track(T.Tensor(out, a.tape, backprop=backprop))
+
+
+def log(a):
+    av = a.value
+
+    def backprop(g, acc):
+        acc(a, g / av)
+
+    return a.tape._track(T.Tensor(np.log(av), a.tape, backprop=backprop))
+
+
+def rowsum(a):
+    """Sum along each row: N x C -> N x 1."""
+    shape = a.value.shape
+
+    def backprop(g, acc):
+        acc(a, np.broadcast_to(g, shape))
+
+    return a.tape._track(T.Tensor(a.value.sum(axis=1, keepdims=True), a.tape,
+                              backprop=backprop))
+
+
+def normalize_rows(a):
+    """Scale each row to unit L2 norm; all-zero rows stay zero."""
+    tape = T._tape_of(a)
+    a = T.wrap(tape, a)
+    norms = np.linalg.norm(a.value, axis=1, keepdims=True)
+    nonzero = norms > 0
+    safe = np.where(nonzero, norms, 1.0)
+    out = a.value / safe
+
+    def backprop(g, acc):
+        gx = (g - (g * out).sum(axis=1, keepdims=True) * out) / safe
+        acc(a, np.where(nonzero, gx, 0.0))
+
+    return tape._track(T.Tensor(out, tape, backprop=backprop))
+
+
+def cycled_nt_xent_chain(items, tau, denom, columns=False):
+    """Elementary chain of ``T.cycled_nt_xent``, as the losses built it."""
+    if columns:
+        items = [transpose(q) for q in items]
+    n_views = len(items)
+    n_rows = items[0].value.shape[0]
+    units = [normalize_rows(t) for t in items]
+    eye = np.eye(n_rows)
+    inv_tau = 1.0 / tau
+    total = None
+    for v in range(n_views):
+        a, b = units[v], units[(v + 1) % n_views]
+        s_own = matmul(a, transpose(a))
+        s_pair = matmul(a, transpose(b))
+        den = add_scalar(
+            T.add(rowsum(exp(T.scale(s_own, inv_tau))),
+                  rowsum(exp(T.scale(s_pair, inv_tau)))),
+            -math.exp(inv_tau))
+        pos = rowsum(mul(s_pair, eye))
+        term = sub(log(den), T.scale(pos, inv_tau))
+        total = term if total is None else T.add(total, term)
+    return T.scale(T.sum_all(total), 1.0 / denom)
+
+
+def partial_nt_xent_chain(fused, feats, tau):
+    """Elementary chain of ``T.partial_nt_xent``."""
+    n = fused.value.shape[0]
+    eye = np.eye(n)
+    offdiag = 1.0 - eye
+    inv_tau = 1.0 / tau
+    u_fused = normalize_rows(fused)
+    total = None
+    for f in feats:
+        sims = matmul(u_fused, transpose(normalize_rows(f)))
+        e = exp(T.scale(sims, inv_tau))
+        den = rowsum(mul(e, offdiag))
+        pos = rowsum(mul(sims, eye))
+        term = sub(log(den), T.scale(pos, inv_tau))
+        total = term if total is None else T.add(total, term)
+    return T.scale(T.sum_all(total), 1.0 / n)
+
+
+def one_vs_one_nt_xent_chain(a, b, c, d, tau):
+    """Elementary chain of ``T.one_vs_one_nt_xent``, cos(a, b) against
+    cos(c, d), with the node structure each caller had."""
+    tape = T._tape_of(a, b, c, d)
+    a, b, c, d = (T.wrap(tape, t) for t in (a, b, c, d))
+    if c is b:  # single_view_contrast: one node normalises the shared operand
+        u_b = normalize_rows(b)
+        pos = rowsum(mul(normalize_rows(a), u_b))
+        neg = rowsum(mul(u_b, normalize_rows(d)))
+    else:  # drift_loss: every operand has a node of its own
+        pos = rowsum(mul(normalize_rows(a), normalize_rows(b)))
+        neg = rowsum(mul(normalize_rows(c), normalize_rows(d)))
+    n = pos.value.shape[0]
+    inv_tau = 1.0 / tau
+    den = T.add(exp(T.scale(pos, inv_tau)), exp(T.scale(neg, inv_tau)))
+    term = sub(log(den), T.scale(pos, inv_tau))
+    return T.scale(T.sum_all(term), 1.0 / n)
+
+
 def add_row(x, row):
     """Add a 1 x C row vector to every row of an N x C matrix; with
     ``matmul`` and ``relu``, the elementary reference for ``T.affine``."""
@@ -134,13 +299,50 @@ def relu(a):
     return tape._track(T.Tensor(np.where(mask, a.value, 0.0), tape, backprop=backprop))
 
 
+# Pre-activations of every class the ReLU must pass through unchanged or
+# zero: signed zeros, infinities, NaN, subnormals and the smallest normals.
+RELU_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                          2.2250738585072014e-308, -2.2250738585072014e-308, 1.5, -1.5])
+
+
+class PresetProduct(np.ndarray):
+    """A weight matrix whose product with any input is ``self.preset``.
+
+    A BLAS product accumulates from +0.0, so no input makes ``x @ W`` come out
+    as -0.0; with this weight and a bias of -0.0, a test sets a dense layer's
+    pre-activation exactly (``p + (-0.0) == p`` for every ``p``).
+    """
+
+    def __rmatmul__(self, other):
+        return self.preset
+
+
+def preset_weight(shape, preset):
+    weight = np.zeros(shape).view(PresetProduct)
+    weight.preset = preset
+    return weight
+
+
+def infer_fused_reference(params, views):
+    """``model.infer_fused`` with the ReLU written as ``np.where(h > 0, h, 0.0)``."""
+    acc = None
+    for v in sorted(views):
+        h = views[v]
+        for layer in (params.encoders[v], params.feature_net):
+            w1, b1, w2, b2 = (p.value for p in layer)
+            pre = h @ w1 + b1
+            h = np.where(pre > 0, pre, 0.0) @ w2 + b2
+        acc = h if acc is None else acc + h
+    return acc * (1.0 / len(views))
+
+
 def sum_sq_dist_chain(leaves, refs):
     """sum_i ||leaves[i] - refs[i]||^2 as separate sub/mul/sum_all/add nodes."""
     tape = leaves[0].tape
     acc = None
     for leaf, ref in zip(leaves, refs):
-        diff = T.sub(leaf, tape.constant(ref))
-        term = T.sum_all(T.mul(diff, diff))
+        diff = sub(leaf, tape.constant(ref))
+        term = T.sum_all(mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
     return acc
 

@@ -92,6 +92,25 @@ class TestReconstruction:
         with pytest.raises(DimensionError):
             reconstruction_loss([np.ones((2, 3))], [tape.constant(np.ones((2, 4)))])
 
+    def test_bitwise_equal_to_elementary_chain(self):
+        # one sum_sq_dist node against sub/mul/sum_all/add per view
+        rng = np.random.default_rng(3)
+        xs = [rows(rng, 5, 2), rows(rng, 5, 6), rows(rng, 5, 3)]
+
+        def run(build):
+            params = [T.Param(x + rng.normal(0.0, 0.5, x.shape)) for x in xs]
+            tape = T.Tape()
+            loss = build(tape, [tape.leaf(p) for p in params])
+            tape.backward(T.scale(loss, 0.3))
+            return [loss.value] + [p.grad for p in params]
+
+        rng = np.random.default_rng(4)
+        got = run(lambda tape, recons: reconstruction_loss(xs, recons))
+        rng = np.random.default_rng(4)
+        want = run(lambda tape, recons: T.scale(sum_sq_dist_chain(recons, xs), 1.0 / 5))
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
 
 class TestFeatureContrast:
     def test_single_sample_identical_views_zero(self):

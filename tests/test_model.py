@@ -4,7 +4,12 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import init_params_reference
+from helpers import (
+    RELU_SPECIALS,
+    infer_fused_reference,
+    init_params_reference,
+    preset_weight,
+)
 
 from fedmvc import tensor as T
 from fedmvc.errors import ConfigError, DataFormatError, DimensionError
@@ -211,6 +216,23 @@ class TestInferFused:
             rows = rng.permutation(n)[:size]
             batch = infer_fused(params, {v: x[rows] for v, x in views.items()})
             assert np.array_equal(whole[rows], batch)
+
+    def test_relu_bitwise_equal_to_where_on_special_pre_activations(self):
+        # the first encoder layer of view 0 meets every class in two rows
+        arch = Architecture(view_dims=(3, 2), n_clusters=2, latent_dim=4, high_dim=5,
+                            hidden=RELU_SPECIALS.size)
+        params = init_params(arch, seed=6)
+        rng = np.random.default_rng(6)
+        pre = rng.standard_normal((5, arch.hidden))
+        pre[1], pre[3] = RELU_SPECIALS, RELU_SPECIALS[::-1]
+        params.encoders[0][0].value = preset_weight((3, arch.hidden), pre)
+        params.encoders[0][1].value[...] = -0.0
+        views = {0: rng.standard_normal((5, 3)), 1: rng.standard_normal((5, 2))}
+        with np.errstate(invalid="ignore", over="ignore"):  # inf meets the next layer
+            got = infer_fused(params, views)
+            want = infer_fused_reference(params, views)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[[0, 2, 4]]).all()  # rows without specials stay clean
 
     def test_wrong_column_count(self):
         params = init_params(ARCH3, seed=0)

@@ -6,11 +6,27 @@ from helpers import (
     AdamReference,
     SGDReference,
     add_row,
+    add_scalar,
     central_diff,
+    cycled_nt_xent_chain,
+    exp,
+    log,
+    matmul,
+    mul,
+    normalize_rows,
+    RELU_SPECIALS,
+    one_vs_one_nt_xent_chain,
+    partial_nt_xent_chain,
+    preset_weight,
     rel_error,
     relu as relu_op,
+    rowsum,
+    sub,
     sum_sq_dist_chain,
+    transpose,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError, TrainingError
@@ -52,7 +68,7 @@ class TestForward:
     def test_affine_shape_mismatch(self):
         tape = T.Tape()
         with pytest.raises(DimensionError):
-            T.matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 3))))
+            matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 3))))
 
     def test_relu(self):
         tape = T.Tape()
@@ -93,7 +109,7 @@ class TestForward:
 
     def test_normalize_rows_zero_row(self):
         tape = T.Tape()
-        y = T.normalize_rows(tape.constant([[0.0, 0.0], [3.0, 4.0]]))
+        y = normalize_rows(tape.constant([[0.0, 0.0], [3.0, 4.0]]))
         assert np.allclose(y.value, [[0.0, 0.0], [0.6, 0.8]])
 
     def test_xlogx_zero_convention(self):
@@ -107,7 +123,7 @@ class TestBackward:
         tape = T.Tape()
         p = T.Param([[1.0, -2.0, 3.0]])
         x = tape.leaf(p)
-        loss = T.sum_all(T.mul(x, x))
+        loss = T.sum_all(mul(x, x))
         tape.backward(loss)
         assert np.allclose(p.grad, 2 * p.value)
 
@@ -115,8 +131,8 @@ class TestBackward:
         tape = T.Tape()
         p = T.Param(np.random.default_rng(0).uniform(-2, 2, (3, 3)))
         x = tape.leaf(p)
-        diff = T.sub(x, x)
-        tape.backward(T.sum_all(T.mul(diff, diff)))
+        diff = sub(x, x)
+        tape.backward(T.sum_all(mul(diff, diff)))
         assert np.array_equal(p.grad, np.zeros((3, 3)))
 
     def test_grad_accumulates_until_cleared(self):
@@ -124,7 +140,7 @@ class TestBackward:
         for _ in range(2):
             tape = T.Tape()
             x = tape.leaf(p)
-            tape.backward(T.sum_all(T.mul(x, x)))
+            tape.backward(T.sum_all(mul(x, x)))
         assert np.allclose(p.grad, [[8.0]])
         p.zero_grad()
         assert np.array_equal(p.grad, [[0.0]])
@@ -139,6 +155,46 @@ class TestBackward:
         tape = T.Tape()
         with pytest.raises(ValueError):
             tape.backward(tape.constant([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("route", ["direct", "transposed", "broadcast"])
+    def test_shared_gradient_is_not_written_through(self, route):
+        # ``add`` hands one gradient array to both parents; ``a`` then takes
+        # a second gradient (from ``mul(a, D)``, recorded before the add and
+        # so replayed after it), which must not reach ``b`` through the
+        # shared array, a transposed view of it or a broadcast of it
+        rng = np.random.default_rng(9)
+        shape = (3, 3) if route == "transposed" else (3, 4)
+        pa, pb = T.Param(rng.normal(size=shape)), T.Param(rng.normal(size=shape))
+        d = rng.normal(size=shape)
+        tape = T.Tape()
+        a, b = tape.leaf(pa), tape.leaf(pb)
+        second = T.sum_all(mul(a, tape.constant(d)))
+        through = {"direct": lambda t: t, "transposed": transpose, "broadcast": rowsum}
+        route_op = through[route]
+        s = T.add(route_op(a), route_op(b))
+        c = rng.normal(size=s.value.shape)
+        tape.backward(T.add(T.sum_all(mul(s, tape.constant(c))), second))
+        first = {"direct": c, "transposed": c.T,
+                 "broadcast": np.broadcast_to(c, shape)}[route]
+        assert np.array_equal(pb.grad, first)
+        assert np.array_equal(pa.grad, first + d)
+
+    def test_copied_gradient_keeps_its_layout(self):
+        # a node whose first gradient is a transposed view receives it as an
+        # F-ordered buffer, as before the copy rule, and keeps that layout
+        # after a second, C-ordered gradient is added to it
+        seen = []
+        tape = T.Tape()
+        x = tape.constant(np.arange(6.0).reshape(2, 3))
+        probe = tape._track(T.Tensor(x.value.copy(), tape,
+                                     backprop=lambda g, acc: seen.append(g.copy("K"))))
+        second = T.sum_all(mul(probe, tape.constant(np.ones((2, 3)))))
+        flipped = transpose(probe)
+        tape.backward(T.add(T.sum_all(mul(flipped, tape.constant(np.ones((3, 2))))),
+                            second))
+        (g,) = seen
+        assert g.flags.f_contiguous and not g.flags.c_contiguous
+        assert np.array_equal(g, np.full((2, 3), 2.0))
 
     def test_mlp_grad_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -158,22 +214,22 @@ class TestBackward:
         tape = T.Tape()
         y = T.affine(relu_op(T.affine(tape.constant(x), p1, T.Param(b1))),
                      T.Param(w2), T.Param(b2))
-        diff = T.sub(y, tape.constant(target))
-        tape.backward(T.sum_all(T.mul(diff, diff)))
+        diff = sub(y, tape.constant(target))
+        tape.backward(T.sum_all(mul(diff, diff)))
         assert rel_error(p1.grad, central_diff(run, w1)) < 1e-4
 
     @pytest.mark.parametrize("op,builder", [
-        ("relu", lambda t, x: T.sum_all(T.mul(relu_op(x), relu_op(x)))),
-        ("softmax", lambda t, x: T.sum_all(T.mul(T.softmax_rows(x),
+        ("relu", lambda t, x: T.sum_all(mul(relu_op(x), relu_op(x)))),
+        ("softmax", lambda t, x: T.sum_all(mul(T.softmax_rows(x),
                                                  t.constant(_W)))),
-        ("normalize", lambda t, x: T.sum_all(T.mul(T.normalize_rows(x),
+        ("normalize", lambda t, x: T.sum_all(mul(normalize_rows(x),
                                                    t.constant(_W)))),
-        ("exp", lambda t, x: T.sum_all(T.exp(T.scale(x, 0.5)))),
-        ("log", lambda t, x: T.sum_all(T.log(T.add_scalar(T.mul(x, x), 1.0)))),
-        ("xlogx", lambda t, x: T.sum_all(T.xlogx(T.add_scalar(T.mul(x, x), 0.1)))),
-        ("colsum", lambda t, x: T.sum_all(T.mul(T.colsum(x), T.colsum(x)))),
-        ("rowsum", lambda t, x: T.sum_all(T.mul(T.rowsum(x), T.rowsum(x)))),
-        ("transpose", lambda t, x: T.sum_all(T.mul(T.transpose(x), T.transpose(x)))),
+        ("exp", lambda t, x: T.sum_all(exp(T.scale(x, 0.5)))),
+        ("log", lambda t, x: T.sum_all(log(add_scalar(mul(x, x), 1.0)))),
+        ("xlogx", lambda t, x: T.sum_all(T.xlogx(add_scalar(mul(x, x), 0.1)))),
+        ("colsum", lambda t, x: T.sum_all(mul(T.colsum(x), T.colsum(x)))),
+        ("rowsum", lambda t, x: T.sum_all(mul(rowsum(x), rowsum(x)))),
+        ("transpose", lambda t, x: T.sum_all(mul(transpose(x), transpose(x)))),
         ("affine_x", lambda t, x: _dense_loss(x, _W45, _B5)),
         ("affine_relu_x", lambda t, x: _dense_loss(x, _W45, _B5, relu=True)),
         ("affine_w", lambda t, x: _dense_loss(_X23, x, _B4)),
@@ -183,6 +239,19 @@ class TestBackward:
         ("sum_sq_dist_0", lambda t, x: _sum_sq_dist_at(t, x, 0)),
         ("sum_sq_dist_1", lambda t, x: _sum_sq_dist_at(t, x, 1)),
         ("sum_sq_dist_2", lambda t, x: _sum_sq_dist_at(t, x, 2)),
+        ("cycled_nt_xent", lambda t, x: T.cycled_nt_xent(
+            [t.constant(_W), x, t.constant(_W2)], 0.5, denom=3)),
+        ("cycled_nt_xent_columns", lambda t, x: T.cycled_nt_xent(
+            [x, t.constant(_W)], 0.5, denom=4, columns=True)),
+        ("partial_nt_xent_fused", lambda t, x: T.partial_nt_xent(
+            x, [t.constant(_W), t.constant(_W2)], 0.5)),
+        ("partial_nt_xent_feat", lambda t, x: T.partial_nt_xent(
+            t.constant(_W), [t.constant(_W2), x], 0.5)),
+        ("one_vs_one_anchor", lambda t, x: T.one_vs_one_nt_xent(x, _W, x, _W2, 0.5)),
+        ("one_vs_one_shared", lambda t, x: T.one_vs_one_nt_xent(
+            t.constant(_W), x, x, t.constant(_W2), 0.5)),
+        ("one_vs_one_negative", lambda t, x: T.one_vs_one_nt_xent(
+            t.constant(_W), t.constant(_W2), t.constant(_W2), x, 0.5)),
     ])
     def test_op_grads_match_finite_differences(self, op, builder):
         rng = np.random.default_rng(sum(map(ord, op)))
@@ -209,7 +278,7 @@ class TestBackward:
             p = T.Param(rv)
             tape = T.Tape()
             y = add_row(tape.constant(x), tape.leaf(p))
-            loss = T.sum_all(T.mul(y, y))
+            loss = T.sum_all(mul(y, y))
             tape.backward(loss)
             return float(loss.value[0, 0]), p.grad
 
@@ -219,13 +288,14 @@ class TestBackward:
 
 
 _W = np.random.default_rng(123).uniform(-2, 2, (3, 4))
+_W2 = np.random.default_rng(125).uniform(-2, 2, (3, 4))
 _X23, _W34, _W45, _B4, _B5 = (np.random.default_rng(124).uniform(-2, 2, shape)
                               for shape in ((2, 3), (3, 4), (4, 5), (1, 4), (1, 5)))
 
 
 def _dense_loss(x, weight, bias, relu=False):
     # exp has a nonzero slope where a ReLU output is zero, so a lost mask shows
-    return T.sum_all(T.exp(T.scale(T.affine(x, weight, bias, relu=relu), 0.25)))
+    return T.sum_all(exp(T.scale(T.affine(x, weight, bias, relu=relu), 0.25)))
 
 
 def _sum_sq_dist_at(tape, x, pos):
@@ -244,8 +314,8 @@ class TestDeterminism:
             p = T.Param(rng.uniform(-1, 1, (6, 6)))
             tape = T.Tape()
             x = tape.constant(rng.uniform(-1, 1, (5, 6)))
-            y = T.softmax_rows(relu_op(T.matmul(x, tape.leaf(p))))
-            tape.backward(T.sum_all(T.mul(y, y)))
+            y = T.softmax_rows(relu_op(matmul(x, tape.leaf(p))))
+            tape.backward(T.sum_all(mul(y, y)))
             return y.value.copy(), p.grad.copy()
         y1, g1 = run()
         y2, g2 = run()
@@ -254,7 +324,7 @@ class TestDeterminism:
 
 
 def _composite_affine(x, weight, bias, relu=False):
-    y = add_row(T.matmul(x, weight), bias)
+    y = add_row(matmul(x, weight), bias)
     return relu_op(y) if relu else y
 
 
@@ -280,8 +350,8 @@ class TestFusedOps:
             ys = [dense(dense(inp, w1, b1, relu=True), w2, b2)
                   for inp in (x, tape.constant(other))]
             loss = T.add(
-                T.sum_all(T.mul(T.normalize_rows(ys[0]), tape.constant(target))),
-                T.sum_all(T.mul(ys[1], ys[1])))
+                T.sum_all(mul(normalize_rows(ys[0]), tape.constant(target))),
+                T.sum_all(mul(ys[1], ys[1])))
             tape.backward(loss)
             return [y.value for y in ys], [p.grad for p in (w1, b1, w2, b2, px)]
 
@@ -296,6 +366,22 @@ class TestFusedOps:
         tape = T.Tape()
         T.affine(T.affine(tape.constant(np.ones((3, 4))), w1, b1, relu=True), w2, b2)
         assert sum(node._backprop is not None for node in tape._nodes) == 2
+
+    def test_relu_bitwise_equal_to_where_on_special_pre_activations(self):
+        # every class in two rows, ordinary values in the others
+        rng = np.random.default_rng(8)
+        pre = rng.standard_normal((4, RELU_SPECIALS.size))
+        pre[0] = RELU_SPECIALS
+        pre[1] = RELU_SPECIALS[::-1]
+        weight = T.Param.view(preset_weight((3, pre.shape[1]), pre),
+                              np.zeros((3, pre.shape[1])))
+        bias = T.Param(np.full((1, pre.shape[1]), -0.0))
+        tape = T.Tape()
+        out = T.affine(tape.constant(np.ones((4, 3))), weight, bias, relu=True)
+        assert out.value.tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
+        # the backward mask is still ``pre > 0``: NaN, zeros and negatives pass nothing
+        tape.backward(T.sum_all(out))
+        assert np.array_equal(bias.grad, (pre > 0).sum(axis=0, keepdims=True))
 
     def test_affine_rejects_mismatched_shapes(self):
         tape = T.Tape()
@@ -317,7 +403,7 @@ class TestFusedOps:
                                   params[0], params[1], relu=True),
                          params[2], params[3])
             # the leaves already carry forward gradients when the term joins
-            drift = T.add(T.sum_all(T.mul(y, y)),
+            drift = T.add(T.sum_all(mul(y, y)),
                           T.scale(prox([tape.leaf(p) for p in params], refs), mu / 2))
             loss = T.add(T.sum_all(y), T.scale(drift, 1.0 - alpha))
             tape.backward(loss)
@@ -345,6 +431,166 @@ class TestFusedOps:
             T.sum_sq_dist([leaf], [np.zeros((3, 2))])
         with pytest.raises(DimensionError):
             T.sum_sq_dist([leaf], [np.zeros((2, 3))] * 2)
+
+
+@st.composite
+def contrast_batches(draw, n_mats, min_rows=1, zero_columns=False):
+    """``n_mats`` equal-shaped matrices of 1-6 rows (at least ``min_rows``)
+    and 1-5 columns, each with up to two lines (rows, or columns) zeroed."""
+    n = draw(st.integers(min_rows, 6))
+    d = draw(st.integers(1, 5))
+    mats = []
+    for _ in range(n_mats):
+        m = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n * d,
+                                   max_size=n * d))).reshape(n, d)
+        lines = m.T if zero_columns else m
+        zero = draw(st.lists(st.integers(0, lines.shape[0] - 1), max_size=2))
+        lines[zero] = 0.0
+        mats.append(m)
+    return mats
+
+
+def _value_and_grads(build, arrays, upstream):
+    """The node ``build`` makes over leaves of ``arrays``, and each leaf's
+    gradient of ``upstream`` times it."""
+    params = [T.Param(a) for a in arrays]
+    tape = T.Tape()
+    out = build([tape.leaf(p) for p in params])
+    tape.backward(T.scale(out, upstream))
+    return [out.value] + [p.grad for p in params]
+
+
+def assert_fused_matches_chain(fused, chain, arrays, upstream=0.7, drawn=True):
+    with np.errstate(invalid="ignore"):
+        want = _value_and_grads(chain, arrays, upstream)
+    if drawn:
+        # an all-zero row has cosine 0 with itself, so the cycled contrast's
+        # denominator, which subtracts e^{1/tau}, can go negative; such draws
+        # make every gradient NaN and compare nothing
+        assume(np.isfinite(want[0]).all())
+    got = _value_and_grads(fused, arrays, upstream)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+TAUS = st.sampled_from([0.1, 0.5, 2.0])
+UPSTREAM = st.floats(-3.0, 3.0)
+
+
+class TestFusedContrasts:
+    """Each contrast node equals its elementary chain in ``tests/helpers.py``,
+    value and every gradient, bit for bit; all-zero rows included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda v: contrast_batches(v)), TAUS, UPSTREAM)
+    def test_cycled_matches_chain(self, mats, tau, upstream):
+        n = mats[0].shape[0]
+        assert_fused_matches_chain(
+            lambda xs: T.cycled_nt_xent(xs, tau, denom=n),
+            lambda xs: cycled_nt_xent_chain(xs, tau, denom=n), mats, upstream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda v: contrast_batches(v, zero_columns=True)),
+           TAUS, UPSTREAM)
+    def test_cycled_over_columns_matches_chain(self, mats, tau, upstream):
+        k = mats[0].shape[1]
+        assert_fused_matches_chain(
+            lambda xs: T.cycled_nt_xent(xs, tau, denom=k, columns=True),
+            lambda xs: cycled_nt_xent_chain(xs, tau, denom=k, columns=True),
+            mats, upstream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda m: contrast_batches(m, min_rows=2)),
+           TAUS, UPSTREAM)
+    def test_partial_matches_chain(self, mats, tau, upstream):
+        assert_fused_matches_chain(
+            lambda xs: T.partial_nt_xent(xs[0], xs[1:], tau),
+            lambda xs: partial_nt_xent_chain(xs[0], xs[1:], tau), mats, upstream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contrast_batches(3), TAUS, UPSTREAM)
+    def test_single_view_structure_matches_chain(self, mats, tau, upstream):
+        # cos(fused, clean) against cos(clean, noisy): one shared operand
+        def run(op):
+            return lambda xs: op(xs[0], xs[1], xs[1], xs[2], tau)
+        assert_fused_matches_chain(run(T.one_vs_one_nt_xent),
+                                   run(one_vs_one_nt_xent_chain), mats, upstream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contrast_batches(3), TAUS, UPSTREAM)
+    def test_drift_structure_matches_chain(self, mats, tau, upstream):
+        # cos(fused, pos_ref) against cos(fused, neg_ref), references constant
+        fused, pos_ref, neg_ref = mats
+
+        def run(op):
+            return lambda xs: op(xs[0], pos_ref, xs[0], neg_ref, tau)
+        assert_fused_matches_chain(run(T.one_vs_one_nt_xent),
+                                   run(one_vs_one_nt_xent_chain), [fused], upstream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contrast_batches(4), TAUS, UPSTREAM)
+    def test_four_operands_match_chain(self, mats, tau, upstream):
+        assert_fused_matches_chain(
+            lambda xs: T.one_vs_one_nt_xent(*xs, tau),
+            lambda xs: one_vs_one_nt_xent_chain(*xs, tau), mats, upstream)
+
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_training_sized_batches_match_chain(self, n_views):
+        # a 100-row batch of 32-dim features, as the default run trains on:
+        # large enough for BLAS to block its products
+        rng = np.random.default_rng(n_views)
+        mats = [rng.standard_normal((100, 32)) for _ in range(n_views)]
+        probs = [rng.dirichlet(np.ones(3), size=100) for _ in range(n_views)]
+        cases = [
+            (lambda xs: T.cycled_nt_xent(xs, 0.5, denom=100),
+             lambda xs: cycled_nt_xent_chain(xs, 0.5, denom=100), mats),
+            (lambda xs: T.cycled_nt_xent(xs, 0.5, denom=3, columns=True),
+             lambda xs: cycled_nt_xent_chain(xs, 0.5, denom=3, columns=True), probs),
+            (lambda xs: T.partial_nt_xent(xs[0], xs[1:], 0.5),
+             lambda xs: partial_nt_xent_chain(xs[0], xs[1:], 0.5), mats),
+            (lambda xs: T.one_vs_one_nt_xent(xs[0], xs[1], xs[1], xs[-1], 0.5),
+             lambda xs: one_vs_one_nt_xent_chain(xs[0], xs[1], xs[1], xs[-1], 0.5),
+             mats),
+        ]
+        for fused, chain, arrays in cases:
+            assert_fused_matches_chain(fused, chain, arrays, drawn=False)
+
+    def test_two_rows_with_a_zero_row(self):
+        rng = np.random.default_rng(3)
+        mats = [rng.uniform(-2, 2, (2, 3)) for _ in range(3)]
+        mats[1][0] = 0.0
+        for build, chain in [
+                (lambda xs: T.cycled_nt_xent(xs, 2.0, denom=2),
+                 lambda xs: cycled_nt_xent_chain(xs, 2.0, denom=2)),
+                (lambda xs: T.partial_nt_xent(xs[0], xs[1:], 0.5),
+                 lambda xs: partial_nt_xent_chain(xs[0], xs[1:], 0.5)),
+                (lambda xs: T.one_vs_one_nt_xent(xs[0], xs[1], xs[1], xs[2], 0.5),
+                 lambda xs: one_vs_one_nt_xent_chain(xs[0], xs[1], xs[1], xs[2], 0.5))]:
+            assert_fused_matches_chain(build, chain, mats, drawn=False)
+        # the zero row takes no gradient, and the others do
+        value, *grads = _value_and_grads(
+            lambda xs: T.cycled_nt_xent(xs, 2.0, denom=2), mats, 1.0)
+        assert np.isfinite(value).all() and all(np.isfinite(g).all() for g in grads)
+        assert not grads[1][0].any() and grads[1][1].any() and grads[0].any()
+
+    @pytest.mark.parametrize("build", [
+        lambda xs: T.cycled_nt_xent(xs, 0.5, denom=3),
+        lambda xs: T.cycled_nt_xent(xs, 0.5, denom=4, columns=True),
+        lambda xs: T.partial_nt_xent(xs[0], xs[1:], 0.5),
+        lambda xs: T.one_vs_one_nt_xent(xs[0], xs[1], xs[1], xs[2], 0.5),
+    ], ids=["cycled", "columns", "partial", "one_vs_one"])
+    def test_records_one_node(self, build):
+        tape = T.Tape()
+        leaves = [tape.leaf(T.Param(m)) for m in (_W, _W2, _W + 1.0)]
+        before = len(tape._nodes)
+        build(leaves)
+        assert len(tape._nodes) - before == 1
+
+    def test_one_vs_one_rejects_mismatched_shapes(self):
+        tape = T.Tape()
+        x = tape.constant(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            T.one_vs_one_nt_xent(x, np.ones((3, 2)), x, np.ones((2, 2)), 0.5)
 
 
 def one_coordinate(value, grad=0.0):
