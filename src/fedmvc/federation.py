@@ -134,11 +134,8 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
 def pretrain_client(client: ClientState, epochs: int, lr: float,
                     batch_size: int, optimizer_mode: str = "adam",
                     workspace: np.ndarray | None = None) -> dict[str, float]:
-    """Warm up the client's autoencoders on reconstruction alone.
-
-    ``workspace`` (from ``tensor.optimizer_workspace``) holds the optimizer's
-    state; a run hands every client the same one.
-    """
+    """Warm up the client's autoencoders on reconstruction alone; the
+    optimizer keeps its state in ``workspace`` (``tensor.optimizer_workspace``)."""
     if not client.views:
         raise ConfigError(f"client {client.shard.client_id} has no data")
     # the reconstruction loss never reaches the shared nets: their gradient
@@ -148,25 +145,33 @@ def pretrain_client(client: ClientState, epochs: int, lr: float,
                          params.owned_spans(client.shard.view_subset, shared=False),
                          workspace)
     n = client.shard.n_samples
+    order = sorted(client.views)
     total, steps = 0.0, 0
-    for _ in range(epochs):
-        for rows in _batches(client.rng, n, batch_size):
-            tape = Tape()
-            order = sorted(client.views)
-            recons = []
-            for v in order:
-                _, xhat = encode_decode(tape, client.params, client.views[v][rows], v)
-                recons.append(xhat)
-            loss = reconstruction_loss([client.views[v][rows] for v in order], recons)
-            value = float(loss.value[0, 0])
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"client {client.shard.client_id}: non-finite warm-up loss")
-            tape.backward(loss)
-            opt.step()
+    for epoch in range(1, epochs + 1):
+        for batch, rows in enumerate(_batches(client.rng, n, batch_size), start=1):
+            try:
+                tape = Tape()
+                recons = [encode_decode(tape, params, client.views[v][rows], v)[1]
+                          for v in order]
+                loss = reconstruction_loss([client.views[v][rows] for v in order], recons)
+                value = float(loss.value[0, 0])
+                if not np.isfinite(value):
+                    raise TrainingError(f"non-finite recon loss ({value})")
+                tape.backward(loss)
+                opt.step()
+            except TrainingError as err:
+                raise _located(err, "warm-up", client, epoch, batch) from err
             total += value
             steps += 1
     return {"recon": total / steps if steps else 0.0}
+
+
+def _located(err: TrainingError, where: str, client: ClientState, epoch: int,
+             batch: int) -> TrainingError:
+    """``err`` prefixed with the round (or warm-up), client, epoch and batch,
+    the last two counted from 1."""
+    return TrainingError(f"{where}, client {client.shard.client_id}, epoch {epoch}, "
+                         f"batch {batch}: {err}")
 
 
 def _drift_references(client: ClientState, global_params: ModelParams,
@@ -192,7 +197,11 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
                 config, use_contrast: bool,
                 refs: tuple[np.ndarray, np.ndarray | None] | None,
                 trainable: Sequence[Param], optimizer) -> dict[str, float]:
-    """One optimizer step on batch ``rows``; ``refs`` is None without drift."""
+    """One optimizer step on batch ``rows``; ``refs`` is None without drift.
+
+    A non-finite loss raises a ``TrainingError`` naming the first
+    non-finite term: ``recon``, ``contrast``, ``drift`` or the ``total``.
+    """
     use_drift = refs is not None
     shard = client.shard
     ctype = shard.client_type
@@ -248,22 +257,22 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
                                  config.tau, config.mu)
 
     total = total_loss(ctype, comps, config.alpha)
-    value = float(total.value[0, 0])
-    if not np.isfinite(value):
-        raise TrainingError(f"client {shard.client_id}: non-finite training loss")
-    tape.backward(total)
-    optimizer.step()
-
     contrast = 0.0
     for part in (comps.feature, comps.label, comps.partial, comps.single):
         if part is not None:
             contrast += float(part.value[0, 0])
-    return {
+    stats = {
         "recon": float(comps.recon.value[0, 0]),
         "contrast": contrast,
         "drift": float(comps.drift.value[0, 0]) if comps.drift is not None else 0.0,
-        "total": value,
+        "total": float(total.value[0, 0]),
     }
+    if not np.isfinite(stats["total"]):
+        term = next(k for k in stats if not np.isfinite(stats[k]))
+        raise TrainingError(f"non-finite {term} loss ({stats[term]})")
+    tape.backward(total)
+    optimizer.step()
+    return stats
 
 
 def local_train_round(client: ClientState, global_params: ModelParams, config,
@@ -273,9 +282,8 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
 
     The drift term is active from round 2 on: in round 1 neither the
     frozen snapshot nor the global model has moved past initialization,
-    so there is nothing meaningful to contrast against. The round's
-    optimizer starts from zero state in ``workspace``, as in
-    :func:`pretrain_client`.
+    so there is nothing meaningful to contrast against. The optimizer
+    starts from zero state in ``workspace``, as in :func:`pretrain_client`.
     """
     if global_params is None:
         raise ValueError("local training requires the broadcast global parameters")
@@ -292,10 +300,13 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     sums: dict[str, float] = {}
     steps = 0
     n = client.shard.n_samples
-    for _ in range(config.local_epochs):
-        for rows in _batches(client.rng, n, config.batch_size):
-            stats = _train_step(client, rows, global_params, config,
-                                use_contrast, refs, trainable, optimizer)
+    for epoch in range(1, config.local_epochs + 1):
+        for batch, rows in enumerate(_batches(client.rng, n, config.batch_size), start=1):
+            try:
+                stats = _train_step(client, rows, global_params, config,
+                                    use_contrast, refs, trainable, optimizer)
+            except TrainingError as err:
+                raise _located(err, f"round {round_index}", client, epoch, batch) from err
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1
@@ -457,8 +468,7 @@ def run_federation(config, dataset: MultiViewDataset,
                          registry=[ClientInfo(s.client_id, s.n_samples, s.n_views)
                                    for s in shards])
     clients = build_clients(work, shards, server.global_params, seeds.train)
-    # one optimizer state for the whole run: the optimizers of the warm-ups
-    # and local rounds come one after another and each starts from zero
+    # optimizers come one after another, so one state serves the whole run
     workspace = optimizer_workspace(server.global_params.vector.size)
     for c in clients:
         pretrain_client(c, config.warmup_epochs, config.lr, config.batch_size,
@@ -467,11 +477,8 @@ def run_federation(config, dataset: MultiViewDataset,
     reports: list[RoundReport] = []
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
-        try:
-            losses = [local_train_round(c, server.global_params, config, r, workspace)
-                      for c in clients]
-        except TrainingError as err:
-            raise TrainingError(f"round {r}: {err}") from err
+        losses = [local_train_round(c, server.global_params, config, r, workspace)
+                  for c in clients]
         weights = compute_weights(server.registry, work.n_views, config.alpha_c_mode)
         server.global_params = aggregate(server.global_params,
                                          [c.params for c in clients],

@@ -1,5 +1,7 @@
 """Round loop: local training, weights, masked aggregation, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 from helpers import aggregate_reference
@@ -10,7 +12,7 @@ from fedmvc import federation
 from fedmvc import tensor as T
 from fedmvc.config import ExperimentConfig
 from fedmvc.data import CLIENT_FULL, ClientShard, client_type_for, generate_blobs
-from fedmvc.errors import ConfigError
+from fedmvc.errors import ConfigError, TrainingError
 from fedmvc.federation import (
     ClientInfo,
     ClientState,
@@ -296,6 +298,24 @@ class TestLocalTrainRound:
         local_train_round(client, global_params, cfg, round_index=2)
         assert calls == [dict.fromkeys(subset, n)] * refs
 
+    def test_full_client_drift_step_records_few_tape_nodes(self, monkeypatch):
+        # each contrast is one node, so a two-view full client's drift step
+        # records 67 nodes (174 with the elementary chains); 30 of them
+        # are parameter leaves
+        counts = []
+        backward = T.Tape.backward
+
+        def counting(tape, loss):
+            counts.append(len(tape._nodes))
+            backward(tape, loss)
+
+        monkeypatch.setattr(T.Tape, "backward", counting)
+        client = make_client(n=8, seed=12)
+        cfg = tiny_config(local_epochs=1, batch_size=8)
+        local_train_round(client, init_params(ARCH, seed=13), cfg, round_index=2)
+        (nodes,) = counts
+        assert nodes < 70
+
     def test_round_one_skips_drift(self):
         # identical params either way in round 1, whether or not the
         # references differ: the drift term must not contribute
@@ -307,6 +327,69 @@ class TestLocalTrainRound:
         local_train_round(c1, g, cfg, round_index=1)
         local_train_round(c2, g, cfg, round_index=1)
         assert np.array_equal(c1.params.flatten(), c2.params.flatten())
+
+
+def batch_holding(row, n, batch_size, seed):
+    """1-based index of the first-epoch batch that holds ``row`` for a
+    ``make_client(seed=seed)`` client; no tail is folded for these sizes."""
+    order = np.random.default_rng(seed + 100).permutation(n)
+    return int(np.flatnonzero(order == row)[0]) // batch_size + 1
+
+
+class TestTrainingErrors:
+    """A non-finite loss or gradient names where it happened and which term."""
+
+    def test_warm_up_names_client_batch_and_recon(self):
+        client = make_client(client_id=3, n=12, seed=61)
+        client.views[1][7] *= 1e200  # its squared residual overflows
+        batch = batch_holding(7, 12, 4, seed=61)
+        message = (f"warm-up, client 3, epoch 1, batch {batch}: "
+                   f"non-finite recon loss (inf)")
+        assert batch == 3
+        with np.errstate(over="ignore"), pytest.raises(TrainingError,
+                                                       match=re.escape(message)):
+            pretrain_client(client, epochs=2, lr=1e-3, batch_size=4)
+
+    def test_round_names_the_contrast(self):
+        client = make_client(client_id=2, n=8, seed=62)
+        for w in client.params.feature_net[::2]:
+            w.value[...] = 1e300  # high-level features overflow; recon is untouched
+        cfg = tiny_config(local_epochs=1, batch_size=8)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match="round 1, client 2, epoch 1, batch 1: "
+                                     "non-finite contrast loss"):
+            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1)
+
+    def test_round_names_the_drift(self):
+        # the cluster head never meets the drift references, only the
+        # proximal term, which overflows against a huge global head
+        client = make_client(client_id=1, n=12, seed=63)
+        global_params = init_params(ARCH, seed=64)
+        global_params.cluster_head[0].value[...] = 1e200
+        cfg = tiny_config(local_epochs=2, batch_size=4)
+        message = "round 4, client 1, epoch 1, batch 1: non-finite drift loss (inf)"
+        with np.errstate(over="ignore"), pytest.raises(TrainingError,
+                                                       match=re.escape(message)):
+            local_train_round(client, global_params, cfg, round_index=4)
+
+    def test_optimizer_failure_is_located(self, monkeypatch):
+        class FailingThirdStep(T.Adam):
+            calls = 0
+
+            def step(self):
+                FailingThirdStep.calls += 1
+                if FailingThirdStep.calls == 3:
+                    raise TrainingError("non-finite gradient encountered during "
+                                        "optimizer step")
+                super().step()
+
+        monkeypatch.setattr(federation, "make_optimizer",
+                            lambda mode, lr, *buffers: FailingThirdStep(lr, *buffers))
+        client = make_client(n=8, seed=65)
+        cfg = tiny_config(local_epochs=2, batch_size=4)
+        with pytest.raises(TrainingError, match="round 2, client 0, epoch 2, batch 1: "
+                                                "non-finite gradient"):
+            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=2)
 
 
 class TestWeights:
