@@ -107,8 +107,8 @@ def drift_contrast_bruteforce(fused, pos_ref, neg_ref, tau):
 
 
 # The elementary tape ops that the fused nodes in ``fedmvc.tensor`` replace.
-# Nothing in the package uses them on their own any more; they build the
-# reference chains below, which the fused nodes are held to bit for bit.
+# Nothing in the package uses them on their own; they build the reference
+# chains below, which the fused nodes are held to bit for bit.
 
 
 def matmul(a, b):

@@ -180,9 +180,9 @@ class TestBackward:
         assert np.array_equal(pa.grad, first + d)
 
     def test_copied_gradient_keeps_its_layout(self):
-        # a node whose first gradient is a transposed view receives it as an
-        # F-ordered buffer, as before the copy rule, and keeps that layout
-        # after a second, C-ordered gradient is added to it
+        # a node whose first gradient is a transposed view holds an F-ordered
+        # copy of it (the layout ``np.array`` keeps), and still does after a
+        # second, C-ordered gradient is added into it
         seen = []
         tape = T.Tape()
         x = tape.constant(np.arange(6.0).reshape(2, 3))
