@@ -52,11 +52,7 @@ def feature_contrast_full(feats: Sequence[Tensor], tau: float) -> Tensor:
     cycled-partner NT-Xent over matched rows (``tensor.cycled_nt_xent``)."""
     if len(feats) < 2:
         raise ValueError("feature contrast needs at least two views")
-    shape = feats[0].value.shape
-    for f in feats:
-        if f.value.shape != shape:
-            raise DimensionError("all feature matrices must share one shape")
-    return T.cycled_nt_xent(feats, tau, denom=shape[0])
+    return T.cycled_nt_xent(feats, tau, denom=feats[0].value.shape[0])
 
 
 def cluster_size_entropy(probs: Sequence[Tensor]) -> Tensor:
@@ -79,10 +75,7 @@ def label_contrast(probs: Sequence[Tensor], tau: float) -> Tensor:
     cluster-size regularizer :func:`cluster_size_entropy`."""
     if len(probs) < 2:
         raise ValueError("label contrast needs at least two views")
-    n, k = probs[0].value.shape
-    for q in probs:
-        if q.value.shape != (n, k):
-            raise DimensionError("all assignment matrices must share one shape")
+    k = probs[0].value.shape[1]
     contrast = T.cycled_nt_xent(probs, tau, denom=k, columns=True)
     return T.add(contrast, cluster_size_entropy(probs))
 
@@ -97,9 +90,6 @@ def partial_contrast(fused: Tensor, feats: Sequence[Tensor], tau: float) -> Tens
         raise ValueError("partial contrast needs at least one view")
     if fused.value.shape[0] < 2:
         raise ValueError("partial contrast needs at least two samples")
-    for f in feats:
-        if f.value.shape != fused.value.shape:
-            raise DimensionError("feature matrices must match the fused shape")
     return T.partial_nt_xent(fused, feats, tau)
 
 
@@ -107,9 +97,6 @@ def single_view_contrast(fused: Tensor, feat: Tensor, feat_noisy, tau: float) ->
     """Noise-enhanced contrast for one-view clients: the perturbed-input
     features act as the negative against the clean positives, cos(fused,
     clean) against cos(clean, noisy)."""
-    feat_noisy = T.wrap(fused.tape, feat_noisy)
-    if not (fused.value.shape == feat.value.shape == feat_noisy.value.shape):
-        raise DimensionError("fused, clean, and noisy features must share one shape")
     return T.one_vs_one_nt_xent(fused, feat, feat, feat_noisy, tau)
 
 

@@ -369,6 +369,8 @@ def cycled_nt_xent(items: Sequence, tau: float, denom: int,
     """
     tape = _tape_of(*items)
     items = [wrap(tape, t) for t in items]
+    if any(t.value.shape != items[0].value.shape for t in items):
+        raise DimensionError("contrasted matrices must share one shape")
     units = [_unit_rows(t.value.T.copy() if columns else t.value) for t in items]
     n_views, n = len(items), units[0][0].shape[0]
     eye = np.eye(n)
@@ -427,6 +429,8 @@ def partial_nt_xent(fused, feats: Sequence, tau: float) -> Tensor:
     """
     tape = _tape_of(fused, *feats)
     fused, feats = wrap(tape, fused), [wrap(tape, f) for f in feats]
+    if any(f.value.shape != fused.value.shape for f in feats):
+        raise DimensionError("feature matrices must match the fused shape")
     n = fused.value.shape[0]
     eye = np.eye(n)
     offdiag = 1.0 - eye
@@ -475,7 +479,7 @@ def one_vs_one_nt_xent(a, b, c, d, tau: float) -> Tensor:
     tape = _tape_of(a, b, c, d)
     a, b, c, d = (wrap(tape, t) for t in (a, b, c, d))
     if not (a.value.shape == b.value.shape == c.value.shape == d.value.shape):
-        raise DimensionError("all four feature matrices must share one shape")
+        raise DimensionError("contrasted matrices must share one shape")
     shared = c is b
     ua, ub, ud = _unit_rows(a.value), _unit_rows(b.value), _unit_rows(d.value)
     uc = ub if shared else _unit_rows(c.value)

@@ -459,6 +459,23 @@ class TestDriftLoss:
         assert np.abs(pf.grad).max() > 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: feature_contrast_full([t.constant(np.ones((3, 2))),
+                                     t.constant(np.ones((2, 2)))], TAU),
+    lambda t: label_contrast([t.constant(np.full((3, 2), 0.5)),
+                              t.constant(np.full((3, 3), 0.5))], TAU),
+    lambda t: partial_contrast(t.constant(np.ones((3, 2))),
+                               [t.constant(np.ones((3, 4)))], TAU),
+    lambda t: single_view_contrast(t.constant(np.ones((3, 2))),
+                                   t.constant(np.ones((3, 2))), np.ones((4, 2)), TAU),
+    lambda t: drift_loss(t.constant(np.ones((3, 2))), np.ones((3, 2)), np.ones((3, 1)),
+                         [], [], TAU, 0.0),
+], ids=["feature", "label", "partial", "single", "drift"])
+def test_contrasts_reject_mismatched_shapes(call):
+    with pytest.raises(DimensionError, match="shape"):
+        call(T.Tape())
+
+
 class TestTotalLoss:
     def _components(self, tape):
         return LossComponents(

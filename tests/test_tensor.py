@@ -586,11 +586,16 @@ class TestFusedContrasts:
         build(leaves)
         assert len(tape._nodes) - before == 1
 
-    def test_one_vs_one_rejects_mismatched_shapes(self):
+    @pytest.mark.parametrize("build", [
+        lambda x, y: T.cycled_nt_xent([x, y], 0.5, denom=3),
+        lambda x, y: T.cycled_nt_xent([x, y], 0.5, denom=2, columns=True),
+        lambda x, y: T.partial_nt_xent(x, [x, y], 0.5),
+        lambda x, y: T.one_vs_one_nt_xent(x, x, x, y, 0.5),
+    ], ids=["cycled", "columns", "partial", "one_vs_one"])
+    def test_rejects_mismatched_shapes(self, build):
         tape = T.Tape()
-        x = tape.constant(np.ones((3, 2)))
-        with pytest.raises(DimensionError):
-            T.one_vs_one_nt_xent(x, np.ones((3, 2)), x, np.ones((2, 2)), 0.5)
+        with pytest.raises(DimensionError, match="shape"):
+            build(tape.constant(np.ones((3, 2))), tape.constant(np.ones((2, 2))))
 
 
 def one_coordinate(value, grad=0.0):
