@@ -132,8 +132,8 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
 
 
 def pretrain_client(client: ClientState, epochs: int, lr: float,
-                    batch_size: int, optimizer_mode: str = "adam",
-                    workspace: np.ndarray | None = None) -> dict[str, float]:
+                    batch_size: int, optimizer_mode: str,
+                    workspace: np.ndarray) -> dict[str, float]:
     """Warm up the client's autoencoders on reconstruction alone; the
     optimizer keeps its state in ``workspace`` (``tensor.optimizer_workspace``)."""
     if not client.views:
@@ -276,8 +276,7 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
 
 
 def local_train_round(client: ClientState, global_params: ModelParams, config,
-                      round_index: int,
-                      workspace: np.ndarray | None = None) -> dict[str, float]:
+                      round_index: int, workspace: np.ndarray) -> dict[str, float]:
     """One round of local optimization, then refresh the frozen snapshot.
 
     The drift term is active from round 2 on: in round 1 neither the

@@ -528,11 +528,11 @@ class _SpanOptimizer:
     :func:`optimizer_workspace`), cut to the length of all spans together;
     ``_segments`` pairs each span with its slice of those rows. Optimizers
     built one after another may share one workspace, so a run allocates it
-    once; without one, the optimizer allocates its own.
+    once.
     """
 
     def __init__(self, value: Array, grad: Array | None, spans: Sequence[slice],
-                 workspace: Array | None = None):
+                 workspace: Array):
         if grad is None:
             raise ValueError("optimizer needs a model with a gradient buffer")
         self.value, self.grad = value, grad
@@ -542,8 +542,6 @@ class _SpanOptimizer:
             size = value[span].size
             self._segments.append((span, slice(offset, offset + size)))
             offset += size
-        if workspace is None:
-            workspace = optimizer_workspace(offset)
         if workspace.shape[1] < offset:
             raise ValueError(f"optimizer workspace holds {workspace.shape[1]} "
                              f"coordinates, the spans need {offset}")
@@ -560,7 +558,7 @@ class SGD(_SpanOptimizer):
     """Plain gradient descent over owned spans; clears their gradients."""
 
     def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice],
-                 workspace: Array | None = None):
+                 workspace: Array):
         super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
 
@@ -585,7 +583,7 @@ class Adam(_SpanOptimizer):
     """
 
     def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice],
-                 workspace: Array | None = None,
+                 workspace: Array,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
@@ -632,9 +630,9 @@ def optimizer_workspace(size: int) -> Array:
 
 
 def make_optimizer(mode: str, lr: float, value: Array, grad: Array,
-                   spans: Sequence[slice], workspace: Array | None = None):
+                   spans: Sequence[slice], workspace: Array):
     """An optimizer of ``mode`` over the ``spans`` of ``value`` and ``grad``,
-    with its state and scratch in ``workspace`` if one is given."""
+    with its state and scratch in ``workspace``."""
     if mode == "sgd":
         return SGD(lr, value, grad, spans, workspace)
     if mode == "adam":

@@ -76,11 +76,18 @@ def make_client(client_id=0, ctype=CLIENT_FULL, subset=(0, 1), n=12, seed=5,
                        rng=np.random.default_rng(seed + 100))
 
 
+
+def workspace(model):
+    """Optimizer state and scratch for any optimizer over ``model``."""
+    return T.optimizer_workspace(model.vector.size)
+
+
 class TestPretrain:
     def test_zero_epochs_leaves_params(self):
         client = make_client()
         before = client.params.flatten()
-        pretrain_client(client, epochs=0, lr=1e-3, batch_size=8)
+        pretrain_client(client, epochs=0, lr=1e-3, batch_size=8, optimizer_mode="adam",
+                        workspace=workspace(client.params))
         assert np.array_equal(client.params.flatten(), before)
 
     def test_warmup_reduces_reconstruction(self):
@@ -97,7 +104,8 @@ class TestPretrain:
                 return float(loss.value[0, 0])
 
             before = recon_now()
-            pretrain_client(client, epochs=20, lr=1e-3, batch_size=6)
+            pretrain_client(client, epochs=20, lr=1e-3, batch_size=6,
+                            optimizer_mode="adam", workspace=workspace(client.params))
             deltas.append(recon_now() - before)
         assert np.median(deltas) < 0
 
@@ -117,10 +125,10 @@ class TestPretrain:
         loss = reconstruction_loss([client.views[v][rows] for v in order], recons)
         tape.backward(loss)
         T.make_optimizer("adam", 1e-3, manual.vector, manual.grad,
-                         manual.owned_spans((0, 1))).step()
+                         manual.owned_spans((0, 1)), workspace(manual)).step()
 
-        pretrain_client(client, epochs=1, lr=1e-3,
-                        batch_size=client.shard.n_samples)
+        pretrain_client(client, epochs=1, lr=1e-3, batch_size=client.shard.n_samples,
+                        optimizer_mode="adam", workspace=workspace(client.params))
         assert np.array_equal(client.params.flatten(), manual.flatten())
 
     @pytest.mark.parametrize("ctype,subset", [
@@ -134,7 +142,7 @@ class TestPretrain:
         shared = client.params.shared_span()
         before = client.params.vector.copy()
         pretrain_client(client, epochs=3, lr=1e-2, batch_size=4,
-                        optimizer_mode=optimizer)
+                        optimizer_mode=optimizer, workspace=workspace(client.params))
         assert client.params.vector[shared].tobytes() == before[shared].tobytes()
         assert not client.params.grad.any()
         for v in subset:  # the owned autoencoders did train
@@ -148,14 +156,16 @@ class TestLocalTrainRound:
         client.frozen_prev = init_params(ARCH, seed=99)  # stale snapshot
         before = client.params.flatten()
         cfg = tiny_config(local_epochs=0)
-        local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1)
+        local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1,
+                          workspace=workspace(client.params))
         assert np.array_equal(client.params.flatten(), before)
         assert np.array_equal(client.frozen_prev.flatten(), before)
 
     def test_requires_broadcast(self):
         client = make_client()
         with pytest.raises(ValueError):
-            local_train_round(client, None, tiny_config(), round_index=1)
+            local_train_round(client, None, tiny_config(), round_index=1,
+                              workspace=workspace(client.params))
 
     def test_unowned_view_params_untouched(self):
         client = make_client(ctype="partial", subset=(0,), n=10)
@@ -164,7 +174,8 @@ class TestLocalTrainRound:
         global_params = init_params(ARCH, seed=3)
         before_unowned = [p.value.copy() for p in client.params.view_params(1)]
         for r in (1, 2, 3):
-            local_train_round(client, global_params, cfg, round_index=r)
+            local_train_round(client, global_params, cfg, round_index=r,
+                              workspace=workspace(client.params))
         for before, p in zip(before_unowned, client.params.view_params(1)):
             assert np.array_equal(p.value, before)
         assert not np.array_equal(client.params.flatten(),
@@ -227,9 +238,10 @@ class TestLocalTrainRound:
         tape.backward(total_loss(ctype, comps, cfg.alpha))
         grad = manual.grad.copy()
         T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
-                         manual.owned_spans(subset)).step()
+                         manual.owned_spans(subset), workspace(manual)).step()
 
-        local_train_round(client, global_params, cfg, round_index=2)
+        local_train_round(client, global_params, cfg, round_index=2,
+                          workspace=workspace(client.params))
         (seen,) = steps
         assert np.array_equal(seen, grad)
         assert np.array_equal(client.params.flatten(), manual.flatten())
@@ -246,7 +258,7 @@ class TestLocalTrainRound:
         manual = client.params.clone(trainable=True)
         trainable = manual.trainable_params((0, 1))
         opt = T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
-                               manual.owned_spans((0, 1)))
+                               manual.owned_spans((0, 1)), workspace(manual))
         rng = np.random.default_rng(31 + 100)
         steps = 0
         for _ in range(epochs):
@@ -275,7 +287,8 @@ class TestLocalTrainRound:
                 steps += 1
         assert steps == 9
 
-        local_train_round(client, global_params, cfg, round_index=2)
+        local_train_round(client, global_params, cfg, round_index=2,
+                          workspace=workspace(client.params))
         assert np.array_equal(client.params.flatten(), manual.flatten())
 
     @pytest.mark.parametrize("ctype,subset,refs", [
@@ -293,9 +306,11 @@ class TestLocalTrainRound:
         client = make_client(ctype=ctype, subset=subset, n=n, seed=41, arch=ARCH3)
         cfg = tiny_config(local_epochs=3, batch_size=4)
         global_params = init_params(ARCH3, seed=42)
-        local_train_round(client, global_params, cfg, round_index=1)
+        local_train_round(client, global_params, cfg, round_index=1,
+                          workspace=workspace(client.params))
         assert calls == []
-        local_train_round(client, global_params, cfg, round_index=2)
+        local_train_round(client, global_params, cfg, round_index=2,
+                          workspace=workspace(client.params))
         assert calls == [dict.fromkeys(subset, n)] * refs
 
     def test_full_client_drift_step_records_few_tape_nodes(self, monkeypatch):
@@ -312,7 +327,8 @@ class TestLocalTrainRound:
         monkeypatch.setattr(T.Tape, "backward", counting)
         client = make_client(n=8, seed=12)
         cfg = tiny_config(local_epochs=1, batch_size=8)
-        local_train_round(client, init_params(ARCH, seed=13), cfg, round_index=2)
+        local_train_round(client, init_params(ARCH, seed=13), cfg, round_index=2,
+                          workspace=workspace(client.params))
         (nodes,) = counts
         assert nodes < 70
 
@@ -324,8 +340,10 @@ class TestLocalTrainRound:
         c2.frozen_prev = init_params(ARCH, seed=77)  # would change drift if used
         cfg = tiny_config(local_epochs=1, batch_size=8)
         g = init_params(ARCH, seed=1)
-        local_train_round(c1, g, cfg, round_index=1)
-        local_train_round(c2, g, cfg, round_index=1)
+        local_train_round(c1, g, cfg, round_index=1,
+                          workspace=workspace(c1.params))
+        local_train_round(c2, g, cfg, round_index=1,
+                          workspace=workspace(c2.params))
         assert np.array_equal(c1.params.flatten(), c2.params.flatten())
 
 
@@ -348,7 +366,8 @@ class TestTrainingErrors:
         assert batch == 3
         with np.errstate(over="ignore"), pytest.raises(TrainingError,
                                                        match=re.escape(message)):
-            pretrain_client(client, epochs=2, lr=1e-3, batch_size=4)
+            pretrain_client(client, epochs=2, lr=1e-3, batch_size=4, optimizer_mode="adam",
+                            workspace=workspace(client.params))
 
     def test_round_names_the_contrast(self):
         client = make_client(client_id=2, n=8, seed=62)
@@ -358,7 +377,8 @@ class TestTrainingErrors:
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match="round 1, client 2, epoch 1, batch 1: "
                                      "non-finite contrast loss"):
-            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1)
+            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1,
+                              workspace=workspace(client.params))
 
     def test_round_names_the_drift(self):
         # the cluster head never meets the drift references, only the
@@ -370,7 +390,8 @@ class TestTrainingErrors:
         message = "round 4, client 1, epoch 1, batch 1: non-finite drift loss (inf)"
         with np.errstate(over="ignore"), pytest.raises(TrainingError,
                                                        match=re.escape(message)):
-            local_train_round(client, global_params, cfg, round_index=4)
+            local_train_round(client, global_params, cfg, round_index=4,
+                              workspace=workspace(client.params))
 
     def test_optimizer_failure_is_located(self, monkeypatch):
         class FailingThirdStep(T.Adam):
@@ -389,7 +410,8 @@ class TestTrainingErrors:
         cfg = tiny_config(local_epochs=2, batch_size=4)
         with pytest.raises(TrainingError, match="round 2, client 0, epoch 2, batch 1: "
                                                 "non-finite gradient"):
-            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=2)
+            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=2,
+                              workspace=workspace(client.params))
 
 
 class TestWeights:
@@ -578,8 +600,10 @@ class TestRunFederation:
         shards = [ClientShard(0, "full", (0, 1), np.arange(30))]
         base = init_params(server.global_params.arch, seeds.init)
         clients = build_clients(work, shards, base, seeds.train)
-        pretrain_client(clients[0], cfg.warmup_epochs, cfg.lr, cfg.batch_size)
-        local_train_round(clients[0], base, cfg, round_index=1)
+        pretrain_client(clients[0], cfg.warmup_epochs, cfg.lr, cfg.batch_size,
+                        cfg.optimizer, workspace(base))
+        local_train_round(clients[0], base, cfg, round_index=1,
+                          workspace=workspace(clients[0].params))
         merged = aggregate(base, [clients[0].params], shards, [1.0])
         assert np.array_equal(server.global_params.flatten(), merged.flatten())
         assert np.array_equal(merged.flatten(), clients[0].params.flatten())

@@ -68,7 +68,8 @@ class TestForward:
     def test_affine_shape_mismatch(self):
         tape = T.Tape()
         with pytest.raises(DimensionError):
-            matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 3))))
+            T.affine(tape.constant(np.ones((2, 3))), T.Param(np.ones((2, 3))),
+                     T.Param(np.ones((1, 3))))
 
     def test_relu(self):
         tape = T.Tape()
@@ -599,27 +600,28 @@ class TestFusedContrasts:
 
 
 def one_coordinate(value, grad=0.0):
-    """A one-entry parameter vector and its gradient, for the span optimizers."""
-    return np.array([value]), np.array([grad]), [slice(0, 1)]
+    """A one-entry parameter vector, its gradient, its span and an optimizer
+    workspace, for the span optimizers."""
+    return np.array([value]), np.array([grad]), [slice(0, 1)], T.optimizer_workspace(1)
 
 
 class TestOptimizers:
     def test_sgd_step(self):
-        value, grad, spans = one_coordinate(1.0, grad=1.0)
-        T.SGD(0.1, value, grad, spans).step()
+        value, grad, spans, ws = one_coordinate(1.0, grad=1.0)
+        T.SGD(0.1, value, grad, spans, ws).step()
         assert np.allclose(value, [0.9])
         assert np.array_equal(grad, [0.0])
 
     def test_sgd_zero_grad_no_move(self):
-        value, grad, spans = one_coordinate(3.0)
-        T.SGD(0.5, value, grad, spans).step()
+        value, grad, spans, ws = one_coordinate(3.0)
+        T.SGD(0.5, value, grad, spans, ws).step()
         assert np.allclose(value, [3.0])
 
     def test_adam_first_step_matches_formula(self):
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for g in (0.01, 1.0, 250.0):
-            value, grad, spans = one_coordinate(1.0, grad=g)
-            T.Adam(lr, value, grad, spans).step()
+            value, grad, spans, ws = one_coordinate(1.0, grad=g)
+            T.Adam(lr, value, grad, spans, ws).step()
             m_hat = (1 - b1) * g / (1 - b1)
             v_hat = (1 - b2) * g * g / (1 - b2)
             expected = 1.0 - lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -629,8 +631,8 @@ class TestOptimizers:
     def test_adam_two_steps_match_manual(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         grads = [0.7, -1.3]
-        value, grad, spans = one_coordinate(0.5)
-        opt = T.Adam(lr, value, grad, spans)
+        value, grad, spans, ws = one_coordinate(0.5)
+        opt = T.Adam(lr, value, grad, spans, ws)
         w, m, v = 0.5, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
             grad[...] = g
@@ -641,14 +643,14 @@ class TestOptimizers:
         assert np.allclose(value, [w], rtol=1e-12)
 
     def test_non_finite_grad_raises(self):
-        value, grad, spans = one_coordinate(1.0, grad=np.nan)
+        value, grad, spans, ws = one_coordinate(1.0, grad=np.nan)
         with pytest.raises(TrainingError):
-            T.Adam(0.1, value, grad, spans).step()
+            T.Adam(0.1, value, grad, spans, ws).step()
 
     def test_unknown_mode(self):
-        value, grad, spans = one_coordinate(1.0)
+        value, grad, spans, ws = one_coordinate(1.0)
         with pytest.raises(ValueError):
-            T.make_optimizer("rmsprop", 0.1, value, grad, spans)
+            T.make_optimizer("rmsprop", 0.1, value, grad, spans, ws)
 
 
 ARCH3 = Architecture(view_dims=(4, 3, 2), n_clusters=2, latent_dim=4, high_dim=5,
@@ -705,7 +707,8 @@ class TestSpanOptimizersMatchReference:
         owned = owned_coordinates(spanned, spans)
         ref_params = (reference.trainable_params(subset) if shared
                       else [p for v in sorted(subset) for p in reference.view_params(v)])
-        opt = T.make_optimizer(mode, 3e-3, spanned.vector, spanned.grad, spans)
+        opt = T.make_optimizer(mode, 3e-3, spanned.vector, spanned.grad, spans,
+                               T.optimizer_workspace(spanned.vector.size))
         ref_opt = REFERENCES[mode](3e-3)
         for _ in range(6):
             # gradients on every coordinate, over six orders of magnitude
@@ -727,7 +730,8 @@ class TestSpanOptimizersMatchReference:
     def test_non_finite_grad_raises_before_any_update(self, mode, subset):
         params = init_params(ARCH3, seed=2).clone(trainable=True)
         spans = params.owned_spans(subset)
-        opt = T.make_optimizer(mode, 1e-3, params.vector, params.grad, spans)
+        opt = T.make_optimizer(mode, 1e-3, params.vector, params.grad, spans,
+                               T.optimizer_workspace(params.vector.size))
         before = params.vector.copy()
         params.grad[spans[0]] = 1.0
         params.grad[spans[-1].stop - 1] = np.nan
@@ -736,11 +740,12 @@ class TestSpanOptimizersMatchReference:
         assert params.vector.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("mode", sorted(REFERENCES))
-    def test_shared_workspace_matches_own_state(self, mode):
+    def test_dirty_workspace_matches_fresh(self, mode):
         # a workspace left dirty by an earlier optimizer gives the bits of a
-        # fresh optimizer: Adam zeroes m and v when it is built
+        # fresh one: Adam zeroes m and v when it is built
         rng = np.random.default_rng(5)
-        workspace = T.optimizer_workspace(init_params(ARCH3, seed=4).vector.size)
+        size = init_params(ARCH3, seed=4).vector.size
+        workspace = T.optimizer_workspace(size)
         workspace[...] = rng.standard_normal(workspace.shape)
         for subset in SUBSETS:
             shared = init_params(ARCH3, seed=4).clone(trainable=True)
@@ -748,7 +753,8 @@ class TestSpanOptimizersMatchReference:
             spans = shared.owned_spans(subset)
             opt = T.make_optimizer(mode, 3e-3, shared.vector, shared.grad, spans,
                                    workspace)
-            own_opt = T.make_optimizer(mode, 3e-3, own.vector, own.grad, spans)
+            own_opt = T.make_optimizer(mode, 3e-3, own.vector, own.grad, spans,
+                                       np.zeros_like(workspace))
             for _ in range(3):
                 g = rng.standard_normal(shared.grad.size)
                 shared.grad[...] = g
@@ -768,4 +774,5 @@ class TestSpanOptimizersMatchReference:
         params = init_params(ARCH3, seed=3)
         with pytest.raises(ValueError, match="gradient buffer"):
             T.make_optimizer("adam", 1e-3, params.vector, params.grad,
-                             params.owned_spans((0,)))
+                             params.owned_spans((0,)),
+                             T.optimizer_workspace(params.vector.size))
