@@ -363,9 +363,10 @@ def cycled_nt_xent(items: Sequence, tau: float, denom: int,
 
     Row i of item v is paired with row i of item n = (v+1) mod V. The
     denominator sums the exponentiated similarities against every row of
-    both items and subtracts e^{1/tau}, the anchor's similarity to itself.
-    The summed terms are divided by ``denom``. With ``columns`` the rows are
-    the items' columns.
+    both items and subtracts the anchor's similarity to itself: e^{1/tau},
+    or 1 for an all-zero row, whose cosine with itself is 0. The summed
+    terms are divided by ``denom``. With ``columns`` the rows are the
+    items' columns.
     """
     tape = _tape_of(*items)
     items = [wrap(tape, t) for t in items]
@@ -375,11 +376,11 @@ def cycled_nt_xent(items: Sequence, tau: float, denom: int,
     n_views, n = len(items), units[0][0].shape[0]
     eye = np.eye(n)
     inv_tau = 1.0 / tau
-    self_term = float(-math.exp(inv_tau))
     saved = []
     total = None
     for v in range(n_views):
-        a, b = units[v][0], units[(v + 1) % n_views][0]
+        (a, _, nonzero), b = units[v], units[(v + 1) % n_views][0]
+        self_sims = np.where(nonzero, -math.exp(inv_tau), -1.0)
         # transposed copies, as the chain's transpose nodes made them: the
         # products then run through the same BLAS calls, and the forward
         # stays a general product rather than a symmetric rank-k update
@@ -387,7 +388,7 @@ def cycled_nt_xent(items: Sequence, tau: float, denom: int,
         s_own, s_pair = a @ a_t, a @ b_t
         e_own, e_pair = np.exp(s_own * inv_tau), np.exp(s_pair * inv_tau)
         den = (e_own.sum(axis=1, keepdims=True)
-               + e_pair.sum(axis=1, keepdims=True)) + self_term
+               + e_pair.sum(axis=1, keepdims=True)) + self_sims
         term = np.log(den) - (s_pair * eye).sum(axis=1, keepdims=True) * inv_tau
         total = term if total is None else total + term
         saved.append((a_t, b_t, e_own, e_pair, den))

@@ -45,10 +45,9 @@ def feature_contrast_bruteforce(feats, tau):
         nxt = (v + 1) % n_views
         for i in range(n):
             num = math.exp(cos(feats[v][i], feats[nxt][i]) / tau)
-            den = -math.exp(1.0 / tau)
-            for j in range(n):
-                for mat in (feats[v], feats[nxt]):
-                    den += math.exp(cos(feats[v][i], mat[j]) / tau)
+            # every row of both views but the anchor itself
+            others = [feats[v][j] for j in range(n) if j != i] + list(feats[nxt])
+            den = sum(math.exp(cos(feats[v][i], row) / tau) for row in others)
             total += -math.log(num / den)
     return total / n
 
@@ -62,10 +61,8 @@ def label_contrast_bruteforce(probs, tau):
         nxt = (v + 1) % n_views
         for j in range(k):
             num = math.exp(cos(probs[v][:, j], probs[nxt][:, j]) / tau)
-            den = -math.exp(1.0 / tau)
-            for col in range(k):
-                for mat in (probs[v], probs[nxt]):
-                    den += math.exp(cos(probs[v][:, j], mat[:, col]) / tau)
+            others = [probs[v][:, c] for c in range(k) if c != j] + list(probs[nxt].T)
+            den = sum(math.exp(cos(probs[v][:, j], col) / tau) for col in others)
             total += -math.log(num / den)
     loss = total / k
     for v in range(n_views):
@@ -224,10 +221,12 @@ def cycled_nt_xent_chain(items, tau, denom, columns=False):
         a, b = units[v], units[(v + 1) % n_views]
         s_own = matmul(a, transpose(a))
         s_pair = matmul(a, transpose(b))
-        den = add_scalar(
+        # the anchor's similarity to itself: e^{1/tau}, or e^0 for a zero row
+        nonzero = np.linalg.norm(items[v].value, axis=1, keepdims=True) > 0
+        den = T.add(
             T.add(rowsum(exp(T.scale(s_own, inv_tau))),
                   rowsum(exp(T.scale(s_pair, inv_tau)))),
-            -math.exp(inv_tau))
+            a.tape.constant(np.where(nonzero, -math.exp(inv_tau), -1.0)))
         pos = rowsum(mul(s_pair, eye))
         term = sub(log(den), T.scale(pos, inv_tau))
         total = term if total is None else T.add(total, term)

@@ -366,8 +366,9 @@ class TestMainExitCodes:
         assert "absent.cfg" in capsys.readouterr().err
 
     def test_training_blowup_exit_1_with_context(self, tmp_path, capsys):
+        # weights of about 1e50 overflow the reconstruction loss to inf
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
-                               lr=1e12, warmup_epochs=0)
+                               lr=1e50, warmup_epochs=0)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,13 +1,18 @@
 """k-means, prediction, and metric oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import kmeans_reference, pairwise_sq_dists_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedmvc import evaluation
 from fedmvc.data import generate_blobs
@@ -215,18 +220,60 @@ class TestAccuracy:
 
     def test_matches_permutation_bruteforce(self):
         rng = np.random.default_rng(4)
+        cases = []
         for _ in range(100):
-            k = int(rng.integers(2, 6))
+            k = int(rng.integers(1, 8))
             n = int(rng.integers(5, 51))
-            t = rng.integers(0, k, size=n)
-            p = rng.integers(0, k, size=n)
+            cases.append((rng.integers(0, k, size=n), rng.integers(0, k, size=n)))
+        cases += [
+            # predictions that use only some clusters: all-zero columns
+            (rng.integers(0, 6, size=40), rng.integers(0, 2, size=40)),
+            (np.arange(7).repeat(3), np.full(21, 6)),
+            # labels from disjoint ranges: zero rows and zero columns
+            (np.array([0, 1, 0, 1, 1]), np.array([3, 4, 4, 4, 3])),
+            # tied tables, where several matchings reach the optimum
+            (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])),
+            (np.arange(5).repeat(4), np.tile(np.arange(5), 4)),
+            (np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 1, 2, 2, 0])),
+            # a single cluster
+            (np.zeros(5, dtype=int), np.zeros(5, dtype=int)),
+        ]
+        for t, p in cases:
+            k = int(max(t.max(), p.max())) + 1
             brute = max(np.mean(np.array(perm)[p] == t)
                         for perm in itertools.permutations(range(k)))
-            assert accuracy(t, p) == pytest.approx(brute)
+            assert accuracy(t, p) == brute
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scipy_assignment_for_many_clusters(self, data):
+        linear_sum_assignment = pytest.importorskip(
+            "scipy.optimize").linear_sum_assignment
+        k = data.draw(st.integers(1, 60))
+        table = data.draw(arrays(np.int64, (k, k), elements=st.integers(0, 40)))
+        zeroed = data.draw(st.lists(st.integers(0, k - 1), max_size=k))
+        table[:, zeroed] = 0
+        table[0, 0] += 1  # at least one sample
+        # one sample per count: true label = row, predicted label = column
+        t, p = np.divmod(np.repeat(np.arange(k * k), table.ravel()), k)
+        rows, cols = linear_sum_assignment(-table)
+        assert accuracy(t, p) == float(table[rows, cols].sum() / table.sum())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0, 1]), np.array([0, 1, 2]))
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is fedmvc's only run-time dependency: ACC's matching is in-house
+    src = str(Path(evaluation.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, fedmvc, fedmvc.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestNMI:

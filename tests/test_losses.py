@@ -128,6 +128,19 @@ class TestFeatureContrast:
             assert scalar(loss) == pytest.approx(
                 feature_contrast_bruteforce(feats, TAU), rel=1e-10)
 
+    @pytest.mark.parametrize("tau", [0.1, TAU])
+    def test_zero_row_matches_offdiagonal_sum(self, tau):
+        # an all-zero row's similarity to itself is e^0, not e^{1/tau}
+        rng = np.random.default_rng(11)
+        for n_views in (2, 3):
+            feats = [rows(rng, 3, 4) for _ in range(n_views)]
+            feats[n_views - 1][1] = 0.0
+            tape = T.Tape()
+            value = scalar(feature_contrast_full([tape.constant(f) for f in feats], tau))
+            assert math.isfinite(value)
+            assert value == pytest.approx(feature_contrast_bruteforce(feats, tau),
+                                          rel=1e-10)
+
     def test_raising_positive_similarity_lowers_loss(self):
         rng = np.random.default_rng(4)
         a = rows(rng, 4, 5)
@@ -199,6 +212,17 @@ class TestLabelContrast:
             loss = label_contrast([tape.constant(q) for q in qs], TAU)
             assert scalar(loss) == pytest.approx(
                 label_contrast_bruteforce(qs, TAU), rel=1e-10)
+
+    def test_zero_column_matches_offdiagonal_sum(self):
+        # a cluster no sample is assigned to: an all-zero column
+        q = np.array([[0.7, 0.0, 0.3], [0.2, 0.0, 0.8], [0.5, 0.0, 0.5]])
+        rng = np.random.default_rng(12)
+        raw = rng.uniform(0.05, 1.0, (3, 3))
+        qs = [q, raw / raw.sum(axis=1, keepdims=True)]
+        tape = T.Tape()
+        value = scalar(label_contrast([tape.constant(x) for x in qs], 0.1))
+        assert math.isfinite(value)
+        assert value == pytest.approx(label_contrast_bruteforce(qs, 0.1), rel=1e-10)
 
     def test_orthogonal_columns_identical_views(self):
         # Crisp, balanced assignments shared by both views: the contrast

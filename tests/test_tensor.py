@@ -465,9 +465,10 @@ def assert_fused_matches_chain(fused, chain, arrays, upstream=0.7, drawn=True):
     with np.errstate(invalid="ignore"):
         want = _value_and_grads(chain, arrays, upstream)
     if drawn:
-        # an all-zero row has cosine 0 with itself, so the cycled contrast's
-        # denominator, which subtracts e^{1/tau}, can go negative; such draws
-        # make every gradient NaN and compare nothing
+        # a row whose squared norm underflows to a subnormal (norms near
+        # 1e-161) has a unit row shorter than 1, so the cycled contrast's
+        # denominator, which subtracts e^{1/tau} for it, can go negative;
+        # such draws make every gradient NaN and compare nothing
         assume(np.isfinite(want[0]).all())
     got = _value_and_grads(fused, arrays, upstream)
     for g, w in zip(got, want, strict=True):
