@@ -1,13 +1,14 @@
 """Federated round loop: local training, balanced aggregation, broadcast.
 
-Clients train one after another. A run is deterministic per master seed:
-every client owns its data, parameters, and random stream, and the server
-always reduces in ascending client-id order.
+Clients train one after another, each in turn in the run's one trainable
+working model. A run is deterministic per master seed: every client owns
+its data, a grad-less snapshot of its latest model, and its random stream,
+and the server always reduces in ascending client-id order.
 
-The drift term's reference features come from the frozen previous-round
-model and the broadcast global model. Neither changes within a round, so
-each client computes them once per round over its whole shard and every
-batch takes its rows from that result. This is exact, not an
+The drift term's reference features come from the client's snapshot (its
+previous-round model) and the global model. Neither changes within a
+round, so each client computes them once per round over its whole shard
+and every batch takes its rows from that result. This is exact, not an
 approximation: each inferred row depends only on its own input row, and
 the tests check that the sliced rows are bitwise equal to inferring the
 batch on its own.
@@ -89,28 +90,28 @@ class RoundReport:
 
 @dataclass
 class ClientState:
-    """One participant: its shard, weights, and frozen previous-round copy.
+    """One participant: its shard, its rows, its latest model and its rng.
 
-    ``params`` and ``frozen_prev`` are fixed buffers, allocated once by
-    :func:`build_clients`: :func:`broadcast` copies the global model into
-    ``params``, and ``frozen_prev`` is overwritten with an exact copy of
-    ``params`` at the end of every local training round. Only ``params``
-    has a gradient buffer, and the optimizer steps only the client's owned
-    spans of it (``ModelParams.owned_spans``). ``views`` holds only the
-    rows and views this client owns; nothing else about the dataset is
-    reachable from here. The rng is consumed in a fixed order:
-    one permutation per local epoch, then one noise draw per batch on
-    single-view clients. From round 2 on, the drift reference features of
-    ``frozen_prev`` and of the global model are inferred once per round,
-    over all of ``views``, before the first epoch: both models' weights are
-    fixed for the whole round, so the references cannot change between
-    batches.
+    ``snapshot`` is the one model-sized buffer a client holds, allocated
+    once by :func:`build_clients`, without a gradient. It holds the initial
+    global model until warm-up, then the client's model from the end of
+    its latest phase (warm-up or round): the model :func:`aggregate` reads
+    and the drift term's frozen previous-round model. Training happens in
+    the run's one working model (see :func:`local_train_round`).
+
+    ``views`` holds only the rows and views this client owns; nothing else
+    about the dataset is reachable from here. The rng is consumed in a
+    fixed order: one permutation per local epoch, then one noise draw per
+    batch on single-view clients. From round 2 on, the drift reference
+    features of ``snapshot`` and of the global model are inferred once per
+    round, over all of ``views``, before the first epoch: both models'
+    weights are fixed for the whole round, so the references cannot change
+    between batches.
     """
 
     shard: ClientShard
     views: dict[int, np.ndarray]
-    params: ModelParams
-    frozen_prev: ModelParams
+    snapshot: ModelParams
     rng: np.random.Generator
 
 
@@ -132,17 +133,22 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
 
 
 def pretrain_client(client: ClientState, epochs: int, lr: float,
-                    batch_size: int, optimizer_mode: str,
+                    batch_size: int, optimizer_mode: str, working: ModelParams,
                     workspace: np.ndarray) -> dict[str, float]:
-    """Warm up the client's autoencoders on reconstruction alone; the
-    optimizer keeps its state in ``workspace`` (``tensor.optimizer_workspace``)."""
+    """Warm up the client's autoencoders on reconstruction alone.
+
+    Training starts from a copy of the client's snapshot (the initial global
+    model) in ``working``, the run's trainable model, and the result is
+    copied back into the snapshot. The optimizer keeps its state in
+    ``workspace`` (``tensor.optimizer_workspace``).
+    """
     if not client.views:
         raise ConfigError(f"client {client.shard.client_id} has no data")
+    np.copyto(working.vector, client.snapshot.vector)
     # the reconstruction loss never reaches the shared nets: their gradient
     # is zero, and a zero-gradient step would leave them bitwise as they are
-    params = client.params
-    opt = make_optimizer(optimizer_mode, lr, params.vector, params.grad,
-                         params.owned_spans(client.shard.view_subset, shared=False),
+    opt = make_optimizer(optimizer_mode, lr, working.vector, working.grad,
+                         working.owned_spans(client.shard.view_subset, shared=False),
                          workspace)
     n = client.shard.n_samples
     order = sorted(client.views)
@@ -151,7 +157,7 @@ def pretrain_client(client: ClientState, epochs: int, lr: float,
         for batch, rows in enumerate(_batches(client.rng, n, batch_size), start=1):
             try:
                 tape = Tape()
-                recons = [encode_decode(tape, params, client.views[v][rows], v)[1]
+                recons = [encode_decode(tape, working, client.views[v][rows], v)[1]
                           for v in order]
                 loss = reconstruction_loss([client.views[v][rows] for v in order], recons)
                 value = float(loss.value[0, 0])
@@ -163,6 +169,7 @@ def pretrain_client(client: ClientState, epochs: int, lr: float,
                 raise _located(err, "warm-up", client, epoch, batch) from err
             total += value
             steps += 1
+    np.copyto(client.snapshot.vector, working.vector)
     return {"recon": total / steps if steps else 0.0}
 
 
@@ -178,26 +185,27 @@ def _drift_references(client: ClientState, global_params: ModelParams,
                       ) -> tuple[np.ndarray, np.ndarray | None]:
     """(positive, negative) drift references over the client's whole shard.
 
-    Full clients pull toward their frozen previous-round model and away from
-    the global model; partial clients the other way round. Single-view
-    clients pull toward the global model, and their negative (``None``
-    here) is the current model on noisy input, drawn per batch.
+    Full clients pull toward their previous-round model (the snapshot) and
+    away from the global model; partial clients the other way round.
+    Single-view clients pull toward the global model, and their negative
+    (``None`` here) is the current model on noisy input, drawn per batch.
     """
     ctype = client.shard.client_type
     if ctype == CLIENT_FULL:
-        return (infer_fused(client.frozen_prev, client.views),
+        return (infer_fused(client.snapshot, client.views),
                 infer_fused(global_params, client.views))
     if ctype == CLIENT_PARTIAL:
         return (infer_fused(global_params, client.views),
-                infer_fused(client.frozen_prev, client.views))
+                infer_fused(client.snapshot, client.views))
     return infer_fused(global_params, client.views), None
 
 
-def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParams,
-                config, use_contrast: bool,
+def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
+                global_params: ModelParams, config, use_contrast: bool,
                 refs: tuple[np.ndarray, np.ndarray | None] | None,
                 trainable: Sequence[Param], optimizer) -> dict[str, float]:
-    """One optimizer step on batch ``rows``; ``refs`` is None without drift.
+    """One optimizer step of ``params`` on batch ``rows``; ``refs`` is None
+    without drift.
 
     A non-finite loss raises a ``TrainingError`` naming the first
     non-finite term: ``recon``, ``contrast``, ``drift`` or the ``total``.
@@ -209,7 +217,7 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
     order = sorted(views_b)
     tape = Tape()
     want_probs = use_contrast and ctype == CLIENT_FULL
-    fwd = forward_views(tape, client.params, views_b, want_probs=want_probs)
+    fwd = forward_views(tape, params, views_b, want_probs=want_probs)
     comps = LossComponents(
         recon=reconstruction_loss([views_b[v] for v in order],
                                   [fwd.recons[v] for v in order]))
@@ -219,8 +227,7 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
         (v0,) = shard.view_subset
         x = views_b[v0]
         noisy = x + client.rng.standard_normal(x.shape) * config.sigma_noise
-        noisy_feat = high_features(tape, client.params,
-                                   encode(tape, client.params, noisy, v0))
+        noisy_feat = high_features(tape, params, encode(tape, params, noisy, v0))
 
     zero = lambda: tape.constant([[0.0]])
     if ctype == CLIENT_FULL:
@@ -276,13 +283,17 @@ def _train_step(client: ClientState, rows: np.ndarray, global_params: ModelParam
 
 
 def local_train_round(client: ClientState, global_params: ModelParams, config,
-                      round_index: int, workspace: np.ndarray) -> dict[str, float]:
-    """One round of local optimization, then refresh the frozen snapshot.
+                      round_index: int, working: ModelParams,
+                      workspace: np.ndarray) -> dict[str, float]:
+    """One round of local optimization in ``working``, the run's trainable
+    model, then copy the result into the client's snapshot.
 
+    Round 1 starts from the snapshot, the client's warm-up result; later
+    rounds start from the global model, which :func:`broadcast` copies in.
     The drift term is active from round 2 on: in round 1 neither the
-    frozen snapshot nor the global model has moved past initialization,
-    so there is nothing meaningful to contrast against. The optimizer
-    starts from zero state in ``workspace``, as in :func:`pretrain_client`.
+    snapshot nor the global model has moved past initialization, so there
+    is nothing meaningful to contrast against. The optimizer starts from
+    zero state in ``workspace``, as in :func:`pretrain_client`.
     """
     if global_params is None:
         raise ValueError("local training requires the broadcast global parameters")
@@ -290,10 +301,14 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
         raise ValueError(f"round_index must be >= 1, got {round_index}")
     use_contrast = not config.no_contrast
     use_drift = round_index >= 2 and not config.no_drift
-    params, subset = client.params, client.shard.view_subset
-    trainable = params.trainable_params(subset)
-    optimizer = make_optimizer(config.optimizer, config.lr, params.vector,
-                               params.grad, params.owned_spans(subset), workspace)
+    if round_index == 1:
+        np.copyto(working.vector, client.snapshot.vector)
+    else:
+        broadcast(global_params, working)
+    subset = client.shard.view_subset
+    trainable = working.trainable_params(subset)
+    optimizer = make_optimizer(config.optimizer, config.lr, working.vector,
+                               working.grad, working.owned_spans(subset), workspace)
     refs = _drift_references(client, global_params) if use_drift else None
 
     sums: dict[str, float] = {}
@@ -302,14 +317,14 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     for epoch in range(1, config.local_epochs + 1):
         for batch, rows in enumerate(_batches(client.rng, n, config.batch_size), start=1):
             try:
-                stats = _train_step(client, rows, global_params, config,
+                stats = _train_step(client, working, rows, global_params, config,
                                     use_contrast, refs, trainable, optimizer)
             except TrainingError as err:
                 raise _located(err, f"round {round_index}", client, epoch, batch) from err
             for k, v in stats.items():
                 sums[k] = sums.get(k, 0.0) + v
             steps += 1
-    np.copyto(client.frozen_prev.vector, client.params.vector)
+    np.copyto(client.snapshot.vector, working.vector)
     if steps == 0:
         return {"recon": 0.0, "contrast": 0.0, "drift": 0.0, "total": 0.0}
     return {k: v / steps for k, v in sums.items()}
@@ -386,14 +401,13 @@ def aggregate(prev_global: ModelParams, client_params: Sequence[ModelParams],
     return ModelParams(arch, out)
 
 
-def broadcast(server: ServerState, clients: Sequence[ClientState]) -> None:
-    """Copy the global model into every client's working params.
+def broadcast(global_params: ModelParams, working: ModelParams) -> None:
+    """Copy the global model into the run's working model, in place.
 
-    The copy goes into the client's own buffer, so no model is allocated.
-    Frozen snapshots are left untouched; repeated broadcasts are idempotent.
+    Every local round from round 2 on starts with it. No model is
+    allocated, and the gradient is left as it is.
     """
-    for c in clients:
-        np.copyto(c.params.vector, server.global_params.vector)
+    np.copyto(working.vector, global_params.vector)
 
 
 def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
@@ -401,8 +415,9 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
                   train_seed: np.random.SeedSequence) -> list[ClientState]:
     """Materialize client states; each holds only its own rows and views.
 
-    Each client gets the two model buffers it keeps for the whole run: a
-    trainable working copy of ``base_params`` and a grad-less frozen one.
+    Each client gets the one model buffer it keeps for the whole run: a
+    grad-less snapshot, first a copy of ``base_params``. The trainable
+    working model is not a client's: the run allocates one for all.
     """
     children = train_seed.spawn(len(shards))
     clients = []
@@ -421,8 +436,7 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
         clients.append(ClientState(
             shard=shard,
             views=views,
-            params=base_params.clone(trainable=True),
-            frozen_prev=base_params.clone(),
+            snapshot=base_params.clone(),
             rng=np.random.default_rng(child),
         ))
     return clients
@@ -436,7 +450,7 @@ def run_federation(config, dataset: MultiViewDataset,
     """Full pipeline: partition, warm-up, then R rounds of train/aggregate.
 
     Deterministic per master seed; ``round_hook`` (if given) runs after
-    each round's broadcast with the updated server state.
+    each round's aggregation with the updated server state.
     """
     config.validate()
     if seeds is None:
@@ -467,23 +481,25 @@ def run_federation(config, dataset: MultiViewDataset,
                          registry=[ClientInfo(s.client_id, s.n_samples, s.n_views)
                                    for s in shards])
     clients = build_clients(work, shards, server.global_params, seeds.train)
-    # optimizers come one after another, so one state serves the whole run
-    workspace = optimizer_workspace(server.global_params.vector.size)
+    # clients train one after another, so one working model with its
+    # gradient and one optimizer state serve the whole run
+    working = ModelParams(arch, trainable=True)
+    workspace = optimizer_workspace(working.vector.size)
     for c in clients:
         pretrain_client(c, config.warmup_epochs, config.lr, config.batch_size,
-                        config.optimizer, workspace)
+                        config.optimizer, working, workspace)
 
     reports: list[RoundReport] = []
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
-        losses = [local_train_round(c, server.global_params, config, r, workspace)
+        losses = [local_train_round(c, server.global_params, config, r, working,
+                                    workspace)
                   for c in clients]
         weights = compute_weights(server.registry, work.n_views, config.alpha_c_mode)
         server.global_params = aggregate(server.global_params,
-                                         [c.params for c in clients],
+                                         [c.snapshot for c in clients],
                                          shards, weights)
         server.round_index = r
-        broadcast(server, clients)
         report = RoundReport(
             round_index=r,
             client_losses={c.shard.client_id: stats

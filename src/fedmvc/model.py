@@ -71,10 +71,11 @@ class ModelParams:
 
     Only a model built with ``trainable=True`` has a ``grad`` vector (and
     ``Param.grad`` views of it); every other model's ``grad`` is None, so a
-    backward pass into it fails. In a run, each client's working model is
-    the one trainable model; the global model, the frozen snapshots and
-    loaded checkpoints are read only for their values. An optimizer updates
-    a client's :meth:`owned_spans` of ``vector`` and ``grad`` directly.
+    backward pass into it fails. A run has one trainable model, the working
+    model its clients train in one after another; the global model, the
+    clients' snapshots and loaded checkpoints are read only for their
+    values. An optimizer updates a client's :meth:`owned_spans` of
+    ``vector`` and ``grad`` directly.
     """
 
     def __init__(self, arch: Architecture, vector: np.ndarray | None = None,

@@ -342,13 +342,34 @@ def sum_sq_dist(leaves: Sequence[Tensor], refs: Sequence) -> Tensor:
     return tape._track(Tensor(np.array([[total]]), tape, backprop=backprop))
 
 
+# below this norm a row's squares can fall under the smallest normal float64
+_SMALL_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
 def _unit_rows(x: Array) -> tuple[Array, Array, Array]:
     """Rows of ``x`` scaled to unit L2 norm, with the norms used and the
-    nonzero mask; an all-zero row stays zero."""
+    nonzero mask; an all-zero row stays zero.
+
+    A row whose norm is below ``_SMALL_NORM`` may have lost bits of its
+    squares to underflow, or all of them. Such a row is first divided by
+    its largest magnitude: its norm is that magnitude times the scaled
+    row's norm, and its unit row is the scaled row over its own norm, which
+    stays of unit length even where the norm itself is subnormal. Every
+    other row keeps ``np.linalg.norm``'s norm and ``x / norm``.
+    """
     norms = np.linalg.norm(x, axis=1, keepdims=True)
+    small = np.flatnonzero(norms < _SMALL_NORM)
+    if small.size:
+        peak = np.abs(x[small]).max(axis=1, keepdims=True, initial=0.0)
+        scaled = x[small] / np.where(peak > 0, peak, 1.0)
+        scaled_norms = np.linalg.norm(scaled, axis=1, keepdims=True)
+        norms[small] = peak * scaled_norms
     nonzero = norms > 0
     safe = np.where(nonzero, norms, 1.0)
-    return x / safe, safe, nonzero
+    unit = x / safe
+    if small.size:
+        unit[small] = scaled / np.where(scaled_norms > 0, scaled_norms, 1.0)
+    return unit, safe, nonzero
 
 
 def _unit_rows_grad(g: Array, unit: Array, safe: Array, nonzero: Array) -> Array:

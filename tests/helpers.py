@@ -192,13 +192,21 @@ def rowsum(a):
 
 
 def normalize_rows(a):
-    """Scale each row to unit L2 norm; all-zero rows stay zero."""
+    """Scale each row to unit L2 norm; all-zero rows stay zero. A nonzero row
+    of norm below sqrt(smallest normal float64) is divided by its largest
+    magnitude first, and its unit row is that scaled row over its norm."""
     tape = T._tape_of(a)
     a = T.wrap(tape, a)
     norms = np.linalg.norm(a.value, axis=1, keepdims=True)
+    small = np.flatnonzero(norms < np.sqrt(np.finfo(np.float64).tiny))
+    peak = np.abs(a.value[small]).max(axis=1, keepdims=True, initial=0.0)
+    scaled = a.value[small] / np.where(peak > 0, peak, 1.0)
+    scaled_norms = np.linalg.norm(scaled, axis=1, keepdims=True)
+    norms[small] = peak * scaled_norms
     nonzero = norms > 0
     safe = np.where(nonzero, norms, 1.0)
     out = a.value / safe
+    out[small] = scaled / np.where(scaled_norms > 0, scaled_norms, 1.0)
 
     def backprop(g, acc):
         gx = (g - (g * out).sum(axis=1, keepdims=True) * out) / safe
@@ -222,7 +230,7 @@ def cycled_nt_xent_chain(items, tau, denom, columns=False):
         s_own = matmul(a, transpose(a))
         s_pair = matmul(a, transpose(b))
         # the anchor's similarity to itself: e^{1/tau}, or e^0 for a zero row
-        nonzero = np.linalg.norm(items[v].value, axis=1, keepdims=True) > 0
+        nonzero = (items[v].value != 0).any(axis=1, keepdims=True)
         den = T.add(
             T.add(rowsum(exp(T.scale(s_own, inv_tau))),
                   rowsum(exp(T.scale(s_pair, inv_tau)))),

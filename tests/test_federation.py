@@ -16,7 +16,6 @@ from fedmvc.errors import ConfigError, TrainingError
 from fedmvc.federation import (
     ClientInfo,
     ClientState,
-    ServerState,
     aggregate,
     broadcast,
     build_clients,
@@ -70,11 +69,8 @@ def make_client(client_id=0, ctype=CLIENT_FULL, subset=(0, 1), n=12, seed=5,
     rng = np.random.default_rng(seed)
     shard = ClientShard(client_id, ctype, subset, np.arange(n))
     views = {v: rng.standard_normal((n, arch.view_dims[v])) for v in subset}
-    params = init_params(arch, seed=seed).clone(trainable=True)
-    return ClientState(shard=shard, views=views, params=params,
-                       frozen_prev=params.clone(),
+    return ClientState(shard=shard, views=views, snapshot=init_params(arch, seed=seed),
                        rng=np.random.default_rng(seed + 100))
-
 
 
 def workspace(model):
@@ -82,13 +78,27 @@ def workspace(model):
     return T.optimizer_workspace(model.vector.size)
 
 
+def warm_up(client, epochs, lr=1e-3, batch_size=8, optimizer_mode="adam"):
+    """``pretrain_client`` in a fresh working model, which it returns."""
+    working = ModelParams(client.snapshot.arch, trainable=True)
+    pretrain_client(client, epochs, lr, batch_size, optimizer_mode, working,
+                    workspace(working))
+    return working
+
+
+def train_round(client, global_params, cfg, round_index):
+    """``local_train_round`` in a fresh working model."""
+    working = ModelParams(client.snapshot.arch, trainable=True)
+    local_train_round(client, global_params, cfg, round_index, working,
+                      workspace(working))
+
+
 class TestPretrain:
-    def test_zero_epochs_leaves_params(self):
+    def test_zero_epochs_leaves_the_snapshot(self):
         client = make_client()
-        before = client.params.flatten()
-        pretrain_client(client, epochs=0, lr=1e-3, batch_size=8, optimizer_mode="adam",
-                        workspace=workspace(client.params))
-        assert np.array_equal(client.params.flatten(), before)
+        before = client.snapshot.flatten()
+        warm_up(client, epochs=0)
+        assert np.array_equal(client.snapshot.flatten(), before)
 
     def test_warmup_reduces_reconstruction(self):
         deltas = []
@@ -97,21 +107,20 @@ class TestPretrain:
 
             def recon_now():
                 tape = T.Tape()
-                fwd = forward_views(tape, client.params, client.views)
+                fwd = forward_views(tape, client.snapshot, client.views)
                 order = sorted(client.views)
                 loss = reconstruction_loss([client.views[v] for v in order],
                                            [fwd.recons[v] for v in order])
                 return float(loss.value[0, 0])
 
             before = recon_now()
-            pretrain_client(client, epochs=20, lr=1e-3, batch_size=6,
-                            optimizer_mode="adam", workspace=workspace(client.params))
+            warm_up(client, epochs=20, batch_size=6)
             deltas.append(recon_now() - before)
         assert np.median(deltas) < 0
 
     def test_single_step_matches_manual(self):
         client = make_client(seed=7)
-        manual = client.params.clone(trainable=True)
+        manual = client.snapshot.clone(trainable=True)
         rng = np.random.default_rng(7 + 100)  # same stream the client consumes
         rows = rng.permutation(client.shard.n_samples)
 
@@ -127,9 +136,8 @@ class TestPretrain:
         T.make_optimizer("adam", 1e-3, manual.vector, manual.grad,
                          manual.owned_spans((0, 1)), workspace(manual)).step()
 
-        pretrain_client(client, epochs=1, lr=1e-3, batch_size=client.shard.n_samples,
-                        optimizer_mode="adam", workspace=workspace(client.params))
-        assert np.array_equal(client.params.flatten(), manual.flatten())
+        warm_up(client, epochs=1, batch_size=client.shard.n_samples)
+        assert np.array_equal(client.snapshot.flatten(), manual.flatten())
 
     @pytest.mark.parametrize("ctype,subset", [
         ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
@@ -139,47 +147,46 @@ class TestPretrain:
         # warm-up steps only the owned autoencoder spans; that is exact only
         # because the reconstruction loss gives the shared nets no gradient
         client = make_client(ctype=ctype, subset=subset, n=11, seed=61, arch=ARCH3)
-        shared = client.params.shared_span()
-        before = client.params.vector.copy()
-        pretrain_client(client, epochs=3, lr=1e-2, batch_size=4,
-                        optimizer_mode=optimizer, workspace=workspace(client.params))
-        assert client.params.vector[shared].tobytes() == before[shared].tobytes()
-        assert not client.params.grad.any()
+        snapshot = client.snapshot
+        shared = snapshot.shared_span()
+        before = snapshot.vector.copy()
+        working = warm_up(client, epochs=3, lr=1e-2, batch_size=4,
+                          optimizer_mode=optimizer)
+        assert snapshot.vector[shared].tobytes() == before[shared].tobytes()
+        assert not working.grad.any()
         for v in subset:  # the owned autoencoders did train
-            for span in client.params.view_spans(v):
-                assert not np.array_equal(client.params.vector[span], before[span])
+            for span in snapshot.view_spans(v):
+                assert not np.array_equal(snapshot.vector[span], before[span])
 
 
 class TestLocalTrainRound:
-    def test_zero_epochs_refreshes_frozen_only(self):
+    def test_zero_epochs_snapshot_the_start_point(self):
+        # round 1 starts from the snapshot, later rounds from the global model
         client = make_client()
-        client.frozen_prev = init_params(ARCH, seed=99)  # stale snapshot
-        before = client.params.flatten()
+        before = client.snapshot.flatten()
+        global_params = init_params(ARCH, seed=1)
         cfg = tiny_config(local_epochs=0)
-        local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1,
-                          workspace=workspace(client.params))
-        assert np.array_equal(client.params.flatten(), before)
-        assert np.array_equal(client.frozen_prev.flatten(), before)
+        train_round(client, global_params, cfg, round_index=1)
+        assert np.array_equal(client.snapshot.flatten(), before)
+        train_round(client, global_params, cfg, round_index=2)
+        assert np.array_equal(client.snapshot.flatten(), global_params.flatten())
 
     def test_requires_broadcast(self):
         client = make_client()
         with pytest.raises(ValueError):
-            local_train_round(client, None, tiny_config(), round_index=1,
-                              workspace=workspace(client.params))
+            train_round(client, None, tiny_config(), round_index=1)
 
     def test_unowned_view_params_untouched(self):
         client = make_client(ctype="partial", subset=(0,), n=10)
         client.shard = ClientShard(0, "single", (0,), np.arange(10))
         cfg = tiny_config(local_epochs=3, batch_size=4)
         global_params = init_params(ARCH, seed=3)
-        before_unowned = [p.value.copy() for p in client.params.view_params(1)]
-        for r in (1, 2, 3):
-            local_train_round(client, global_params, cfg, round_index=r,
-                              workspace=workspace(client.params))
-        for before, p in zip(before_unowned, client.params.view_params(1)):
-            assert np.array_equal(p.value, before)
-        assert not np.array_equal(client.params.flatten(),
-                                  init_params(ARCH, seed=5).flatten())
+        initial = init_params(ARCH, seed=5)  # the client's first snapshot
+        for r, start in ((1, initial), (2, global_params), (3, global_params)):
+            train_round(client, global_params, cfg, round_index=r)
+            for p, q in zip(client.snapshot.view_params(1), start.view_params(1)):
+                assert np.array_equal(p.value, q.value)
+            assert not np.array_equal(client.snapshot.flatten(), start.flatten())
 
     @pytest.mark.parametrize("ctype,subset", [
         ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
@@ -199,11 +206,11 @@ class TestLocalTrainRound:
                             lambda mode, lr, *buffers: RecordingAdam(lr, *buffers))
         n = 8
         client = make_client(ctype=ctype, subset=subset, n=n, seed=51, arch=ARCH3)
-        client.frozen_prev = init_params(ARCH3, seed=52)
+        client.snapshot = init_params(ARCH3, seed=52)
         global_params = init_params(ARCH3, seed=53)
         cfg = tiny_config(local_epochs=1, batch_size=n, lr=2e-3)
 
-        manual = client.params.clone(trainable=True)
+        manual = global_params.clone(trainable=True)  # round 2 starts from it
         rng = np.random.default_rng(51 + 100)
         rows = rng.permutation(n)
         views_b = {v: client.views[v][rows] for v in subset}
@@ -213,7 +220,7 @@ class TestLocalTrainRound:
         comps = LossComponents(
             recon=reconstruction_loss([views_b[v] for v in subset],
                                       [fwd.recons[v] for v in subset]))
-        frozen_feats = infer_fused(client.frozen_prev, views_b)
+        frozen_feats = infer_fused(client.snapshot, views_b)
         global_feats = infer_fused(global_params, views_b)
         if ctype == "full":
             comps.feature = feature_contrast_full(feats, cfg.tau)
@@ -240,22 +247,21 @@ class TestLocalTrainRound:
         T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
                          manual.owned_spans(subset), workspace(manual)).step()
 
-        local_train_round(client, global_params, cfg, round_index=2,
-                          workspace=workspace(client.params))
+        train_round(client, global_params, cfg, round_index=2)
         (seen,) = steps
         assert np.array_equal(seen, grad)
-        assert np.array_equal(client.params.flatten(), manual.flatten())
+        assert np.array_equal(client.snapshot.flatten(), manual.flatten())
 
     def test_full_client_epochs_match_manual_assembly_with_batch_references(self):
         # the round slices references inferred once over the shard; the manual
         # assembly infers them per batch, as the drift term is defined
         n, batch_size, epochs = 10, 4, 3
         client = make_client(seed=31, n=n)
-        client.frozen_prev = init_params(ARCH, seed=32)
+        client.snapshot = init_params(ARCH, seed=32)
         global_params = init_params(ARCH, seed=33)
         cfg = tiny_config(local_epochs=epochs, batch_size=batch_size, lr=2e-3)
 
-        manual = client.params.clone(trainable=True)
+        manual = global_params.clone(trainable=True)  # round 2 starts from it
         trainable = manual.trainable_params((0, 1))
         opt = T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
                                manual.owned_spans((0, 1)), workspace(manual))
@@ -277,7 +283,7 @@ class TestLocalTrainRound:
                 )
                 comps.drift = drift_loss(
                     fwd.fused,
-                    infer_fused(client.frozen_prev, views_b),
+                    infer_fused(client.snapshot, views_b),
                     infer_fused(global_params, views_b),
                     [tape.leaf(p) for p in trainable],
                     [p.value for p in global_params.trainable_params((0, 1))],
@@ -287,9 +293,8 @@ class TestLocalTrainRound:
                 steps += 1
         assert steps == 9
 
-        local_train_round(client, global_params, cfg, round_index=2,
-                          workspace=workspace(client.params))
-        assert np.array_equal(client.params.flatten(), manual.flatten())
+        train_round(client, global_params, cfg, round_index=2)
+        assert np.array_equal(client.snapshot.flatten(), manual.flatten())
 
     @pytest.mark.parametrize("ctype,subset,refs", [
         ("full", (0, 1, 2), 2), ("partial", (0, 2), 2), ("single", (1,), 1)])
@@ -306,11 +311,9 @@ class TestLocalTrainRound:
         client = make_client(ctype=ctype, subset=subset, n=n, seed=41, arch=ARCH3)
         cfg = tiny_config(local_epochs=3, batch_size=4)
         global_params = init_params(ARCH3, seed=42)
-        local_train_round(client, global_params, cfg, round_index=1,
-                          workspace=workspace(client.params))
+        train_round(client, global_params, cfg, round_index=1)
         assert calls == []
-        local_train_round(client, global_params, cfg, round_index=2,
-                          workspace=workspace(client.params))
+        train_round(client, global_params, cfg, round_index=2)
         assert calls == [dict.fromkeys(subset, n)] * refs
 
     def test_full_client_drift_step_records_few_tape_nodes(self, monkeypatch):
@@ -327,24 +330,20 @@ class TestLocalTrainRound:
         monkeypatch.setattr(T.Tape, "backward", counting)
         client = make_client(n=8, seed=12)
         cfg = tiny_config(local_epochs=1, batch_size=8)
-        local_train_round(client, init_params(ARCH, seed=13), cfg, round_index=2,
-                          workspace=workspace(client.params))
+        train_round(client, init_params(ARCH, seed=13), cfg, round_index=2)
         (nodes,) = counts
         assert nodes < 70
 
     def test_round_one_skips_drift(self):
-        # identical params either way in round 1, whether or not the
-        # references differ: the drift term must not contribute
+        # round 1 starts from the snapshot, so the global model reaches it
+        # only through the drift term: two different global models must
+        # give identical results
         c1 = make_client(seed=21, n=8)
         c2 = make_client(seed=21, n=8)
-        c2.frozen_prev = init_params(ARCH, seed=77)  # would change drift if used
         cfg = tiny_config(local_epochs=1, batch_size=8)
-        g = init_params(ARCH, seed=1)
-        local_train_round(c1, g, cfg, round_index=1,
-                          workspace=workspace(c1.params))
-        local_train_round(c2, g, cfg, round_index=1,
-                          workspace=workspace(c2.params))
-        assert np.array_equal(c1.params.flatten(), c2.params.flatten())
+        train_round(c1, init_params(ARCH, seed=1), cfg, round_index=1)
+        train_round(c2, init_params(ARCH, seed=77), cfg, round_index=1)
+        assert np.array_equal(c1.snapshot.flatten(), c2.snapshot.flatten())
 
 
 def batch_holding(row, n, batch_size, seed):
@@ -366,32 +365,30 @@ class TestTrainingErrors:
         assert batch == 3
         with np.errstate(over="ignore"), pytest.raises(TrainingError,
                                                        match=re.escape(message)):
-            pretrain_client(client, epochs=2, lr=1e-3, batch_size=4, optimizer_mode="adam",
-                            workspace=workspace(client.params))
+            warm_up(client, epochs=2, batch_size=4)
 
     def test_round_names_the_contrast(self):
         client = make_client(client_id=2, n=8, seed=62)
-        for w in client.params.feature_net[::2]:
+        for w in client.snapshot.feature_net[::2]:
             w.value[...] = 1e300  # high-level features overflow; recon is untouched
         cfg = tiny_config(local_epochs=1, batch_size=8)
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match="round 1, client 2, epoch 1, batch 1: "
                                      "non-finite contrast loss"):
-            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=1,
-                              workspace=workspace(client.params))
+            train_round(client, init_params(ARCH, seed=1), cfg, round_index=1)
 
     def test_round_names_the_drift(self):
-        # the cluster head never meets the drift references, only the
-        # proximal term, which overflows against a huge global head
+        # round 4 trains from the finite global model, so recon and contrast
+        # stay finite; only the drift term reads the snapshot, whose
+        # overflowing feature net gives non-finite reference features
         client = make_client(client_id=1, n=12, seed=63)
-        global_params = init_params(ARCH, seed=64)
-        global_params.cluster_head[0].value[...] = 1e200
+        for w in client.snapshot.feature_net[::2]:
+            w.value[...] = 1e300
         cfg = tiny_config(local_epochs=2, batch_size=4)
-        message = "round 4, client 1, epoch 1, batch 1: non-finite drift loss (inf)"
-        with np.errstate(over="ignore"), pytest.raises(TrainingError,
-                                                       match=re.escape(message)):
-            local_train_round(client, global_params, cfg, round_index=4,
-                              workspace=workspace(client.params))
+        message = "round 4, client 1, epoch 1, batch 1: non-finite drift loss (nan)"
+        with np.errstate(all="ignore"), pytest.raises(TrainingError,
+                                                      match=re.escape(message)):
+            train_round(client, init_params(ARCH, seed=64), cfg, round_index=4)
 
     def test_optimizer_failure_is_located(self, monkeypatch):
         class FailingThirdStep(T.Adam):
@@ -410,8 +407,7 @@ class TestTrainingErrors:
         cfg = tiny_config(local_epochs=2, batch_size=4)
         with pytest.raises(TrainingError, match="round 2, client 0, epoch 2, batch 1: "
                                                 "non-finite gradient"):
-            local_train_round(client, init_params(ARCH, seed=1), cfg, round_index=2,
-                              workspace=workspace(client.params))
+            train_round(client, init_params(ARCH, seed=1), cfg, round_index=2)
 
 
 class TestWeights:
@@ -557,17 +553,53 @@ class TestAggregateProperty:
 class TestBroadcast:
     def test_broadcast_and_idempotence(self):
         g = init_params(ARCH, seed=0)
-        server = ServerState(global_params=g)
-        clients = [make_client(client_id=i, seed=i + 50) for i in range(2)]
-        frozen_before = [c.frozen_prev.flatten() for c in clients]
-        broadcast(server, clients)
-        first = [c.params.flatten() for c in clients]
-        broadcast(server, clients)
-        for c, once, frozen in zip(clients, first, frozen_before):
-            assert np.array_equal(c.params.flatten(), g.flatten())
-            assert np.array_equal(c.params.flatten(), once)
-            assert np.array_equal(c.frozen_prev.flatten(), frozen)
-            assert not np.array_equal(c.frozen_prev.flatten(), c.params.flatten())
+        working = ModelParams(ARCH, trainable=True)
+        vector, grad = working.vector, working.grad
+        vector[:] = np.nan
+        broadcast(g, working)
+        first = working.flatten()
+        broadcast(g, working)
+        assert working.vector is vector and working.grad is grad
+        assert np.array_equal(first, g.flatten())
+        assert np.array_equal(working.flatten(), first)
+        assert not grad.any()
+
+
+class TestSharedWorkingModel:
+    """Clients take turns in one working model; nothing crosses between them."""
+
+    def test_client_order_changes_nothing(self):
+        # a full, a partial and a single-view client warm up and train two
+        # rounds (the second with drift) in order A, B, C and in order C, B,
+        # A, from the same start: each ends with the same bits either way
+        cfg = tiny_config(view_dims=(4, 3, 2), local_epochs=2, batch_size=5)
+        ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
+        shards = [ClientShard(0, "full", (0, 1, 2), np.arange(0, 12)),
+                  ClientShard(1, "partial", (0, 2), np.arange(12, 24)),
+                  ClientShard(2, "single", (1,), np.arange(24, 36))]
+        base, global_params = init_params(ARCH3, seed=0), init_params(ARCH3, seed=1)
+
+        def run(order):
+            clients = build_clients(ds, shards, base, np.random.SeedSequence(9))
+            working = ModelParams(ARCH3, trainable=True)
+            working.vector[:] = np.nan  # each phase must copy in its whole start
+            ws = workspace(working)
+            losses = {i: [] for i in order}
+            for i in order:
+                losses[i].append(pretrain_client(clients[i], 2, 1e-3, 4, "adam",
+                                                 working, ws))
+                assert not working.grad.any()
+            for r in (1, 2):
+                for i in order:
+                    losses[i].append(local_train_round(clients[i], global_params, cfg,
+                                                       r, working, ws))
+                    assert not working.grad.any()
+            return {i: (clients[i].snapshot.vector.tobytes(), losses[i],
+                        clients[i].rng.bit_generator.state) for i in order}
+
+        forward, backward = run((0, 1, 2)), run((2, 1, 0))
+        assert forward == backward
+        assert len({snapshot for snapshot, _, _ in forward.values()}) == 3
 
 
 class TestRunFederation:
@@ -600,13 +632,13 @@ class TestRunFederation:
         shards = [ClientShard(0, "full", (0, 1), np.arange(30))]
         base = init_params(server.global_params.arch, seeds.init)
         clients = build_clients(work, shards, base, seeds.train)
+        working = ModelParams(base.arch, trainable=True)
         pretrain_client(clients[0], cfg.warmup_epochs, cfg.lr, cfg.batch_size,
-                        cfg.optimizer, workspace(base))
-        local_train_round(clients[0], base, cfg, round_index=1,
-                          workspace=workspace(clients[0].params))
-        merged = aggregate(base, [clients[0].params], shards, [1.0])
+                        cfg.optimizer, working, workspace(base))
+        local_train_round(clients[0], base, cfg, 1, working, workspace(base))
+        merged = aggregate(base, [clients[0].snapshot], shards, [1.0])
         assert np.array_equal(server.global_params.flatten(), merged.flatten())
-        assert np.array_equal(merged.flatten(), clients[0].params.flatten())
+        assert np.array_equal(merged.flatten(), clients[0].snapshot.flatten())
 
     def test_deterministic_reruns(self):
         cfg = tiny_config(rounds=2, warmup_epochs=1, scenario="mixed",
@@ -670,16 +702,21 @@ class TestRunFederation:
         assert server.round_index == 0
 
     def test_round_loop_allocates_no_model(self, monkeypatch, tmp_path):
-        # after build_clients, each round constructs one model (the
-        # aggregate) and clones none: broadcast and the frozen snapshot copy
-        # into the buffers every client holds for the whole run
+        # a run constructs one trainable model, the working model, and each
+        # client holds one grad-less snapshot for the whole run. After
+        # build_clients, each round constructs one model (the aggregate) and
+        # clones none: broadcast and the end-of-phase copies write into the
+        # buffers allocated before round 1
         counts = {"init": 0, "clone": 0}
         seen = {}
+        trainable = []
         init, clone = ModelParams.__init__, ModelParams.clone
 
         def counting_init(self, *args, **kwargs):
             counts["init"] += 1
             init(self, *args, **kwargs)
+            if self.grad is not None:
+                trainable.append(self)
 
         def counting_clone(self, *args, **kwargs):
             counts["clone"] += 1
@@ -688,8 +725,7 @@ class TestRunFederation:
         def capture(*args, **kwargs):
             clients = build_clients(*args, **kwargs)
             seen["clients"] = clients
-            seen["buffers"] = [(c.params, c.params.vector, c.frozen_prev,
-                                c.frozen_prev.vector) for c in clients]
+            seen["buffers"] = [(c.snapshot, c.snapshot.vector) for c in clients]
             counts.update(init=0, clone=0)
             return clients
 
@@ -706,20 +742,23 @@ class TestRunFederation:
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
         server, _ = run_federation(cfg, ds, round_hook=hook)
-        assert per_round == [{"init": r, "clone": 0} for r in (1, 2, 3)]
+        # the working model, then one aggregate per round
+        assert per_round == [{"init": 1 + r, "clone": 0} for r in (1, 2, 3)]
+        (working,) = trainable
         clients = seen["clients"]
-        for c, held in zip(clients, seen["buffers"], strict=True):
-            now = (c.params, c.params.vector, c.frozen_prev, c.frozen_prev.vector)
-            assert all(a is b for a, b in zip(now, held))
         assert {c.shard.client_type for c in clients} == {"full", "partial", "single"}
-        assert all(c.params.grad is not None and c.frozen_prev.grad is None
-                   for c in clients)
+        for c, held in zip(clients, seen["buffers"], strict=True):
+            assert [k for k, v in vars(c).items() if isinstance(v, ModelParams)] \
+                == ["snapshot"]
+            assert c.snapshot is held[0] and c.snapshot.vector is held[1]
+            assert c.snapshot.grad is None
+            assert not np.shares_memory(c.snapshot.vector, working.vector)
 
-        # only the clients' working models take gradients
+        # only the run's working model takes gradients
         views = {v: ds.views[v][:5] for v in range(3)}
         save_checkpoint(server.global_params, tmp_path / "model.ckpt")
         loaded = load_checkpoint(tmp_path / "model.ckpt")
-        grad_less = [server.global_params, clients[0].frozen_prev, loaded]
+        grad_less = [server.global_params, clients[0].snapshot, loaded]
         for model in grad_less:
             assert model.grad is None
             tape = T.Tape()

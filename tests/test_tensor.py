@@ -10,6 +10,7 @@ from helpers import (
     central_diff,
     cycled_nt_xent_chain,
     exp,
+    feature_contrast_bruteforce,
     log,
     matmul,
     mul,
@@ -25,7 +26,7 @@ from helpers import (
     sum_sq_dist_chain,
     transpose,
 )
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmvc import tensor as T
@@ -112,6 +113,22 @@ class TestForward:
         tape = T.Tape()
         y = normalize_rows(tape.constant([[0.0, 0.0], [3.0, 4.0]]))
         assert np.allclose(y.value, [[0.0, 0.0], [0.6, 0.8]])
+
+    def test_unit_rows_rescale_rows_with_underflowing_squares(self):
+        # the squares of the first three rows underflow in part or in full;
+        # the other rows keep np.linalg.norm's norm and its quotient bitwise
+        x = np.array([[3e-162, 0.0], [1e-170, -1e-170], [1e-323, 1e-323],
+                      [0.0, 0.0], [3.0, 4.0], [1e-150, 2e-150]])
+        unit, norms, nonzero = T._unit_rows(x)
+        assert nonzero[:, 0].tolist() == [True, True, True, False, True, True]
+        assert np.allclose(unit[:3], [[1.0, 0.0], [2 ** -0.5, -2 ** -0.5],
+                                      [2 ** -0.5, 2 ** -0.5]], rtol=1e-15, atol=0.0)
+        assert norms[0, 0] == 3e-162
+        assert norms[1, 0] == pytest.approx(1e-170 * 2 ** 0.5, rel=1e-15)
+        assert not unit[3].any() and norms[3, 0] == 1.0
+        plain = np.linalg.norm(x[4:], axis=1, keepdims=True)
+        assert norms[4:].tobytes() == plain.tobytes()
+        assert unit[4:].tobytes() == (x[4:] / plain).tobytes()
 
     def test_xlogx_zero_convention(self):
         tape = T.Tape()
@@ -461,15 +478,9 @@ def _value_and_grads(build, arrays, upstream):
     return [out.value] + [p.grad for p in params]
 
 
-def assert_fused_matches_chain(fused, chain, arrays, upstream=0.7, drawn=True):
-    with np.errstate(invalid="ignore"):
-        want = _value_and_grads(chain, arrays, upstream)
-    if drawn:
-        # a row whose squared norm underflows to a subnormal (norms near
-        # 1e-161) has a unit row shorter than 1, so the cycled contrast's
-        # denominator, which subtracts e^{1/tau} for it, can go negative;
-        # such draws make every gradient NaN and compare nothing
-        assume(np.isfinite(want[0]).all())
+def assert_fused_matches_chain(fused, chain, arrays, upstream=0.7):
+    want = _value_and_grads(chain, arrays, upstream)
+    assert np.isfinite(want[0]).all()
     got = _value_and_grads(fused, arrays, upstream)
     for g, w in zip(got, want, strict=True):
         assert g.tobytes() == w.tobytes()
@@ -555,7 +566,7 @@ class TestFusedContrasts:
              mats),
         ]
         for fused, chain, arrays in cases:
-            assert_fused_matches_chain(fused, chain, arrays, drawn=False)
+            assert_fused_matches_chain(fused, chain, arrays)
 
     def test_two_rows_with_a_zero_row(self):
         rng = np.random.default_rng(3)
@@ -568,12 +579,25 @@ class TestFusedContrasts:
                  lambda xs: partial_nt_xent_chain(xs[0], xs[1:], 0.5)),
                 (lambda xs: T.one_vs_one_nt_xent(xs[0], xs[1], xs[1], xs[2], 0.5),
                  lambda xs: one_vs_one_nt_xent_chain(xs[0], xs[1], xs[1], xs[2], 0.5))]:
-            assert_fused_matches_chain(build, chain, mats, drawn=False)
+            assert_fused_matches_chain(build, chain, mats)
         # the zero row takes no gradient, and the others do
         value, *grads = _value_and_grads(
             lambda xs: T.cycled_nt_xent(xs, 2.0, denom=2), mats, 1.0)
         assert np.isfinite(value).all() and all(np.isfinite(g).all() for g in grads)
         assert not grads[1][0].any() and grads[1][1].any() and grads[0].any()
+
+    def test_row_with_subnormal_squared_norm_matches_offdiagonal_sum(self):
+        # [3e-162, 0] squares to a subnormal; unscaled, its unit row had norm
+        # 0.954 and this contrast was NaN. Its direction is exactly [1, 0].
+        a = np.array([[3e-162, 0.0], [1.0, 2.0]])
+        b = np.array([[0.5, 1.0], [2.0, -1.0]])
+        tape = T.Tape()
+        value = scalar(T.cycled_nt_xent([tape.constant(a), tape.constant(b)], 0.1,
+                                        denom=2))
+        assert np.isfinite(value)
+        direction = np.array([[1.0, 0.0], [1.0, 2.0]])
+        assert value == pytest.approx(feature_contrast_bruteforce([direction, b], 0.1),
+                                      rel=1e-12)
 
     @pytest.mark.parametrize("build", [
         lambda xs: T.cycled_nt_xent(xs, 0.5, denom=3),
