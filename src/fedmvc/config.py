@@ -19,7 +19,7 @@ from .tensor import OPTIMIZERS
 
 SWEEPABLE = ("alpha", "mu", "tau", "sigma_noise", "dirichlet_beta")
 SCENARIOS = ("full_only", "single_only", "mixed")
-ALPHA_C_MODES = ("linear", "quadratic", "binary", "uniform")
+ALPHA_C_MODES = ("linear", "uniform")
 
 
 def _at_least(low):

@@ -23,6 +23,10 @@ CLIENT_TYPES = (CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE)
 _MAGIC = b"MVD1"
 _VERSION = 1
 
+# draws before a partition or a view assignment gives up
+PARTITION_RETRIES = 100
+ASSIGN_RETRIES = 200
+
 
 @dataclass
 class MultiViewDataset:
@@ -148,10 +152,7 @@ def generate_blobs(n_clusters: int, n_samples: int, view_dims: Sequence[int],
         if n_clusters == 1:
             means = np.zeros((1, dim))
         else:
-            means = rng.standard_normal((n_clusters, dim))
-            diffs = means[:, None, :] - means[None, :, :]
-            dists = np.linalg.norm(diffs, axis=2)
-            min_dist = dists[np.triu_indices(n_clusters, k=1)].min()
+            min_dist = 0.0
             while min_dist == 0:  # coincident draws are measure zero but cheap to guard
                 means = rng.standard_normal((n_clusters, dim))
                 diffs = means[:, None, :] - means[None, :, :]
@@ -163,15 +164,15 @@ def generate_blobs(n_clusters: int, n_samples: int, view_dims: Sequence[int],
     return MultiViewDataset(views, labels, n_clusters)
 
 
-def dirichlet_partition(labels, n_clients: int, beta: float | None, seed=0,
-                        max_retries: int = 100) -> list[np.ndarray]:
+def dirichlet_partition(labels, n_clients: int, beta: float | None,
+                        seed=0) -> list[np.ndarray]:
     """Split sample indices across clients, skewed per label.
 
     For each label, its samples are divided by proportions drawn from a
     symmetric Dirichlet with concentration ``beta``; smaller ``beta``
     means more skew. ``beta=None`` requests the IID split (a uniform
     shuffle cut into near-equal chunks). Draws are repeated until every
-    client holds at least one sample, up to ``max_retries`` times; with
+    client holds at least one sample, up to ``PARTITION_RETRIES`` times; with
     fewer samples than clients no draw is made.
     """
     labels = np.asarray(labels)
@@ -188,7 +189,7 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None, seed=0,
         return [np.sort(chunk.astype(np.int64)) for chunk in np.array_split(order, n_clients)]
 
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(PARTITION_RETRIES):
         parts: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
         for cls in classes:
             idx = rng.permutation(np.flatnonzero(labels == cls))
@@ -200,18 +201,19 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None, seed=0,
         if all(r.size > 0 for r in result):
             return result
     raise PartitionError(
-        f"could not give every client a sample after {max_retries} draws "
+        f"could not give every client a sample after {PARTITION_RETRIES} draws "
         f"(beta={beta}, n_clients={n_clients}, n_samples={n})")
 
 
 def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
-                 counts: tuple[int, int, int] | None = None,
-                 max_retries: int = 200) -> list[tuple[str, tuple[int, ...]]]:
+                 counts: tuple[int, int, int] | None = None
+                 ) -> list[tuple[str, tuple[int, ...]]]:
     """Decide each client's view subset and the resulting client type.
 
     ``mixed`` draws subset sizes uniformly from 1..V unless ``counts``
     fixes the composition as (full, partial, single). Assignments are
-    redrawn until every view is held by at least one client.
+    redrawn until every view is held by at least one client, up to
+    ``ASSIGN_RETRIES`` times.
     """
     check(n_clients=n_clients, scenario=scenario)
     if n_views < 1:
@@ -234,7 +236,7 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
             if counts[1] > 0 and n_views < 3:
                 raise ConfigError("partial clients need at least 3 views")
 
-    for _ in range(max_retries):
+    for _ in range(ASSIGN_RETRIES):
         if scenario == "single_only":
             draw = [1] * n_clients
         elif counts is not None:
@@ -254,7 +256,7 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
             return [(client_type_for(len(s), n_views), s) for s in subsets]
     raise ConfigError(
         f"could not cover all {n_views} views with {n_clients} clients after "
-        f"{max_retries} draws (scenario={scenario})")
+        f"{ASSIGN_RETRIES} draws (scenario={scenario})")
 
 
 def save_dataset(ds: MultiViewDataset, path) -> None:

@@ -92,13 +92,6 @@ def _nearest(points: np.ndarray, centroids: np.ndarray,
     return labels, diff.sum(axis=1)
 
 
-def kmeans_objective(points: np.ndarray, centroids: np.ndarray) -> float:
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    _, assigned = _nearest(points, centroids, (points ** 2).sum(axis=1))
-    return float(assigned.sum())
-
-
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
@@ -180,13 +173,6 @@ def kmeans_best(points, n_clusters: int, n_restarts: int = 10, seed=0,
         if best is None or result.objective < best.objective:
             best = result
     return best, objectives
-
-
-def predict(points, centroids) -> np.ndarray:
-    """Nearest-centroid labels; ties break toward the lowest index."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    return _nearest(points, centroids, (points ** 2).sum(axis=1))[0]
 
 
 def _contingency(true_labels, pred_labels) -> np.ndarray:

@@ -17,26 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE
-from .errors import DimensionError
 from .tensor import Tensor
-
-
-def cosine_sim(a, b, on_zero: str = "zero") -> float:
-    """Cosine similarity of two vectors, in [-1, 1].
-
-    By convention a zero-norm input yields 0.0 (the degenerate case);
-    pass ``on_zero="raise"`` to get a ValueError instead.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DimensionError(f"vectors have different lengths {a.size} and {b.size}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        if on_zero == "raise":
-            raise ValueError("cosine similarity of a zero-norm vector is undefined")
-        return 0.0
-    return float(a @ b / (na * nb))
 
 
 def reconstruction_loss(inputs: Sequence, recons: Sequence[Tensor]) -> Tensor:

@@ -29,9 +29,9 @@ class Architecture:
 
     view_dims: tuple[int, ...]
     n_clusters: int
-    latent_dim: int = 16
-    high_dim: int = 32
-    hidden: int = 128
+    latent_dim: int
+    high_dim: int
+    hidden: int
 
     def __post_init__(self):
         object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
@@ -145,16 +145,9 @@ class ModelParams:
                 merged.append(span)
         return merged
 
-    def clone(self, trainable: bool = False) -> "ModelParams":
-        """A copy of the vector, with a zero ``grad`` only if ``trainable``."""
-        return ModelParams(self.arch, self.vector.copy(), trainable)
-
-    def flatten(self) -> np.ndarray:
-        return self.vector.copy()
-
-    @classmethod
-    def unflatten(cls, arch: Architecture, vec: np.ndarray) -> "ModelParams":
-        return cls(arch, np.array(vec, dtype=np.float64))
+    def clone(self) -> "ModelParams":
+        """A grad-less copy: a new ``vector`` with the same values."""
+        return ModelParams(self.arch, self.vector.copy())
 
 
 def init_params(arch: Architecture, seed=0) -> ModelParams:
@@ -234,7 +227,6 @@ def cluster_assign(tape: Tape, params: ModelParams, feat) -> Tensor:
 class ForwardOutputs:
     """Everything one forward pass produces for a client's available views."""
 
-    latents: dict[int, Tensor]
     recons: dict[int, Tensor]
     feats: dict[int, Tensor]
     fused: Tensor
@@ -246,19 +238,17 @@ def forward_views(tape: Tape, params: ModelParams, views: Mapping[int, np.ndarra
     """Run the full pipeline over the given views (keyed by view index)."""
     if not views:
         raise ValueError("forward_views needs at least one view")
-    latents: dict[int, Tensor] = {}
     recons: dict[int, Tensor] = {}
     feats: dict[int, Tensor] = {}
     probs: dict[int, Tensor] = {}
     for v in sorted(views):
         z, xhat = encode_decode(tape, params, views[v], v)
-        latents[v] = z
         recons[v] = xhat
         feats[v] = high_features(tape, params, z)
         if want_probs:
             probs[v] = cluster_assign(tape, params, feats[v])
     fused = fuse([feats[v] for v in sorted(feats)])
-    return ForwardOutputs(latents, recons, feats, fused, probs if want_probs else None)
+    return ForwardOutputs(recons, feats, fused, probs if want_probs else None)
 
 
 def _infer_mlp2(x: np.ndarray, layer: Sequence[Param]) -> np.ndarray:

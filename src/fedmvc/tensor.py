@@ -58,9 +58,9 @@ def as_matrix(data) -> Array:
 class Param:
     """A trainable matrix with a persistent gradient buffer.
 
-    ``grad`` accumulates across backward passes until cleared by
-    :meth:`zero_grad` (optimizer steps clear it automatically). Both are
-    only ever updated in place, so they may be views of larger buffers.
+    ``grad`` accumulates across backward passes until an optimizer step
+    clears the spans it updates; nothing else clears it. Both are only
+    ever updated in place, so they may be views of larger buffers.
     A view may have no ``grad`` (None): its values are read, never trained,
     and a backward pass into it raises.
     """
@@ -81,9 +81,6 @@ class Param:
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Param(shape={self.value.shape})"

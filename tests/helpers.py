@@ -371,7 +371,7 @@ class SGDReference:
         _check_finite_grads_reference(params)
         for p in params:
             p.value -= self.lr * p.grad
-            p.zero_grad()
+            p.grad[...] = 0.0
 
 
 class AdamReference:
@@ -403,7 +403,7 @@ class AdamReference:
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+            p.grad[...] = 0.0
 
 
 def init_params_reference(arch, seed):

@@ -1,0 +1,90 @@
+"""Every public name the library defines has a user outside the tests.
+
+A public module-level function or class, or a public method, must be
+referenced by name somewhere in ``src/`` other than its own definition, in
+``perfbench/``, in ``fedmvc.__all__``, or in README.md, whose library
+section is the one list of entry points kept for outside callers. A name
+only tests call is test-only code in the library: delete it, or move it to
+``tests/helpers.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import fedmvc
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fedmvc"
+BENCH = ROOT / "perfbench"
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each public module-level function and class, and of
+    each public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_public(node.name):
+            out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.name, item.lineno) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and _is_public(item.name)]
+    return out
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of the module, its classes and functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                out.add(id(body[0].value))
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a module reads: variables, attributes, imported names and
+    identifier-like strings (as ``getattr`` and the benchmark's tracer take
+    them), docstrings excepted."""
+    skip = _docstrings(tree)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in skip):
+            out.add(node.value)
+    return out
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    used = set(fedmvc.__all__)
+    for tree in trees.values():
+        used |= _references(tree)
+    for path in sorted(BENCH.glob("*.py")):
+        used |= _references(_parse(path))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    defined = [(path.name, line, name) for path, tree in trees.items()
+               for name, line in _definitions(tree)]
+    # a walk that found no definitions would pass vacuously
+    assert {"run_federation", "ModelParams", "clone", "kmeans"} <= {
+        name for _, _, name in defined}
+    unused = [f"{module}:{line} {name}" for module, line, name in defined
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []

@@ -148,7 +148,7 @@ class TestConfigParsing:
         assert cfg.rounds == 4 and cfg.output_dir == "runs/a#1"
 
 
-# a value each rule rejects, for every rule of the table
+# a value each rule rejects, for every rule of the table (a list gives several)
 BAD_VALUES = {
     "seed": 1.5, "n_clusters": 0, "view_dims": (3, 0), "separation": -1.0,
     "noise_sigma": -0.5, "n_clients": 0, "scenario": "ring",
@@ -156,7 +156,7 @@ BAD_VALUES = {
     "warmup_epochs": -1, "local_epochs": -1, "batch_size": 0, "lr": 0.0,
     "optimizer": "rmsprop", "latent_dim": 0, "high_dim": 0, "hidden": 0,
     "tau": 0.0, "alpha": 1.5, "mu": -0.1, "sigma_noise": -1.0,
-    "alpha_c_mode": "cubic", "eval_restarts": 0, "eval_every": 0,
+    "alpha_c_mode": ["cubic", "quadratic", "binary"], "eval_restarts": 0, "eval_every": 0,
     "eval_views": (), "kmeans_max_iter": 0, "kmeans_tol": 0.0,
     "checkpoint_every": -1,
 }
@@ -166,12 +166,12 @@ _POINTS = np.arange(8.0).reshape(4, 2)
 # the library entries that take each value from outside the config
 LIBRARY_ENTRIES = {
     "n_clusters": [
-        lambda v: Architecture((2,), v),
+        lambda v: Architecture((2,), v, 4, 4, 6),
         lambda v: MultiViewDataset([_POINTS], None, v),
         lambda v: generate_blobs(v, 10, (2,), 1.0, 1.0),
         lambda v: kmeans(_POINTS, v)],
     "view_dims": [
-        lambda v: Architecture(v, 2),
+        lambda v: Architecture(v, 2, 4, 4, 6),
         lambda v: generate_blobs(2, 10, v, 1.0, 1.0)],
     "separation": [lambda v: generate_blobs(2, 10, (2,), v, 1.0)],
     "noise_sigma": [lambda v: generate_blobs(2, 10, (2,), 1.0, v)],
@@ -182,9 +182,9 @@ LIBRARY_ENTRIES = {
     "scenario": [lambda v: assign_views(2, 3, v)],
     "mixed_counts": [lambda v: assign_views(6, 3, "mixed", counts=v)],
     "dirichlet_beta": [lambda v: dirichlet_partition(np.zeros(10), 2, v)],
-    "latent_dim": [lambda v: Architecture((2,), 2, latent_dim=v)],
-    "high_dim": [lambda v: Architecture((2,), 2, high_dim=v)],
-    "hidden": [lambda v: Architecture((2,), 2, hidden=v)],
+    "latent_dim": [lambda v: Architecture((2,), 2, v, 4, 6)],
+    "high_dim": [lambda v: Architecture((2,), 2, 4, v, 6)],
+    "hidden": [lambda v: Architecture((2,), 2, 4, 4, v)],
     "alpha_c_mode": [lambda v: compute_weights([ClientInfo(0, 5, 1)], 1, v)],
     "eval_restarts": [lambda v: kmeans_best(_POINTS, 2, n_restarts=v)],
     "eval_views": [lambda v: eval_view_order(v, 3)],
@@ -204,11 +204,12 @@ def _message(call) -> str:
 class TestRuleTable:
     @pytest.mark.parametrize("field", sorted(RULES))
     def test_rule_rejects_alike_everywhere(self, field):
-        bad = BAD_VALUES[field]
-        expected = _message(ExperimentConfig(**{field: bad}).validate)
-        assert expected == f"{field}: {RULES[field][1]} (got {bad!r})"
-        for entry in LIBRARY_ENTRIES.get(field, []):
-            assert _message(lambda: entry(bad)) == expected
+        values = BAD_VALUES[field]
+        for bad in values if isinstance(values, list) else [values]:
+            expected = _message(ExperimentConfig(**{field: bad}).validate)
+            assert expected == f"{field}: {RULES[field][1]} (got {bad!r})"
+            for entry in LIBRARY_ENTRIES.get(field, []):
+                assert _message(lambda: entry(bad)) == expected
 
     @pytest.mark.parametrize("fields,entries", [
         ({"n_samples": 2, "n_clusters": 3},
@@ -377,13 +378,20 @@ class TestMainExitCodes:
         assert "round 1" in err and "client" in err
 
     @pytest.mark.parametrize("line", ["threads = 2", "deterministic = true",
-                                      "fedavg = true"])
+                                      "fedavg = true", "alpha_c_mode = quadratic",
+                                      "alpha_c_mode = binary"])
     def test_removed_knob_in_config_file_exit_2(self, tmp_path, capsys, line):
+        # a removed key is unknown; a removed value breaks its field's rule
+        key, value = (part.strip() for part in line.split("="))
+        expected = f"{key}: " if key in RULES else f"unknown config key '{key}'"
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
         path.write_text(path.read_text() + line + "\n")
-        assert main(["run", str(path)]) == 2
-        key = line.split()[0]
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        old_json = tmp_path / "config.json"
+        old_json.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"),
+                                            **{key: value})))
+        for config_file in (path, old_json):
+            assert main(["run", str(config_file)]) == 2
+            assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--threads", "2"], ["--deterministic"],

@@ -1,4 +1,4 @@
-"""k-means, prediction, and metric oracles."""
+"""k-means, nearest-centroid assignment, and metric oracles."""
 
 import itertools
 import os
@@ -23,11 +23,17 @@ from fedmvc.evaluation import (
     evaluate_global,
     kmeans,
     kmeans_best,
-    kmeans_objective,
     normalized_mutual_info,
-    predict,
 )
 from fedmvc.model import Architecture, init_params
+
+
+def nearest(points, centroids):
+    """Each row's nearest centroid and its squared distance to it, from
+    ``evaluation._nearest``, the assignment k-means uses."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    return evaluation._nearest(points, np.asarray(centroids, dtype=np.float64),
+                               (points ** 2).sum(axis=1))
 
 
 def partition_objective(points, labels, k):
@@ -98,7 +104,7 @@ class TestKMeans:
         rng = np.random.default_rng(2)
         points = rng.standard_normal((50, 4))
         result = kmeans(points, 3, seed=7)
-        assert np.array_equal(predict(points, result.centroids), result.labels)
+        assert np.array_equal(nearest(points, result.centroids)[0], result.labels)
 
     def test_ties_keep_earliest_restart(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
@@ -156,7 +162,7 @@ class TestCertifiedAssignment:
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
-    def test_predict_and_objective_match_exact_form(self, case):
+    def test_labels_and_distances_match_exact_form(self, case):
         points, k, seed = case
         rng = np.random.default_rng(seed)
         centroids = points[rng.choice(len(points), size=k, replace=False)]
@@ -165,9 +171,9 @@ class TestCertifiedAssignment:
         probes = np.concatenate(
             [points, (centroids[pairs[:, 0]] + centroids[pairs[:, 1]]) / 2])
         exact = pairwise_sq_dists_reference(probes, centroids)
-        assert np.array_equal(predict(probes, centroids), exact.argmin(axis=1))
-        assert same_bits(kmeans_objective(probes, centroids),
-                         exact.min(axis=1).sum())
+        labels, dists = nearest(probes, centroids)
+        assert np.array_equal(labels, exact.argmin(axis=1))
+        assert same_bits(dists, exact.min(axis=1))
 
     def test_rows_on_a_bisector_are_rechecked_exactly(self, monkeypatch):
         rechecked = []
@@ -181,7 +187,7 @@ class TestCertifiedAssignment:
         centroids = np.array([[-1.0, 0.3], [1.0, 0.3]])
         bisector = np.array([[0.0, -2.5], [0.0, 0.1], [0.0, 7.0]])
         points = np.concatenate([bisector, [[-4.0, 0.0], [3.0, 1.0]]])
-        assert predict(points, centroids).tolist() == [0, 0, 0, 0, 1]
+        assert nearest(points, centroids)[0].tolist() == [0, 0, 0, 0, 1]
         assert len(rechecked) == 1
         assert np.array_equal(rechecked[0], bisector)
 
@@ -192,18 +198,18 @@ class TestCertifiedAssignment:
         points = np.array([[1.0], [2.0], [6.0], [-2.0]]) * unit
         centroids = np.array([[8.0], [4.0]]) * unit
         exact = pairwise_sq_dists_reference(points, centroids)
-        assert np.array_equal(predict(points, centroids), exact.argmin(axis=1))
+        assert np.array_equal(nearest(points, centroids)[0], exact.argmin(axis=1))
 
 
-class TestPredict:
+class TestNearest:
     def test_exact_centroid_row(self):
         centroids = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        labels = predict(np.array([[5.0, 5.0]]), centroids)
-        assert labels.tolist() == [2]
+        labels, dists = nearest(np.array([[5.0, 5.0]]), centroids)
+        assert labels.tolist() == [2] and dists.tolist() == [0.0]
 
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        labels = predict(np.array([[0.0, 0.0]]), centroids)
+        labels, _ = nearest(np.array([[0.0, 0.0]]), centroids)
         assert labels.tolist() == [0]
 
 

@@ -81,8 +81,9 @@ def workspace(model):
 def warm_up(client, epochs, lr=1e-3, batch_size=8, optimizer_mode="adam"):
     """``pretrain_client`` in a fresh working model, which it returns."""
     working = ModelParams(client.snapshot.arch, trainable=True)
-    pretrain_client(client, epochs, lr, batch_size, optimizer_mode, working,
-                    workspace(working))
+    cfg = tiny_config(warmup_epochs=epochs, lr=lr, batch_size=batch_size,
+                      optimizer=optimizer_mode)
+    pretrain_client(client, cfg, working, workspace(working))
     return working
 
 
@@ -96,9 +97,9 @@ def train_round(client, global_params, cfg, round_index):
 class TestPretrain:
     def test_zero_epochs_leaves_the_snapshot(self):
         client = make_client()
-        before = client.snapshot.flatten()
+        before = client.snapshot.vector.copy()
         warm_up(client, epochs=0)
-        assert np.array_equal(client.snapshot.flatten(), before)
+        assert np.array_equal(client.snapshot.vector, before)
 
     def test_warmup_reduces_reconstruction(self):
         deltas = []
@@ -120,7 +121,7 @@ class TestPretrain:
 
     def test_single_step_matches_manual(self):
         client = make_client(seed=7)
-        manual = client.snapshot.clone(trainable=True)
+        manual = ModelParams(ARCH, client.snapshot.vector.copy(), trainable=True)
         rng = np.random.default_rng(7 + 100)  # same stream the client consumes
         rows = rng.permutation(client.shard.n_samples)
 
@@ -137,7 +138,7 @@ class TestPretrain:
                          manual.owned_spans((0, 1)), workspace(manual)).step()
 
         warm_up(client, epochs=1, batch_size=client.shard.n_samples)
-        assert np.array_equal(client.snapshot.flatten(), manual.flatten())
+        assert np.array_equal(client.snapshot.vector, manual.vector)
 
     @pytest.mark.parametrize("ctype,subset", [
         ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
@@ -163,13 +164,13 @@ class TestLocalTrainRound:
     def test_zero_epochs_snapshot_the_start_point(self):
         # round 1 starts from the snapshot, later rounds from the global model
         client = make_client()
-        before = client.snapshot.flatten()
+        before = client.snapshot.vector.copy()
         global_params = init_params(ARCH, seed=1)
         cfg = tiny_config(local_epochs=0)
         train_round(client, global_params, cfg, round_index=1)
-        assert np.array_equal(client.snapshot.flatten(), before)
+        assert np.array_equal(client.snapshot.vector, before)
         train_round(client, global_params, cfg, round_index=2)
-        assert np.array_equal(client.snapshot.flatten(), global_params.flatten())
+        assert np.array_equal(client.snapshot.vector, global_params.vector)
 
     def test_requires_broadcast(self):
         client = make_client()
@@ -186,7 +187,7 @@ class TestLocalTrainRound:
             train_round(client, global_params, cfg, round_index=r)
             for p, q in zip(client.snapshot.view_params(1), start.view_params(1)):
                 assert np.array_equal(p.value, q.value)
-            assert not np.array_equal(client.snapshot.flatten(), start.flatten())
+            assert not np.array_equal(client.snapshot.vector, start.vector)
 
     @pytest.mark.parametrize("ctype,subset", [
         ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
@@ -210,7 +211,8 @@ class TestLocalTrainRound:
         global_params = init_params(ARCH3, seed=53)
         cfg = tiny_config(local_epochs=1, batch_size=n, lr=2e-3)
 
-        manual = global_params.clone(trainable=True)  # round 2 starts from it
+        manual = ModelParams(global_params.arch, global_params.vector.copy(),
+                             trainable=True)  # round 2 starts from it
         rng = np.random.default_rng(51 + 100)
         rows = rng.permutation(n)
         views_b = {v: client.views[v][rows] for v in subset}
@@ -250,7 +252,7 @@ class TestLocalTrainRound:
         train_round(client, global_params, cfg, round_index=2)
         (seen,) = steps
         assert np.array_equal(seen, grad)
-        assert np.array_equal(client.snapshot.flatten(), manual.flatten())
+        assert np.array_equal(client.snapshot.vector, manual.vector)
 
     def test_full_client_epochs_match_manual_assembly_with_batch_references(self):
         # the round slices references inferred once over the shard; the manual
@@ -261,7 +263,8 @@ class TestLocalTrainRound:
         global_params = init_params(ARCH, seed=33)
         cfg = tiny_config(local_epochs=epochs, batch_size=batch_size, lr=2e-3)
 
-        manual = global_params.clone(trainable=True)  # round 2 starts from it
+        manual = ModelParams(global_params.arch, global_params.vector.copy(),
+                             trainable=True)  # round 2 starts from it
         trainable = manual.trainable_params((0, 1))
         opt = T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
                                manual.owned_spans((0, 1)), workspace(manual))
@@ -294,7 +297,7 @@ class TestLocalTrainRound:
         assert steps == 9
 
         train_round(client, global_params, cfg, round_index=2)
-        assert np.array_equal(client.snapshot.flatten(), manual.flatten())
+        assert np.array_equal(client.snapshot.vector, manual.vector)
 
     @pytest.mark.parametrize("ctype,subset,refs", [
         ("full", (0, 1, 2), 2), ("partial", (0, 2), 2), ("single", (1,), 1)])
@@ -343,7 +346,7 @@ class TestLocalTrainRound:
         cfg = tiny_config(local_epochs=1, batch_size=8)
         train_round(c1, init_params(ARCH, seed=1), cfg, round_index=1)
         train_round(c2, init_params(ARCH, seed=77), cfg, round_index=1)
-        assert np.array_equal(c1.snapshot.flatten(), c2.snapshot.flatten())
+        assert np.array_equal(c1.snapshot.vector, c2.snapshot.vector)
 
 
 def batch_holding(row, n, batch_size, seed):
@@ -413,33 +416,31 @@ class TestTrainingErrors:
 class TestWeights:
     def test_uniform_when_equal(self):
         registry = [ClientInfo(i, 10, 2) for i in range(4)]
-        w = compute_weights(registry, 3)
+        w = compute_weights(registry, 3, "linear")
         assert np.allclose(w, 0.25, atol=1e-15)
         assert abs(w.sum() - 1.0) < 1e-12
 
     def test_view_coverage_example(self):
         registry = [ClientInfo(0, 50, 1), ClientInfo(1, 50, 3)]
-        w = compute_weights(registry, 3)
+        w = compute_weights(registry, 3, "linear")
         assert np.allclose(w, [0.25, 0.75], atol=1e-12)
 
     def test_sample_scale_invariance(self):
         registry = [ClientInfo(0, 10, 1), ClientInfo(1, 30, 2)]
         doubled = [ClientInfo(0, 20, 1), ClientInfo(1, 60, 2)]
-        assert np.allclose(compute_weights(registry, 2),
-                           compute_weights(doubled, 2), atol=1e-15)
+        assert np.allclose(compute_weights(registry, 2, "linear"),
+                           compute_weights(doubled, 2, "linear"), atol=1e-15)
 
     def test_modes(self):
         registry = [ClientInfo(0, 10, 1), ClientInfo(1, 10, 2)]
         lin = compute_weights(registry, 2, "linear")
-        quad = compute_weights(registry, 2, "quadratic")
         unif = compute_weights(registry, 2, "uniform")
         assert np.allclose(lin, [1 / 3, 2 / 3])
-        assert np.allclose(quad, [0.2, 0.8])
         assert np.allclose(unif, [0.5, 0.5])
 
     def test_empty_registry(self):
         with pytest.raises(ValueError):
-            compute_weights([], 2)
+            compute_weights([], 2, "linear")
 
     def test_random_registries_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -449,7 +450,7 @@ class TestWeights:
             registry = [ClientInfo(i, int(rng.integers(1, 500)),
                                    int(rng.integers(1, total_views + 1)))
                         for i in range(c)]
-            mode = ("linear", "quadratic", "binary", "uniform")[int(rng.integers(4))]
+            mode = ("linear", "uniform")[int(rng.integers(2))]
             w = compute_weights(registry, total_views, mode)
             assert abs(w.sum() - 1.0) < 1e-12
             assert (w > 0).all()
@@ -467,7 +468,7 @@ class TestAggregate:
         params = [init_params(ARCH, seed=1) for _ in range(3)]
         shards = [shard_for(i, (0, 1)) for i in range(3)]
         out = aggregate(g, params, shards, [0.2, 0.3, 0.5])
-        assert np.allclose(out.flatten(), params[0].flatten(), atol=1e-15)
+        assert np.allclose(out.vector, params[0].vector, atol=1e-15)
 
     def test_two_client_mean(self):
         g = init_params(ARCH, seed=0)
@@ -509,10 +510,10 @@ class TestAggregate:
         g = init_params(ARCH, seed=0)
         params = [init_params(ARCH, seed=s) for s in (1, 2, 3, 4)]
         shards = [shard_for(i, (0, 1)) for i in range(4)]
-        w = compute_weights([ClientInfo(i, 25, 2) for i in range(4)], 2)
+        w = compute_weights([ClientInfo(i, 25, 2) for i in range(4)], 2, "linear")
         out = aggregate(g, params, shards, w)
-        mean = np.mean([p.flatten() for p in params], axis=0)
-        assert np.abs(out.flatten() - mean).max() < 1e-12
+        mean = np.mean([p.vector for p in params], axis=0)
+        assert np.abs(out.vector - mean).max() < 1e-12
 
 
 @st.composite
@@ -547,7 +548,7 @@ class TestAggregateProperty:
                   for cid, sub in zip(ids, subsets)]
         out = aggregate(prev, params, shards, weights)
         expected = aggregate_reference(prev, params, shards, weights)
-        assert out.flatten().tobytes() == expected.tobytes()
+        assert out.vector.tobytes() == expected.tobytes()
 
 
 class TestBroadcast:
@@ -557,11 +558,11 @@ class TestBroadcast:
         vector, grad = working.vector, working.grad
         vector[:] = np.nan
         broadcast(g, working)
-        first = working.flatten()
+        first = working.vector.copy()
         broadcast(g, working)
         assert working.vector is vector and working.grad is grad
-        assert np.array_equal(first, g.flatten())
-        assert np.array_equal(working.flatten(), first)
+        assert np.array_equal(first, g.vector)
+        assert np.array_equal(working.vector, first)
         assert not grad.any()
 
 
@@ -573,6 +574,7 @@ class TestSharedWorkingModel:
         # rounds (the second with drift) in order A, B, C and in order C, B,
         # A, from the same start: each ends with the same bits either way
         cfg = tiny_config(view_dims=(4, 3, 2), local_epochs=2, batch_size=5)
+        warm_cfg = cfg.replace(warmup_epochs=2, batch_size=4)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
         shards = [ClientShard(0, "full", (0, 1, 2), np.arange(0, 12)),
                   ClientShard(1, "partial", (0, 2), np.arange(12, 24)),
@@ -586,8 +588,7 @@ class TestSharedWorkingModel:
             ws = workspace(working)
             losses = {i: [] for i in order}
             for i in order:
-                losses[i].append(pretrain_client(clients[i], 2, 1e-3, 4, "adam",
-                                                 working, ws))
+                losses[i].append(pretrain_client(clients[i], warm_cfg, working, ws))
                 assert not working.grad.any()
             for r in (1, 2):
                 for i in order:
@@ -612,7 +613,7 @@ class TestRunFederation:
             Architecture((4, 3), 2, cfg.latent_dim, cfg.high_dim, cfg.hidden),
             seeds.init)
         assert reports == []
-        assert np.array_equal(server.global_params.flatten(), expected.flatten())
+        assert np.array_equal(server.global_params.vector, expected.vector)
 
     def test_single_full_client_round_is_its_params(self):
         cfg = tiny_config(n_clients=1, rounds=1, warmup_epochs=2)
@@ -633,12 +634,11 @@ class TestRunFederation:
         base = init_params(server.global_params.arch, seeds.init)
         clients = build_clients(work, shards, base, seeds.train)
         working = ModelParams(base.arch, trainable=True)
-        pretrain_client(clients[0], cfg.warmup_epochs, cfg.lr, cfg.batch_size,
-                        cfg.optimizer, working, workspace(base))
+        pretrain_client(clients[0], cfg, working, workspace(base))
         local_train_round(clients[0], base, cfg, 1, working, workspace(base))
         merged = aggregate(base, [clients[0].snapshot], shards, [1.0])
-        assert np.array_equal(server.global_params.flatten(), merged.flatten())
-        assert np.array_equal(merged.flatten(), clients[0].snapshot.flatten())
+        assert np.array_equal(server.global_params.vector, merged.vector)
+        assert np.array_equal(merged.vector, clients[0].snapshot.vector)
 
     def test_deterministic_reruns(self):
         cfg = tiny_config(rounds=2, warmup_epochs=1, scenario="mixed",
@@ -646,7 +646,7 @@ class TestRunFederation:
         ds = generate_blobs(2, 36, (4, 3), 5.0, 1.0, seed=2)
         a, _ = run_federation(cfg, ds)
         b, _ = run_federation(cfg, ds)
-        assert np.array_equal(a.global_params.flatten(), b.global_params.flatten())
+        assert np.array_equal(a.global_params.vector, b.global_params.vector)
 
     def test_weights_reported_and_sum_to_one(self):
         cfg = tiny_config(rounds=1, warmup_epochs=0)

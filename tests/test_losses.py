@@ -21,7 +21,6 @@ from fedmvc.errors import DimensionError
 from fedmvc.losses import (
     LossComponents,
     cluster_size_entropy,
-    cosine_sim,
     drift_loss,
     feature_contrast_full,
     label_contrast,
@@ -40,22 +39,6 @@ def scalar(t):
 
 def rows(rng, n, d):
     return rng.uniform(-2, 2, (n, d))
-
-
-class TestCosineSim:
-    def test_identical(self):
-        assert cosine_sim([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0)
-
-    def test_opposite(self):
-        assert cosine_sim([1.0, -1.0], [-2.0, 2.0]) == pytest.approx(-1.0)
-
-    def test_zero_norm_convention(self):
-        assert cosine_sim([0.0, 0.0], [1.0, 1.0]) == 0.0
-        with pytest.raises(ValueError):
-            cosine_sim([0.0, 0.0], [1.0, 1.0], on_zero="raise")
 
 
 class TestReconstruction:

@@ -1,4 +1,4 @@
-"""Model construction, forward contracts, flatten/checkpoint roundtrips."""
+"""Model construction, forward contracts, parameter vector and checkpoint roundtrips."""
 
 import struct
 
@@ -34,9 +34,9 @@ class TestInit:
     def test_deterministic(self):
         a = init_params(ARCH, seed=3)
         b = init_params(ARCH, seed=3)
-        assert np.array_equal(a.flatten(), b.flatten())
+        assert np.array_equal(a.vector, b.vector)
         c = init_params(ARCH, seed=4)
-        assert not np.array_equal(a.flatten(), c.flatten())
+        assert not np.array_equal(a.vector, c.vector)
 
     def test_biases_zero(self):
         params = init_params(ARCH, seed=0)
@@ -69,9 +69,9 @@ class TestInit:
 
     def test_bad_architecture(self):
         with pytest.raises(ConfigError):
-            Architecture(view_dims=(), n_clusters=3)
+            Architecture(view_dims=(), n_clusters=3, latent_dim=4, high_dim=6, hidden=8)
         with pytest.raises(ConfigError):
-            Architecture(view_dims=(4,), n_clusters=0)
+            Architecture(view_dims=(4,), n_clusters=0, latent_dim=4, high_dim=6, hidden=8)
 
 
 class TestForward:
@@ -246,7 +246,7 @@ class TestInferFused:
 
 class TestMasking:
     def test_unowned_view_gets_zero_grad(self):
-        params = init_params(ARCH, seed=3).clone(trainable=True)
+        params = ModelParams(ARCH, init_params(ARCH, seed=3).vector.copy(), trainable=True)
         rng = np.random.default_rng(11)
         tape = T.Tape()
         fwd = forward_views(tape, params, {0: rng.standard_normal((6, 5))},
@@ -260,7 +260,7 @@ class TestMasking:
 
 class TestParameterVector:
     def test_params_are_views_of_vector_and_grad(self):
-        params = init_params(ARCH, seed=2).clone(trainable=True)
+        params = ModelParams(ARCH, init_params(ARCH, seed=2).vector.copy(), trainable=True)
         ordered = np.concatenate([p.value.ravel() for p in params.all_params()])
         assert np.array_equal(ordered, params.vector)
         for p in params.all_params():
@@ -272,7 +272,7 @@ class TestParameterVector:
         assert params.cluster_head[1].value[0, -1] == 7.0
 
     def test_backward_fills_the_grad_vector(self):
-        params = init_params(ARCH, seed=3).clone(trainable=True)
+        params = ModelParams(ARCH, init_params(ARCH, seed=3).vector.copy(), trainable=True)
         tape = T.Tape()
         fwd = forward_views(tape, params, {0: np.ones((4, 5))})
         tape.backward(reconstruction_loss([np.zeros((4, 5))], [fwd.recons[0]]))
@@ -283,11 +283,12 @@ class TestParameterVector:
         assert not params.grad[params.shared_span()].any()
 
     def test_clone_shares_neither_buffer(self):
-        params = init_params(ARCH, seed=4).clone(trainable=True)
-        other = params.clone(trainable=True)
+        params = ModelParams(ARCH, init_params(ARCH, seed=4).vector.copy(),
+                             trainable=True)
+        other = params.clone()
         assert np.array_equal(other.vector, params.vector)
         assert not np.shares_memory(other.vector, params.vector)
-        assert not np.shares_memory(other.grad, params.grad)
+        assert other.grad is None
         for p in other.all_params():
             assert np.shares_memory(p.value, other.vector)
             assert not np.shares_memory(p.value, params.vector)
@@ -296,10 +297,10 @@ class TestParameterVector:
         params = init_params(ARCH, seed=4)
         save_checkpoint(params, tmp_path / "m.ckpt")
         for model in (params, params.clone(), load_checkpoint(tmp_path / "m.ckpt"),
-                      ModelParams.unflatten(ARCH, params.flatten())):
+                      ModelParams(ARCH, params.vector.copy())):
             assert model.grad is None
             assert all(p.grad is None for p in model.all_params())
-        trainable = params.clone(trainable=True)
+        trainable = ModelParams(ARCH, params.vector.copy(), trainable=True)
         assert not trainable.grad.any()
         assert all(np.shares_memory(p.grad, trainable.grad)
                    for p in trainable.all_params())
@@ -329,18 +330,18 @@ def _checkpoint_offsets(arch):
 
 
 class TestFlattenCheckpoint:
-    def test_flatten_unflatten_bijection(self):
+    def test_vector_rebuilds_the_params(self):
         params = init_params(ARCH, seed=4)
-        vec = params.flatten()
-        rebuilt = ModelParams.unflatten(ARCH, vec)
-        assert np.array_equal(rebuilt.flatten(), vec)
+        vec = params.vector.copy()
+        rebuilt = ModelParams(ARCH, vec)
+        assert rebuilt.vector is vec
         for a, b in zip(params.all_params(), rebuilt.all_params()):
             assert np.array_equal(a.value, b.value)
 
-    def test_unflatten_wrong_length(self):
+    def test_short_vector_rejected(self):
         params = init_params(ARCH, seed=4)
         with pytest.raises(DimensionError):
-            ModelParams.unflatten(ARCH, params.flatten()[:-1])
+            ModelParams(ARCH, params.vector[:-1])
 
     def test_clone_is_independent(self):
         params = init_params(ARCH, seed=5)
@@ -354,7 +355,7 @@ class TestFlattenCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.arch == ARCH
-        assert np.array_equal(loaded.flatten(), params.flatten())
+        assert np.array_equal(loaded.vector, params.vector)
 
     def test_checkpoint_arch_validation(self, tmp_path):
         params = init_params(ARCH, seed=7)

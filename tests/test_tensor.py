@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError, TrainingError
-from fedmvc.model import Architecture, init_params
+from fedmvc.model import Architecture, ModelParams, init_params
 
 
 def scalar(t):
@@ -160,8 +160,10 @@ class TestBackward:
             x = tape.leaf(p)
             tape.backward(T.sum_all(mul(x, x)))
         assert np.allclose(p.grad, [[8.0]])
-        p.zero_grad()
+        T.make_optimizer("sgd", 0.1, p.value.reshape(-1), p.grad.reshape(-1),
+                         [slice(0, 1)], T.optimizer_workspace(1)).step()
         assert np.array_equal(p.grad, [[0.0]])
+        assert np.allclose(p.value, [[1.2]])
 
     def test_loss_not_on_tape(self):
         tape_a, tape_b = T.Tape(), T.Tape()
@@ -695,7 +697,8 @@ class TestOwnedSpans:
     @pytest.mark.parametrize("subset", SUBSETS, ids=str)
     @pytest.mark.parametrize("shared", [True, False])
     def test_spans_cover_the_trainable_params_merged(self, subset, shared):
-        params = init_params(ARCH3, seed=0).clone(trainable=True)
+        params = ModelParams(ARCH3, init_params(ARCH3, seed=0).vector.copy(),
+                             trainable=True)
         spans = params.owned_spans(subset, shared=shared)
         trained = (params.trainable_params(subset) if shared
                    else [p for v in subset for p in params.view_params(v)])
@@ -726,8 +729,9 @@ class TestSpanOptimizersMatchReference:
     @pytest.mark.parametrize("shared", [True, False])
     def test_bitwise_equal_to_per_param_steps(self, mode, subset, shared):
         rng = np.random.default_rng(len(subset) + 10 * shared)
-        spanned = init_params(ARCH3, seed=1).clone(trainable=True)
-        reference = spanned.clone(trainable=True)
+        spanned = ModelParams(ARCH3, init_params(ARCH3, seed=1).vector.copy(),
+                              trainable=True)
+        reference = ModelParams(ARCH3, spanned.vector.copy(), trainable=True)
         spans = spanned.owned_spans(subset, shared=shared)
         owned = owned_coordinates(spanned, spans)
         ref_params = (reference.trainable_params(subset) if shared
@@ -753,7 +757,8 @@ class TestSpanOptimizersMatchReference:
     @pytest.mark.parametrize("mode", sorted(REFERENCES))
     @pytest.mark.parametrize("subset", SUBSETS, ids=str)
     def test_non_finite_grad_raises_before_any_update(self, mode, subset):
-        params = init_params(ARCH3, seed=2).clone(trainable=True)
+        params = ModelParams(ARCH3, init_params(ARCH3, seed=2).vector.copy(),
+                             trainable=True)
         spans = params.owned_spans(subset)
         opt = T.make_optimizer(mode, 1e-3, params.vector, params.grad, spans,
                                T.optimizer_workspace(params.vector.size))
@@ -773,8 +778,9 @@ class TestSpanOptimizersMatchReference:
         workspace = T.optimizer_workspace(size)
         workspace[...] = rng.standard_normal(workspace.shape)
         for subset in SUBSETS:
-            shared = init_params(ARCH3, seed=4).clone(trainable=True)
-            own = shared.clone(trainable=True)
+            shared = ModelParams(ARCH3, init_params(ARCH3, seed=4).vector.copy(),
+                                 trainable=True)
+            own = ModelParams(ARCH3, shared.vector.copy(), trainable=True)
             spans = shared.owned_spans(subset)
             opt = T.make_optimizer(mode, 3e-3, shared.vector, shared.grad, spans,
                                    workspace)
@@ -790,7 +796,8 @@ class TestSpanOptimizersMatchReference:
             assert np.shares_memory(opt._work, workspace)
 
     def test_short_workspace_rejected(self):
-        params = init_params(ARCH3, seed=3).clone(trainable=True)
+        params = ModelParams(ARCH3, init_params(ARCH3, seed=3).vector.copy(),
+                             trainable=True)
         with pytest.raises(ValueError, match="workspace"):
             T.make_optimizer("adam", 1e-3, params.vector, params.grad,
                              params.owned_spans((0, 1, 2)), T.optimizer_workspace(10))
