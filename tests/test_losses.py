@@ -41,6 +41,31 @@ def rows(rng, n, d):
     return rng.uniform(-2, 2, (n, d))
 
 
+def cosine(a, b):
+    """The cosine similarity the contrast nodes use: a product of unit rows."""
+    ua = T._unit_rows(np.array([a], dtype=np.float64))[0]
+    ub = T._unit_rows(np.array([b], dtype=np.float64))[0]
+    return float((ua @ ub.T)[0, 0])
+
+
+class TestCosineSim:
+    def test_identical(self):
+        assert cosine([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
+
+    def test_orthogonal(self):
+        assert cosine([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0)
+
+    def test_opposite(self):
+        assert cosine([1.0, -1.0], [-2.0, 2.0]) == pytest.approx(-1.0)
+
+    def test_zero_norm_convention(self):
+        # a zero row has similarity 0 to every row and takes no gradient
+        assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
+        unit, safe, nonzero = T._unit_rows(np.zeros((1, 2)))
+        grad = T._unit_rows_grad(np.ones((1, 2)), unit, safe, nonzero)
+        assert not unit.any() and not grad.any()
+
+
 class TestReconstruction:
     def test_perfect_reconstruction(self):
         tape = T.Tape()
