@@ -164,9 +164,8 @@ def _train_phase(client: ClientState, config, epochs: int, where: str,
                     raise TrainingError(f"non-finite {term} loss ({stats[term]})")
                 loss.tape.backward(loss)
                 optimizer.step()
-                # a tape is a reference cycle: one still bound while the next
-                # step records its own survives a collection and lingers in an
-                # older generation (+27 MiB peak RSS on ``acceptance``)
+                # ``loss`` reaches the step's whole graph through the backprop
+                # closures; dropping it frees the graph before the next forward
                 del loss
             except TrainingError as err:
                 raise TrainingError(f"{where}, client {client.shard.client_id}, "

@@ -93,8 +93,8 @@ class ModelParams:
         self.grad = np.zeros(size) if trainable else None
         self._bounds = bounds
         self._params = p = [
-            Param.view(vector[a:b].reshape(shape),
-                       None if self.grad is None else self.grad[a:b].reshape(shape))
+            Param(vector[a:b].reshape(shape),
+                  None if self.grad is None else self.grad[a:b].reshape(shape))
             for a, b, shape in zip(bounds, bounds[1:], shapes)]
         n = arch.n_views
         self.encoders: list[list[Param]] = [p[4 * v:4 * v + 4] for v in range(n)]

@@ -5,7 +5,10 @@ scalar losses (shape ``(1, 1)``). A :class:`Tape` records every operation
 applied to the tensors it owns; :meth:`Tape.backward` replays the record
 in reverse creation order -- a reverse topological order of the
 computation graph -- and accumulates gradients into the participating
-:class:`Param` buffers.
+:class:`Param` buffers. A tape is replayed once: ``backward`` takes the
+record off it, so the graph is freed by reference counting as soon as the
+caller drops the loss, and recording on the tape or replaying it again
+raises ``ValueError``.
 
 Sized for small MLPs: no broadcasting beyond row-vector bias addition,
 no views, no in-place graph surgery. A tape and its tensors belong to a
@@ -56,27 +59,21 @@ def as_matrix(data) -> Array:
 
 
 class Param:
-    """A trainable matrix with a persistent gradient buffer.
+    """A model parameter: a value buffer and its gradient buffer.
 
-    ``grad`` accumulates across backward passes until an optimizer step
-    clears the spans it updates; nothing else clears it. Both are only
-    ever updated in place, so they may be views of larger buffers.
-    A view may have no ``grad`` (None): its values are read, never trained,
+    ``Param(value, grad)`` keeps the same-shaped arrays it is given without
+    copying them, so both may be views of larger buffers (a model's
+    parameters are reshaped views of its flat vector). Both are only ever
+    updated in place. ``grad`` accumulates across backward passes until an
+    optimizer step clears the spans it updates; nothing else clears it.
+    A Param may have no ``grad`` (None): its values are read, never trained,
     and a backward pass into it raises.
     """
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value):
-        self.value = as_matrix(value).copy()
-        self.grad = np.zeros_like(self.value)
-
-    @classmethod
-    def view(cls, value: Array, grad: Array) -> "Param":
-        """A Param over existing same-shaped buffers, which it does not copy."""
-        p = cls.__new__(cls)
-        p.value, p.grad = value, grad
-        return p
+    def __init__(self, value: Array, grad: Array | None):
+        self.value, self.grad = value, grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -106,14 +103,19 @@ class Tensor:
         return f"Tensor(shape={self.value.shape})"
 
 
+_REPLAYED = "tape was already replayed by backward; record a new step on a new Tape"
+
+
 class Tape:
-    """Ordered record of operations; replayed in reverse for gradients."""
+    """Ordered record of operations; replayed once, in reverse, for gradients."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[Tensor] | None = []
         self._leaves: dict[int, Tensor] = {}
 
     def _track(self, t: Tensor) -> Tensor:
+        if self._nodes is None:
+            raise ValueError(_REPLAYED)
         self._nodes.append(t)
         return t
 
@@ -130,11 +132,23 @@ class Tape:
         return node
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(param) into every participating Param.grad."""
+        """Accumulate d(loss)/d(param) into every participating Param.grad.
+
+        Replays the record once: the tape is left empty, even when the replay
+        raises, and a second call raises ``ValueError``. A call rejected before
+        the replay (a loss from another tape, or not 1x1) leaves it recorded.
+        """
+        nodes = self._nodes
+        if nodes is None:
+            raise ValueError(_REPLAYED)
         if not isinstance(loss, Tensor) or loss.tape is not self:
             raise ValueError("loss was not recorded on this tape")
         if loss.value.shape != (1, 1):
             raise ValueError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
+        # without the tape's references, the graph lives only as long as
+        # ``loss``: its nodes reach their parents through the backprop
+        # closures. An empty leaf index sends ``leaf`` on to ``_track``'s check
+        self._nodes, self._leaves = None, {}
         grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
         owned: set[int] = set()  # nodes whose buffer this pass allocated
 
@@ -155,7 +169,7 @@ class Tape:
                 grads[key] = np.add(buf, g, out=np.empty_like(buf))
                 owned.add(key)
 
-        for node in reversed(self._nodes):
+        for node in reversed(nodes):
             g = grads.get(id(node))
             if g is None:
                 continue

@@ -9,6 +9,12 @@ from fedmvc.errors import DimensionError, TrainingError
 from fedmvc.evaluation import KMeansResult, _kmeanspp_init
 
 
+def param(x):
+    """A Param over a float64 copy of ``x`` with a zero gradient."""
+    value = T.as_matrix(x).copy()
+    return T.Param(value, np.zeros_like(value))
+
+
 def central_diff(f, x, h=1e-5):
     """Central-difference gradient of scalar f at matrix x."""
     x = np.asarray(x, dtype=np.float64)

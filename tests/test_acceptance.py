@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import central_diff, rel_error
+from helpers import central_diff, param, rel_error
 
 from fedmvc import tensor as T
 from fedmvc.cli import run_experiment
@@ -47,7 +47,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def _fd_check(build, x0, h=1e-5):
     """Tape gradient of build(leaf) vs central differences at x0."""
     def value_at(xv):
-        p = T.Param(xv)
+        p = param(xv)
         tape = T.Tape()
         loss = build(tape, tape.leaf(p))
         return float(loss.value[0, 0]), p, tape, loss
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
     w_global = rng.uniform(-1, 1, (3, 2))
     errors["drift_features"] = _fd_check(
         lambda tape, leaf: drift_loss(leaf, pos, neg,
-                                      [tape.leaf(T.Param(w_global + 0.2))],
+                                      [tape.leaf(param(w_global + 0.2))],
                                       [w_global], TAU, mu=0.5),
         rng.uniform(-2, 2, (n, dim)))
     fused_const = rng.uniform(-2, 2, (n, dim))
@@ -123,7 +123,7 @@ def test_criterion_2_analytic_identities():
     checks["single contrast degenerate = log 2"] = abs(val - math.log(2.0))
 
     w = rng.uniform(-1, 1, (3, 2))
-    p = T.Param(w)
+    p = param(w)
     fused, neg = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4))
 
     def drift_at(mu):

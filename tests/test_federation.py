@@ -1,5 +1,6 @@
 """Round loop: local training, weights, masked aggregation, determinism."""
 
+import gc
 import re
 
 import numpy as np
@@ -793,3 +794,47 @@ class TestRunFederation:
         assert workspace.shape[1] == server.global_params.vector.size
         assert len(built) == 3 + 3 * 2
         assert all(w is workspace for w in built)
+
+
+def tapes_left_by(work):
+    """Tapes alive after ``work`` runs with the cyclic collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return [o for o in gc.get_objects() if isinstance(o, T.Tape)]
+    finally:
+        gc.enable()
+
+
+class TestTapeLifetime:
+    """Each step's tape is freed by reference counting, not by the collector."""
+
+    def test_phases_leave_no_tape(self):
+        # warm-up, round 1 and round 2 (with drift) of a full, a partial and
+        # a single-view client
+        cfg = tiny_config(view_dims=(4, 3, 2), local_epochs=2, batch_size=5)
+        ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
+        shards = [ClientShard(0, "full", (0, 1, 2), np.arange(0, 12)),
+                  ClientShard(1, "partial", (0, 2), np.arange(12, 24)),
+                  ClientShard(2, "single", (1,), np.arange(24, 36))]
+        clients = build_clients(ds, shards, init_params(ARCH3, seed=0),
+                                np.random.SeedSequence(9))
+        global_params = init_params(ARCH3, seed=1)
+        working = ModelParams(ARCH3, trainable=True)
+        ws = workspace(working)
+
+        def phases():
+            for client in clients:
+                pretrain_client(client, cfg, working, ws)
+                for r in (1, 2):
+                    local_train_round(client, global_params, cfg, r, working, ws)
+
+        assert tapes_left_by(phases) == []
+
+    def test_run_leaves_no_tape(self):
+        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+                          view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
+                          batch_size=8)
+        ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
+        assert tapes_left_by(lambda: run_federation(cfg, ds)) == []

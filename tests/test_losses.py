@@ -9,6 +9,7 @@ from helpers import (
     drift_contrast_bruteforce,
     feature_contrast_bruteforce,
     label_contrast_bruteforce,
+    param,
     partial_contrast_bruteforce,
     rel_error,
     single_contrast_bruteforce,
@@ -106,7 +107,7 @@ class TestReconstruction:
         xs = [rows(rng, 5, 2), rows(rng, 5, 6), rows(rng, 5, 3)]
 
         def run(build):
-            params = [T.Param(x + rng.normal(0.0, 0.5, x.shape)) for x in xs]
+            params = [param(x + rng.normal(0.0, 0.5, x.shape)) for x in xs]
             tape = T.Tape()
             loss = build(tape, [tape.leaf(p) for p in params])
             tape.backward(T.scale(loss, 0.3))
@@ -186,7 +187,7 @@ class TestFeatureContrast:
         h1 = rows(rng, 4, 3)
 
         def run(h0v):
-            p = T.Param(h0v)
+            p = param(h0v)
             tape = T.Tape()
             loss = feature_contrast_full([tape.leaf(p), tape.constant(h1)], TAU)
             tape.backward(loss)
@@ -256,7 +257,7 @@ class TestLabelContrast:
         other = rows(rng, 4, 3)
 
         def run(lv):
-            p = T.Param(lv)
+            p = param(lv)
             tape = T.Tape()
             qs = [T.softmax_rows(tape.leaf(p)), T.softmax_rows(tape.constant(other))]
             loss = label_contrast(qs, TAU)
@@ -305,7 +306,7 @@ class TestPartialContrast:
         feat = rows(rng, 4, 3)
 
         def run(fv):
-            p = T.Param(fv)
+            p = param(fv)
             tape = T.Tape()
             loss = partial_contrast(tape.leaf(p), [tape.constant(feat)], TAU)
             tape.backward(loss)
@@ -363,7 +364,7 @@ class TestSingleViewContrast:
         fused, feat, noisy = (rows(rng, 4, 3) for _ in range(3))
 
         def run(fv):
-            p = T.Param(fv)
+            p = param(fv)
             tape = T.Tape()
             loss = single_view_contrast(tape.constant(fused), tape.leaf(p),
                                         tape.constant(noisy), TAU)
@@ -381,7 +382,7 @@ class TestDriftLoss:
         fused = rows(rng, 3, 4)
         neg = rows(rng, 3, 4)
         w = rng.uniform(-1, 1, (2, 3))
-        p = T.Param(w)
+        p = param(w)
 
         def loss_at(mu):
             tape = T.Tape()
@@ -395,7 +396,7 @@ class TestDriftLoss:
         fused = rows(rng, 2, 3)
         w_local = rng.uniform(-1, 1, (3, 2))
         w_global = rng.uniform(-1, 1, (3, 2))
-        p = T.Param(w_local)
+        p = param(w_local)
         mu = 0.8
 
         def loss_at(mu_val):
@@ -425,7 +426,7 @@ class TestDriftLoss:
     def test_layout_mismatch(self):
         rng = np.random.default_rng(21)
         fused = rows(rng, 2, 3)
-        p = T.Param(np.ones((2, 2)))
+        p = param(np.ones((2, 2)))
         tape = T.Tape()
         with pytest.raises(DimensionError):
             drift_loss(tape.constant(fused), fused, fused, [tape.leaf(p)],
@@ -438,8 +439,8 @@ class TestDriftLoss:
         w_global = rng.uniform(-1, 1, (2, 2))
 
         def run(fv):
-            pf = T.Param(fv)
-            pw = T.Param(w_global + 0.3)
+            pf = param(fv)
+            pw = param(w_global + 0.3)
             tape = T.Tape()
             loss = drift_loss(tape.leaf(pf), pos, neg, [tape.leaf(pw)],
                               [w_global], TAU, mu=0.7)
@@ -457,7 +458,7 @@ class TestDriftLoss:
 
         def run(with_prox):
             rng = np.random.default_rng(24)
-            params = [T.Param(rng.uniform(-1, 1, shape)) for shape in ((3, 4), (1, 4))]
+            params = [param(rng.uniform(-1, 1, shape)) for shape in ((3, 4), (1, 4))]
             refs = [p.value + rng.normal(0.0, 0.1, p.shape) for p in params]
             pos, neg = rows(rng, 5, 4), rows(rng, 5, 4)
             tape = T.Tape()
@@ -479,8 +480,8 @@ class TestDriftLoss:
     def test_references_receive_no_gradient(self):
         rng = np.random.default_rng(23)
         fused = rows(rng, 3, 4)
-        p_pos = T.Param(rows(rng, 3, 4))
-        pf = T.Param(fused)
+        p_pos = param(rows(rng, 3, 4))
+        pf = param(fused)
         tape = T.Tape()
         # references enter as plain arrays, so the Param they came from
         # cannot be reached by backward at all

@@ -1,5 +1,8 @@
 """Tape autodiff: forward values, gradients vs finite differences, optimizers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from helpers import (
@@ -17,6 +20,7 @@ from helpers import (
     normalize_rows,
     RELU_SPECIALS,
     one_vs_one_nt_xent_chain,
+    param,
     partial_nt_xent_chain,
     preset_weight,
     rel_error,
@@ -41,14 +45,14 @@ def scalar(t):
 class TestForward:
     def test_affine_identity(self):
         tape = T.Tape()
-        y = T.affine(tape.constant([[1.0, 2.0]]), T.Param(np.eye(2)),
-                     T.Param(np.zeros((1, 2))))
+        y = T.affine(tape.constant([[1.0, 2.0]]), param(np.eye(2)),
+                     param(np.zeros((1, 2))))
         assert np.array_equal(y.value, [[1.0, 2.0]])
 
     def test_affine_bias(self):
         tape = T.Tape()
-        y = T.affine(tape.constant([[1.0, 1.0]]), T.Param(np.eye(2)),
-                     T.Param([[1.0, 1.0]]))
+        y = T.affine(tape.constant([[1.0, 1.0]]), param(np.eye(2)),
+                     param([[1.0, 1.0]]))
         assert np.array_equal(y.value, [[2.0, 2.0]])
 
     def test_affine_matches_triple_loop(self):
@@ -63,14 +67,14 @@ class TestForward:
                     expected[i, j] += x[i, k] * w[k, j]
                 expected[i, j] += b[0, j]
         tape = T.Tape()
-        y = T.affine(tape.constant(x), T.Param(w), T.Param(b))
+        y = T.affine(tape.constant(x), param(w), param(b))
         assert np.allclose(y.value, expected, rtol=1e-12)
 
     def test_affine_shape_mismatch(self):
         tape = T.Tape()
         with pytest.raises(DimensionError):
-            T.affine(tape.constant(np.ones((2, 3))), T.Param(np.ones((2, 3))),
-                     T.Param(np.ones((1, 3))))
+            T.affine(tape.constant(np.ones((2, 3))), param(np.ones((2, 3))),
+                     param(np.ones((1, 3))))
 
     def test_relu(self):
         tape = T.Tape()
@@ -139,7 +143,7 @@ class TestForward:
 class TestBackward:
     def test_quadratic(self):
         tape = T.Tape()
-        p = T.Param([[1.0, -2.0, 3.0]])
+        p = param([[1.0, -2.0, 3.0]])
         x = tape.leaf(p)
         loss = T.sum_all(mul(x, x))
         tape.backward(loss)
@@ -147,14 +151,14 @@ class TestBackward:
 
     def test_self_mse_zero_grad(self):
         tape = T.Tape()
-        p = T.Param(np.random.default_rng(0).uniform(-2, 2, (3, 3)))
+        p = param(np.random.default_rng(0).uniform(-2, 2, (3, 3)))
         x = tape.leaf(p)
         diff = sub(x, x)
         tape.backward(T.sum_all(mul(diff, diff)))
         assert np.array_equal(p.grad, np.zeros((3, 3)))
 
     def test_grad_accumulates_until_cleared(self):
-        p = T.Param([[2.0]])
+        p = param([[2.0]])
         for _ in range(2):
             tape = T.Tape()
             x = tape.leaf(p)
@@ -173,8 +177,66 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         tape = T.Tape()
-        with pytest.raises(ValueError):
-            tape.backward(tape.constant([[1.0, 2.0]]))
+        p = param([[1.0, 2.0]])
+        x = tape.leaf(p)
+        with pytest.raises(ValueError, match="1x1"):
+            tape.backward(x)
+        # a call rejected before the replay leaves the record in place
+        tape.backward(T.sum_all(x))
+        assert np.array_equal(p.grad, [[1.0, 1.0]])
+
+
+class TestReplayOnce:
+    """``backward`` consumes its tape: a tape is replayed once, then empty."""
+
+    def test_second_backward_raises(self):
+        tape = T.Tape()
+        p = param([[3.0]])
+        x = tape.leaf(p)
+        loss = T.sum_all(mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ValueError, match="already replayed"):
+            tape.backward(loss)
+        assert np.array_equal(p.grad, [[6.0]])
+
+    @pytest.mark.parametrize("record", [
+        lambda tape, x, p: tape.constant([[1.0]]),
+        lambda tape, x, p: tape.leaf(p),
+        lambda tape, x, p: tape.leaf(param([[1.0]])),
+        lambda tape, x, p: T.sum_all(x),
+    ], ids=["constant", "same-leaf", "new-leaf", "op"])
+    def test_recording_on_a_replayed_tape_raises(self, record):
+        tape = T.Tape()
+        p = param([[3.0]])
+        x = tape.leaf(p)
+        tape.backward(T.sum_all(x))
+        with pytest.raises(ValueError, match="already replayed"):
+            record(tape, x, p)
+
+    def test_failed_replay_still_empties_the_tape(self):
+        tape = T.Tape()
+        frozen = T.Param(np.ones((1, 2)), None)
+        with pytest.raises(ValueError, match="without a gradient buffer"):
+            tape.backward(T.sum_all(tape.leaf(frozen)))
+        assert not tape._nodes and not tape._leaves
+        with pytest.raises(ValueError, match="already replayed"):
+            tape.constant([[1.0]])
+
+    def test_replayed_step_is_freed_without_the_collector(self):
+        w, b = param(np.ones((2, 4))), param(np.zeros((1, 4)))
+        gc.collect()
+        gc.disable()
+        try:
+            tape = T.Tape()
+            hidden = T.affine(tape.constant(np.ones((3, 2))), w, b, relu=True)
+            loss = T.sum_all(T.scale(hidden, 2.0))
+            refs = [weakref.ref(tape), weakref.ref(hidden.value),
+                    weakref.ref(loss.value)]
+            tape.backward(loss)
+            del tape, hidden, loss
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("route", ["direct", "transposed", "broadcast"])
     def test_shared_gradient_is_not_written_through(self, route):
@@ -184,7 +246,7 @@ class TestBackward:
         # shared array, a transposed view of it or a broadcast of it
         rng = np.random.default_rng(9)
         shape = (3, 3) if route == "transposed" else (3, 4)
-        pa, pb = T.Param(rng.normal(size=shape)), T.Param(rng.normal(size=shape))
+        pa, pb = param(rng.normal(size=shape)), param(rng.normal(size=shape))
         d = rng.normal(size=shape)
         tape = T.Tape()
         a, b = tape.leaf(pa), tape.leaf(pb)
@@ -230,10 +292,10 @@ class TestBackward:
             y = h @ w2 + b2
             return float(((y - target) ** 2).sum())
 
-        p1 = T.Param(w1)
+        p1 = param(w1)
         tape = T.Tape()
-        y = T.affine(relu_op(T.affine(tape.constant(x), p1, T.Param(b1))),
-                     T.Param(w2), T.Param(b2))
+        y = T.affine(relu_op(T.affine(tape.constant(x), p1, param(b1))),
+                     param(w2), param(b2))
         diff = sub(y, tape.constant(target))
         tape.backward(T.sum_all(mul(diff, diff)))
         assert rel_error(p1.grad, central_diff(run, w1)) < 1e-4
@@ -279,7 +341,7 @@ class TestBackward:
         x[np.abs(x) < 1e-3] += 0.01  # stay clear of the relu kink
 
         def run(xv):
-            p = T.Param(xv)
+            p = param(xv)
             tape = T.Tape()
             loss = builder(tape, tape.leaf(p))
             tape.backward(loss)
@@ -295,7 +357,7 @@ class TestBackward:
         row = rng.uniform(-2, 2, (1, 4))
 
         def run(rv):
-            p = T.Param(rv)
+            p = param(rv)
             tape = T.Tape()
             y = add_row(tape.constant(x), tape.leaf(p))
             loss = T.sum_all(mul(y, y))
@@ -331,7 +393,7 @@ class TestDeterminism:
     def test_bit_identical_runs(self):
         def run():
             rng = np.random.default_rng(42)
-            p = T.Param(rng.uniform(-1, 1, (6, 6)))
+            p = param(rng.uniform(-1, 1, (6, 6)))
             tape = T.Tape()
             x = tape.constant(rng.uniform(-1, 1, (5, 6)))
             y = T.softmax_rows(relu_op(matmul(x, tape.leaf(p))))
@@ -349,7 +411,7 @@ def _composite_affine(x, weight, bias, relu=False):
 
 
 def _mlp_params(rng, d_in=4, hidden=6, d_out=3):
-    return [T.Param(rng.uniform(-1, 1, shape))
+    return [param(rng.uniform(-1, 1, shape))
             for shape in ((d_in, hidden), (1, hidden), (hidden, d_out), (1, d_out))]
 
 
@@ -361,7 +423,7 @@ class TestFusedOps:
         def run(dense):
             rng = np.random.default_rng(17)
             w1, b1, w2, b2 = _mlp_params(rng)
-            px = T.Param(rng.uniform(-2, 2, (7, 4)))
+            px = param(rng.uniform(-2, 2, (7, 4)))
             other = rng.uniform(-2, 2, (5, 4))
             target = rng.uniform(-1, 1, (7, 3))
             tape = T.Tape()
@@ -393,9 +455,9 @@ class TestFusedOps:
         pre = rng.standard_normal((4, RELU_SPECIALS.size))
         pre[0] = RELU_SPECIALS
         pre[1] = RELU_SPECIALS[::-1]
-        weight = T.Param.view(preset_weight((3, pre.shape[1]), pre),
-                              np.zeros((3, pre.shape[1])))
-        bias = T.Param(np.full((1, pre.shape[1]), -0.0))
+        weight = T.Param(preset_weight((3, pre.shape[1]), pre),
+                         np.zeros((3, pre.shape[1])))
+        bias = param(np.full((1, pre.shape[1]), -0.0))
         tape = T.Tape()
         out = T.affine(tape.constant(np.ones((4, 3))), weight, bias, relu=True)
         assert out.value.tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
@@ -437,7 +499,7 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("n_params", [1, 4, 30])
     def test_sum_sq_dist_records_one_node(self, n_params):
-        params = [T.Param(np.full((2, 3), float(i))) for i in range(n_params)]
+        params = [param(np.full((2, 3), float(i))) for i in range(n_params)]
         tape = T.Tape()
         leaves = [tape.leaf(p) for p in params]
         before = len(tape._nodes)
@@ -446,7 +508,7 @@ class TestFusedOps:
 
     def test_sum_sq_dist_rejects_mismatched_layouts(self):
         tape = T.Tape()
-        leaf = tape.leaf(T.Param(np.zeros((2, 3))))
+        leaf = tape.leaf(param(np.zeros((2, 3))))
         with pytest.raises(DimensionError):
             T.sum_sq_dist([leaf], [np.zeros((3, 2))])
         with pytest.raises(DimensionError):
@@ -473,7 +535,7 @@ def contrast_batches(draw, n_mats, min_rows=1, zero_columns=False):
 def _value_and_grads(build, arrays, upstream):
     """The node ``build`` makes over leaves of ``arrays``, and each leaf's
     gradient of ``upstream`` times it."""
-    params = [T.Param(a) for a in arrays]
+    params = [param(a) for a in arrays]
     tape = T.Tape()
     out = build([tape.leaf(p) for p in params])
     tape.backward(T.scale(out, upstream))
@@ -609,7 +671,7 @@ class TestFusedContrasts:
     ], ids=["cycled", "columns", "partial", "one_vs_one"])
     def test_records_one_node(self, build):
         tape = T.Tape()
-        leaves = [tape.leaf(T.Param(m)) for m in (_W, _W2, _W + 1.0)]
+        leaves = [tape.leaf(param(m)) for m in (_W, _W2, _W + 1.0)]
         before = len(tape._nodes)
         build(leaves)
         assert len(tape._nodes) - before == 1
