@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .config import check
 from .data import (
     CLIENT_FULL,
@@ -35,14 +36,12 @@ from .data import (
 )
 from .errors import ConfigError, DimensionError, TrainingError
 from .losses import (
-    LossComponents,
     drift_loss,
     feature_contrast_full,
     label_contrast,
     partial_contrast,
     reconstruction_loss,
     single_view_contrast,
-    total_loss,
 )
 from .model import (
     Architecture,
@@ -229,8 +228,13 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
                 refs: tuple[np.ndarray, np.ndarray | None] | None,
                 trainable: Sequence[Param]) -> tuple[Tensor, dict[str, float]]:
     """The total loss of ``params`` on batch ``rows``, recorded on a new
-    tape, and its ``recon``, ``contrast``, ``drift`` and ``total`` values;
-    ``refs`` is None without drift."""
+    tape, and its ``recon``, ``contrast``, ``drift`` and ``total`` values.
+
+    Every client type's total is ``recon + alpha*contrast + (1-alpha)*drift``
+    with its own contrast: feature plus label contrast on a full client,
+    partial contrast on a partial one, the noise-enhanced contrast on a
+    single-view one, and 0 when contrast is off. ``refs`` is None without
+    drift, and then the drift term is left out."""
     use_drift = refs is not None
     shard = client.shard
     ctype = shard.client_type
@@ -239,9 +243,8 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
     tape = Tape()
     want_probs = use_contrast and ctype == CLIENT_FULL
     fwd = forward_views(tape, params, views_b, want_probs=want_probs)
-    comps = LossComponents(
-        recon=reconstruction_loss([views_b[v] for v in order],
-                                  [fwd.recons[v] for v in order]))
+    recon = reconstruction_loss([views_b[v] for v in order],
+                                [fwd.recons[v] for v in order])
 
     noisy_feat = None
     if ctype == CLIENT_SINGLE and (use_contrast or use_drift):
@@ -250,49 +253,36 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
         noisy = x + client.rng.standard_normal(x.shape) * config.sigma_noise
         noisy_feat = high_features(tape, params, encode(tape, params, noisy, v0))
 
-    zero = lambda: tape.constant([[0.0]])
-    if ctype == CLIENT_FULL:
-        if use_contrast:
-            comps.feature = feature_contrast_full(
-                [fwd.feats[v] for v in order], config.tau)
-            comps.label = label_contrast([fwd.probs[v] for v in order], config.tau)
-        else:
-            comps.feature, comps.label = zero(), zero()
+    feats = [fwd.feats[v] for v in order]
+    if not use_contrast:
+        contrast = tape.constant([[0.0]])
+    elif ctype == CLIENT_FULL:
+        feature = feature_contrast_full(feats, config.tau)
+        contrast = T.add(label_contrast([fwd.probs[v] for v in order], config.tau),
+                         feature)
     elif ctype == CLIENT_PARTIAL:
         # a one-sample shard has no in-batch negatives to contrast against
-        if use_contrast and rows.size >= 2:
-            comps.partial = partial_contrast(
-                fwd.fused, [fwd.feats[v] for v in order], config.tau)
-        else:
-            comps.partial = zero()
+        contrast = (partial_contrast(fwd.fused, feats, config.tau)
+                    if rows.size >= 2 else tape.constant([[0.0]]))
     else:
-        (v0,) = shard.view_subset
-        comps.single = (single_view_contrast(fwd.fused, fwd.feats[v0], noisy_feat,
-                                             config.tau)
-                        if use_contrast else zero())
+        contrast = single_view_contrast(fwd.fused, feats[0], noisy_feat, config.tau)
+    total = T.add(recon, T.scale(contrast, config.alpha))
 
+    drift = None
     if use_drift:
-        pos_all, neg_all = refs
-        pos = pos_all[rows]
-        if neg_all is None:
-            neg = noisy_feat.value.copy()  # current model on noisy input, detached
-        else:
-            neg = neg_all[rows]
-        leaves = [tape.leaf(p) for p in trainable]
+        pos, neg = refs
+        # a single-view client's negative: the current model on noisy input, detached
+        neg = noisy_feat.value.copy() if neg is None else neg[rows]
         global_values = [p.value for p in
                          global_params.trainable_params(shard.view_subset)]
-        comps.drift = drift_loss(fwd.fused, pos, neg, leaves, global_values,
-                                 config.tau, config.mu)
+        drift = drift_loss(fwd.fused, pos[rows], neg, [tape.leaf(p) for p in trainable],
+                           global_values, config.tau, config.mu)
+        total = T.add(total, T.scale(drift, 1.0 - config.alpha))
 
-    total = total_loss(ctype, comps, config.alpha)
-    contrast = 0.0
-    for part in (comps.feature, comps.label, comps.partial, comps.single):
-        if part is not None:
-            contrast += float(part.value[0, 0])
     stats = {
-        "recon": float(comps.recon.value[0, 0]),
-        "contrast": contrast,
-        "drift": float(comps.drift.value[0, 0]) if comps.drift is not None else 0.0,
+        "recon": float(recon.value[0, 0]),
+        "contrast": float(contrast.value[0, 0]),
+        "drift": float(drift.value[0, 0]) if drift is not None else 0.0,
         "total": float(total.value[0, 0]),
     }
     return total, stats
@@ -484,13 +474,14 @@ def run_federation(config, dataset: MultiViewDataset,
     for c in clients:
         pretrain_client(c, config, working, workspace)
 
+    # the registry never changes, so neither do the weights
+    weights = compute_weights(server.registry, work.n_views, config.alpha_c_mode)
     reports: list[RoundReport] = []
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
         losses = [local_train_round(c, server.global_params, config, r, working,
                                     workspace)
                   for c in clients]
-        weights = compute_weights(server.registry, work.n_views, config.alpha_c_mode)
         server.global_params = aggregate(server.global_params,
                                          [c.snapshot for c in clients],
                                          shards, weights)

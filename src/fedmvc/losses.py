@@ -1,5 +1,6 @@
-"""Training objectives for the three client types.
+"""The terms of the clients' training objectives.
 
+``fedmvc.federation`` composes each client type's objective from them.
 Every contrastive term measures similarity with row-wise cosine, so all
 of them are invariant to a common positive rescaling of the feature
 rows. Reference features (from the frozen previous-round model or the
@@ -10,13 +11,11 @@ tape node each (see ``fedmvc.tensor``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .data import CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE
 from .tensor import Tensor
 
 
@@ -96,45 +95,3 @@ def drift_loss(fused: Tensor, pos_ref: np.ndarray, neg_ref: np.ndarray,
         prox = T.sum_sq_dist(local_params, global_values)
         loss = T.add(loss, T.scale(prox, mu / 2.0))
     return loss
-
-
-@dataclass
-class LossComponents:
-    """The pieces a client's total objective is assembled from."""
-
-    recon: Tensor
-    feature: Tensor | None = None
-    label: Tensor | None = None
-    partial: Tensor | None = None
-    single: Tensor | None = None
-    drift: Tensor | None = None
-
-
-def total_loss(client_type: str, comps: LossComponents, alpha: float) -> Tensor:
-    """Combine components for the given client type:
-
-    full:    recon + alpha*(label + feature) + (1-alpha)*drift
-    partial: recon + alpha*partial           + (1-alpha)*drift
-    single:  recon + alpha*single            + (1-alpha)*drift
-
-    A missing drift component means it is skipped for this round (its
-    coefficient multiplies zero).
-    """
-    if client_type == CLIENT_FULL:
-        if comps.feature is None or comps.label is None:
-            raise ValueError("full-view total loss needs feature and label contrast")
-        contrast = T.add(comps.label, comps.feature)
-    elif client_type == CLIENT_PARTIAL:
-        if comps.partial is None:
-            raise ValueError("partial-view total loss needs the partial contrast")
-        contrast = comps.partial
-    elif client_type == CLIENT_SINGLE:
-        if comps.single is None:
-            raise ValueError("single-view total loss needs the single-view contrast")
-        contrast = comps.single
-    else:
-        raise ValueError(f"unknown client type {client_type!r}")
-    total = T.add(comps.recon, T.scale(contrast, alpha))
-    if comps.drift is not None:
-        total = T.add(total, T.scale(comps.drift, 1.0 - alpha))
-    return total

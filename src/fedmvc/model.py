@@ -126,7 +126,7 @@ class ModelParams:
 
     def shared_span(self) -> slice:
         """Where the feature net and the cluster head sit in ``vector``."""
-        return slice(self._bounds[8 * self.arch.n_views], None)
+        return slice(self._bounds[8 * self.arch.n_views], self._bounds[-1])
 
     def owned_spans(self, view_subset: Sequence[int], shared: bool = True) -> list[slice]:
         """The coordinates a client with ``view_subset`` trains, ascending.
@@ -136,7 +136,7 @@ class ModelParams:
         """
         spans = [span for v in view_subset for span in self.view_spans(v)]
         if shared:
-            spans.append(slice(self._bounds[8 * self.arch.n_views], self._bounds[-1]))
+            spans.append(self.shared_span())
         merged: list[slice] = []
         for span in sorted(spans, key=lambda s: s.start):
             if merged and merged[-1].stop == span.start:

@@ -27,14 +27,12 @@ from fedmvc.federation import (
     run_federation,
 )
 from fedmvc.losses import (
-    LossComponents,
     drift_loss,
     feature_contrast_full,
     label_contrast,
     partial_contrast,
     reconstruction_loss,
     single_view_contrast,
-    total_loss,
 )
 from fedmvc.model import (
     Architecture,
@@ -220,32 +218,33 @@ class TestLocalTrainRound:
         tape = T.Tape()
         fwd = forward_views(tape, manual, views_b, want_probs=ctype == "full")
         feats = [fwd.feats[v] for v in subset]
-        comps = LossComponents(
-            recon=reconstruction_loss([views_b[v] for v in subset],
-                                      [fwd.recons[v] for v in subset]))
+        recon = reconstruction_loss([views_b[v] for v in subset],
+                                    [fwd.recons[v] for v in subset])
         frozen_feats = infer_fused(client.snapshot, views_b)
         global_feats = infer_fused(global_params, views_b)
         if ctype == "full":
-            comps.feature = feature_contrast_full(feats, cfg.tau)
-            comps.label = label_contrast([fwd.probs[v] for v in subset], cfg.tau)
+            feature = feature_contrast_full(feats, cfg.tau)
+            contrast = T.add(label_contrast([fwd.probs[v] for v in subset], cfg.tau),
+                             feature)
             pos, neg = frozen_feats, global_feats
         elif ctype == "partial":
-            comps.partial = partial_contrast(fwd.fused, feats, cfg.tau)
+            contrast = partial_contrast(fwd.fused, feats, cfg.tau)
             pos, neg = global_feats, frozen_feats
         else:
             (v0,) = subset
             x = views_b[v0]
             noisy = x + rng.standard_normal(x.shape) * cfg.sigma_noise
             noisy_feat = high_features(tape, manual, encode(tape, manual, noisy, v0))
-            comps.single = single_view_contrast(fwd.fused, fwd.feats[v0], noisy_feat,
-                                                cfg.tau)
+            contrast = single_view_contrast(fwd.fused, fwd.feats[v0], noisy_feat,
+                                            cfg.tau)
             pos, neg = global_feats, noisy_feat.value.copy()
         trainable = manual.trainable_params(subset)
-        comps.drift = drift_loss(
+        drift = drift_loss(
             fwd.fused, pos, neg, [tape.leaf(p) for p in trainable],
             [p.value for p in global_params.trainable_params(subset)],
             cfg.tau, cfg.mu)
-        tape.backward(total_loss(ctype, comps, cfg.alpha))
+        tape.backward(T.add(T.add(recon, T.scale(contrast, cfg.alpha)),
+                            T.scale(drift, 1.0 - cfg.alpha)))
         grad = manual.grad.copy()
         T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
                          manual.owned_spans(subset), workspace(manual)).step()
@@ -278,21 +277,21 @@ class TestLocalTrainRound:
                 views_b = {v: client.views[v][rows] for v in client.views}
                 tape = T.Tape()
                 fwd = forward_views(tape, manual, views_b, want_probs=True)
-                comps = LossComponents(
-                    recon=reconstruction_loss([views_b[v] for v in (0, 1)],
-                                              [fwd.recons[v] for v in (0, 1)]),
-                    feature=feature_contrast_full([fwd.feats[v] for v in (0, 1)],
-                                                  cfg.tau),
-                    label=label_contrast([fwd.probs[v] for v in (0, 1)], cfg.tau),
-                )
-                comps.drift = drift_loss(
+                recon = reconstruction_loss([views_b[v] for v in (0, 1)],
+                                            [fwd.recons[v] for v in (0, 1)])
+                feature = feature_contrast_full([fwd.feats[v] for v in (0, 1)],
+                                                cfg.tau)
+                contrast = T.add(label_contrast([fwd.probs[v] for v in (0, 1)],
+                                                cfg.tau), feature)
+                drift = drift_loss(
                     fwd.fused,
                     infer_fused(client.snapshot, views_b),
                     infer_fused(global_params, views_b),
                     [tape.leaf(p) for p in trainable],
                     [p.value for p in global_params.trainable_params((0, 1))],
                     cfg.tau, cfg.mu)
-                tape.backward(total_loss(CLIENT_FULL, comps, cfg.alpha))
+                tape.backward(T.add(T.add(recon, T.scale(contrast, cfg.alpha)),
+                                    T.scale(drift, 1.0 - cfg.alpha)))
                 opt.step()
                 steps += 1
         assert steps == 9
@@ -348,6 +347,73 @@ class TestLocalTrainRound:
         train_round(c1, init_params(ARCH, seed=1), cfg, round_index=1)
         train_round(c2, init_params(ARCH, seed=77), cfg, round_index=1)
         assert np.array_equal(c1.snapshot.vector, c2.snapshot.vector)
+
+
+CLIENTS3 = [("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))]
+
+
+def one_step_stats(ctype, subset, round_index, n=8, **overrides):
+    """The stats of a local round of one step: one epoch of one batch."""
+    client = make_client(ctype=ctype, subset=subset, n=n, seed=61, arch=ARCH3)
+    client.snapshot = init_params(ARCH3, seed=62)
+    cfg = tiny_config(local_epochs=1, batch_size=n, **overrides)
+    working = ModelParams(ARCH3, trainable=True)
+    return local_train_round(client, init_params(ARCH3, seed=63), cfg, round_index,
+                             working, workspace(working))
+
+
+class TestObjective:
+    """The step composes recon + alpha*contrast + (1 - alpha)*drift."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("no_contrast", [False, True])
+    @pytest.mark.parametrize("round_index", [1, 2])
+    @pytest.mark.parametrize("ctype,subset", CLIENTS3, ids=["full", "partial", "single"])
+    def test_total_composes_the_terms(self, ctype, subset, round_index, no_contrast,
+                                      alpha):
+        s = one_step_stats(ctype, subset, round_index, alpha=alpha,
+                           no_contrast=no_contrast)
+        if round_index == 1:
+            assert s["drift"] == 0.0
+            assert s["total"] == s["recon"] + alpha * s["contrast"]
+        else:
+            assert s["drift"] != 0.0
+            assert s["total"] == (s["recon"] + alpha * s["contrast"]
+                                  + (1 - alpha) * s["drift"])
+        assert (s["contrast"] == 0.0) == no_contrast
+
+    @pytest.mark.parametrize("round_index", [1, 2])
+    def test_one_row_partial_shard_has_no_contrast(self, round_index):
+        s = one_step_stats("partial", (0, 2), round_index, n=1, alpha=0.5)
+        assert s["contrast"] == 0.0
+        assert s["total"] == s["recon"] + 0.5 * s["drift"]
+
+    @pytest.mark.parametrize("ctype,subset", CLIENTS3, ids=["full", "partial", "single"])
+    def test_each_term_is_called_through_federation(self, monkeypatch, ctype, subset):
+        # the benchmark's tracer times the loss terms by these names
+        names = ("reconstruction_loss", "feature_contrast_full", "label_contrast",
+                 "partial_contrast", "single_view_contrast", "drift_loss")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(federation, name,
+                                counting(name, getattr(federation, name)))
+        client = make_client(ctype=ctype, subset=subset, n=8, seed=71, arch=ARCH3)
+        cfg = tiny_config(local_epochs=2, batch_size=4)
+        train_round(client, init_params(ARCH3, seed=72), cfg, round_index=2)
+        own = {"full": ("feature_contrast_full", "label_contrast"),
+               "partial": ("partial_contrast",),
+               "single": ("single_view_contrast",)}[ctype]
+        expected = dict.fromkeys(names, 0)
+        for name in ("reconstruction_loss", *own, "drift_loss"):
+            expected[name] = 4  # two epochs of two batches
+        assert calls == expected
 
 
 def batch_holding(row, n, batch_size, seed):

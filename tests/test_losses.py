@@ -17,10 +17,8 @@ from helpers import (
 )
 
 from fedmvc import tensor as T
-from fedmvc.data import CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE
 from fedmvc.errors import DimensionError
 from fedmvc.losses import (
-    LossComponents,
     cluster_size_entropy,
     drift_loss,
     feature_contrast_full,
@@ -28,7 +26,6 @@ from fedmvc.losses import (
     partial_contrast,
     reconstruction_loss,
     single_view_contrast,
-    total_loss,
 )
 
 TAU = 0.5
@@ -507,60 +504,6 @@ class TestDriftLoss:
 def test_contrasts_reject_mismatched_shapes(call):
     with pytest.raises(DimensionError, match="shape"):
         call(T.Tape())
-
-
-class TestTotalLoss:
-    def _components(self, tape):
-        return LossComponents(
-            recon=tape.constant([[2.0]]),
-            feature=tape.constant([[0.5]]),
-            label=tape.constant([[0.25]]),
-            drift=tape.constant([[4.0]]),
-        )
-
-    def test_full_assembly(self):
-        tape = T.Tape()
-        value = scalar(total_loss(CLIENT_FULL, self._components(tape), alpha=0.5))
-        assert value == pytest.approx(2.0 + 0.5 * 0.75 + 0.5 * 4.0)
-
-    def test_alpha_one_drops_drift(self):
-        tape = T.Tape()
-        value = scalar(total_loss(CLIENT_FULL, self._components(tape), alpha=1.0))
-        assert value == pytest.approx(2.0 + 0.75)
-
-    def test_alpha_zero_drops_contrast(self):
-        tape = T.Tape()
-        value = scalar(total_loss(CLIENT_FULL, self._components(tape), alpha=0.0))
-        assert value == pytest.approx(2.0 + 4.0)
-
-    def test_affine_in_alpha(self):
-        tape = T.Tape()
-        comps = self._components(tape)
-        values = [scalar(total_loss(CLIENT_FULL, comps, a))
-                  for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        diffs = np.diff(values)
-        assert np.allclose(diffs, diffs[0], rtol=1e-12)
-
-    def test_partial_and_single_assembly(self):
-        tape = T.Tape()
-        comps = LossComponents(recon=tape.constant([[1.0]]),
-                               partial=tape.constant([[3.0]]),
-                               drift=tape.constant([[2.0]]))
-        assert scalar(total_loss(CLIENT_PARTIAL, comps, 0.25)) == \
-            pytest.approx(1.0 + 0.25 * 3.0 + 0.75 * 2.0)
-        comps_s = LossComponents(recon=tape.constant([[1.0]]),
-                                 single=tape.constant([[3.0]]))
-        assert scalar(total_loss(CLIENT_SINGLE, comps_s, 0.25)) == \
-            pytest.approx(1.0 + 0.25 * 3.0)
-
-    def test_missing_component_rejected(self):
-        tape = T.Tape()
-        with pytest.raises(ValueError):
-            total_loss(CLIENT_FULL, LossComponents(recon=tape.constant([[1.0]])),
-                       0.5)
-        with pytest.raises(ValueError):
-            total_loss(CLIENT_PARTIAL, LossComponents(recon=tape.constant([[1.0]])),
-                       0.5)
 
 
 class TestFiniteness:
