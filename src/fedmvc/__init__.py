@@ -11,7 +11,7 @@ from .errors import (
     TrainingError,
 )
 from .evaluation import MetricsReport, accuracy, adjusted_rand_index, evaluate_global, kmeans, normalized_mutual_info
-from .federation import RoundReport, ServerState, run_federation
+from .federation import RoundReport, run_federation
 from .model import Architecture, ModelParams, init_params
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "MultiViewDataset",
     "PartitionError",
     "RoundReport",
-    "ServerState",
     "TrainingError",
     "accuracy",
     "adjusted_rand_index",

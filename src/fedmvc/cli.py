@@ -68,7 +68,6 @@ def _load_or_generate(config: ExperimentConfig, seeds):
 
 @dataclasses.dataclass
 class RunResult:
-    config: ExperimentConfig
     final: MetricsReport
     out_dir: Path
     csv_path: Path
@@ -93,9 +92,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     summary_rounds: list[dict] = []
     last_eval: dict[str, MetricsReport] = {}
 
-    def evaluate(round_index: int) -> MetricsReport:
+    def evaluate(global_params, round_index: int) -> MetricsReport:
         report = evaluate_global(
-            server.global_params, dataset,
+            global_params, dataset,
             n_restarts=config.eval_restarts, seed=seeds.evaluation,
             view_subset=config.eval_views, max_iter=config.kmeans_max_iter,
             tol=config.kmeans_tol, standardize=config.standardize)
@@ -103,17 +102,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         last_eval["report"] = report
         return report
 
-    server = None
-
-    def hook(state, round_report):
-        nonlocal server
-        server = state
+    def hook(global_params, round_report):
         is_last = round_report.round_index == config.rounds
         if round_report.round_index % config.eval_every == 0 or is_last:
-            evaluate(round_report.round_index)
+            evaluate(global_params, round_report.round_index)
         if config.checkpoint_every and (
                 round_report.round_index % config.checkpoint_every == 0):
-            save_checkpoint(state.global_params,
+            save_checkpoint(global_params,
                             out_dir / f"round_{round_report.round_index:04d}.ckpt")
         summary_rounds.append({
             "round": round_report.round_index,
@@ -121,17 +116,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "client_losses": round_report.client_losses,
         })
 
-    server, _reports = run_federation(config, dataset, seeds=seeds,
-                                      initial_global=initial_global,
-                                      round_hook=hook)
+    global_params = run_federation(config, dataset, seeds=seeds,
+                                   initial_global=initial_global, round_hook=hook)
     if config.rounds == 0:
-        evaluate(0)
+        evaluate(global_params, 0)
     final = last_eval["report"]
 
     csv_path = out_dir / "metrics.csv"
     csv_path.write_text(CSV_HEADER + "\n" + "\n".join(csv_rows) + "\n",
                         encoding="utf-8")
-    save_checkpoint(server.global_params, out_dir / "model.ckpt")
+    save_checkpoint(global_params, out_dir / "model.ckpt")
     save_config(config, out_dir / "config.json")
     summary = {
         "config": config.to_mapping(),
@@ -147,7 +141,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    return RunResult(config, final, out_dir, csv_path)
+    return RunResult(final, out_dir, csv_path)
 
 
 def run_sweep(config: ExperimentConfig, param: str, values: list) -> Path:

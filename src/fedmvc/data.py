@@ -18,7 +18,6 @@ from .errors import ConfigError, DataFormatError, PartitionError
 CLIENT_FULL = "full"
 CLIENT_PARTIAL = "partial"
 CLIENT_SINGLE = "single"
-CLIENT_TYPES = (CLIENT_FULL, CLIENT_PARTIAL, CLIENT_SINGLE)
 
 _MAGIC = b"MVD1"
 _VERSION = 1
@@ -89,16 +88,18 @@ class MultiViewDataset:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One participant's slice of the dataset: which views, which rows."""
+    """One participant's slice of the dataset: which views, which rows.
+
+    The one record of a client: aggregation weighs it by ``n_samples`` and
+    ``n_views``, and its type follows from ``n_views``
+    (:func:`client_type_for`).
+    """
 
     client_id: int
-    client_type: str
     view_subset: tuple[int, ...]
     sample_indices: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if self.client_type not in CLIENT_TYPES:
-            raise ConfigError(f"unknown client type {self.client_type!r}")
         if len(self.view_subset) == 0:
             raise ConfigError("view subset must be nonempty")
         if len(set(self.view_subset)) != len(self.view_subset):
@@ -207,8 +208,8 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None,
 
 def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
                  counts: tuple[int, int, int] | None = None
-                 ) -> list[tuple[str, tuple[int, ...]]]:
-    """Decide each client's view subset and the resulting client type.
+                 ) -> list[tuple[int, ...]]:
+    """Decide each client's view subset.
 
     ``mixed`` draws subset sizes uniformly from 1..V unless ``counts``
     fixes the composition as (full, partial, single). Assignments are
@@ -222,7 +223,7 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
 
     all_views = tuple(range(n_views))
     if scenario == "full_only":
-        return [(CLIENT_FULL, all_views) for _ in range(n_clients)]
+        return [all_views] * n_clients
 
     if scenario == "single_only":
         if n_clients < n_views:
@@ -253,7 +254,7 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
             else:
                 subsets.append(tuple(sorted(rng.choice(n_views, size=size, replace=False))))
         if set().union(*subsets) == set(all_views):
-            return [(client_type_for(len(s), n_views), s) for s in subsets]
+            return subsets
     raise ConfigError(
         f"could not cover all {n_views} views with {n_clients} clients after "
         f"{ASSIGN_RETRIES} draws (scenario={scenario})")
@@ -303,17 +304,3 @@ def load_dataset(path) -> MultiViewDataset:
     if pos != len(blob):
         raise DataFormatError(f"unexpected {len(blob) - pos} trailing bytes")
     return MultiViewDataset(views, labels, int(n_clusters))
-
-
-def load_csv_dataset(view_paths: Sequence, labels_path=None,
-                     n_clusters: int | None = None) -> MultiViewDataset:
-    """Import one CSV file per view (N rows each) plus an optional labels file."""
-    views = [np.loadtxt(p, delimiter=",", ndmin=2, dtype=np.float64) for p in view_paths]
-    labels = None
-    if labels_path is not None:
-        labels = np.loadtxt(labels_path, delimiter=",", dtype=np.int64).reshape(-1)
-    if n_clusters is None:
-        if labels is None:
-            raise ConfigError("n_clusters is required when no labels file is given")
-        n_clusters = int(labels.max()) + 1
-    return MultiViewDataset(views, labels, n_clusters)

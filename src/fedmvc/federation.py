@@ -17,7 +17,7 @@ batch on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,13 +72,6 @@ def derive_seeds(master_seed: int) -> RunSeeds:
     return RunSeeds(*np.random.SeedSequence(master_seed).spawn(6))
 
 
-@dataclass(frozen=True)
-class ClientInfo:
-    client_id: int
-    n_samples: int
-    n_views: int
-
-
 @dataclass
 class RoundReport:
     round_index: int
@@ -113,12 +106,11 @@ class ClientState:
     snapshot: ModelParams
     rng: np.random.Generator
 
-
-@dataclass
-class ServerState:
-    global_params: ModelParams
-    round_index: int = 0
-    registry: list[ClientInfo] = field(default_factory=list)
+    @property
+    def client_type(self) -> str:
+        """Full, partial or single, from how many of the model's views the
+        shard holds."""
+        return client_type_for(self.shard.n_views, self.snapshot.arch.n_views)
 
 
 def _batches(rng: np.random.Generator, n: int, batch_size: int):
@@ -213,7 +205,7 @@ def _drift_references(client: ClientState, global_params: ModelParams,
     Single-view clients pull toward the global model, and their negative
     (``None`` here) is the current model on noisy input, drawn per batch.
     """
-    ctype = client.shard.client_type
+    ctype = client.client_type
     if ctype == CLIENT_FULL:
         return (infer_fused(client.snapshot, client.views),
                 infer_fused(global_params, client.views))
@@ -237,7 +229,7 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
     drift, and then the drift term is left out."""
     use_drift = refs is not None
     shard = client.shard
-    ctype = shard.client_type
+    ctype = client.client_type
     views_b = {v: x[rows] for v, x in client.views.items()}
     order = sorted(views_b)
     tape = Tape()
@@ -323,25 +315,20 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
         ("recon", "contrast", "drift", "total"))
 
 
-def compute_weights(registry: Sequence[ClientInfo], total_views: int,
+def compute_weights(shards: Sequence[ClientShard], total_views: int,
                     mode: str) -> np.ndarray:
-    """Aggregation weights: each client's sample count, times its view
+    """Aggregation weights: each shard's sample count, times its view
     coverage ``n_views / total_views`` in ``linear`` mode (the balanced
     aggregation) or times 1 in ``uniform`` mode (sample count alone, the
-    FedAvg ablation), normalized to sum to 1."""
-    if not registry:
-        raise ValueError("cannot compute weights for an empty client registry")
+    FedAvg ablation), normalized to sum to 1.
+
+    A shard is never empty (:class:`ClientShard` rejects that), and
+    :func:`build_clients` keeps its views within ``total_views``."""
+    if not shards:
+        raise ValueError("cannot compute weights for no clients")
     check(alpha_c_mode=mode)
-    raw = []
-    for info in registry:
-        if info.n_samples < 1:
-            raise ConfigError(f"client {info.client_id} reports zero samples")
-        if not 1 <= info.n_views <= total_views:
-            raise ConfigError(
-                f"client {info.client_id} reports {info.n_views} views of {total_views}")
-        coverage = info.n_views / total_views if mode == "linear" else 1.0
-        raw.append(coverage * info.n_samples)
-    raw = np.asarray(raw, dtype=np.float64)
+    raw = np.asarray([(s.n_views / total_views if mode == "linear" else 1.0)
+                      * s.n_samples for s in shards], dtype=np.float64)
     return raw / raw.sum()
 
 
@@ -408,11 +395,6 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
     children = train_seed.spawn(len(shards))
     clients = []
     for shard, child in zip(shards, children):
-        expected = client_type_for(shard.n_views, dataset.n_views)
-        if shard.client_type != expected:
-            raise ConfigError(
-                f"client {shard.client_id}: type {shard.client_type!r} does not "
-                f"match a {shard.n_views}-of-{dataset.n_views} view subset")
         if any(not 0 <= v < dataset.n_views for v in shard.view_subset):
             raise ConfigError(
                 f"client {shard.client_id}: view subset {shard.view_subset} out "
@@ -431,12 +413,14 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
 def run_federation(config, dataset: MultiViewDataset,
                    seeds: RunSeeds | None = None,
                    initial_global: ModelParams | None = None,
-                   round_hook: Callable[[ServerState, RoundReport], None] | None = None,
-                   ) -> tuple[ServerState, list[RoundReport]]:
+                   round_hook: Callable[[ModelParams, RoundReport], None] | None = None,
+                   ) -> ModelParams:
     """Full pipeline: partition, warm-up, then R rounds of train/aggregate.
 
-    Deterministic per master seed; ``round_hook`` (if given) runs after
-    each round's aggregation with the updated server state.
+    Deterministic per master seed. Returns the final global model, which
+    is the initial one when ``config.rounds`` is 0. ``round_hook`` (if
+    given) runs after each round's aggregation with the new global model
+    and the round's report; it is the only way reports leave the run.
     """
     config.validate()
     if seeds is None:
@@ -452,8 +436,8 @@ def run_federation(config, dataset: MultiViewDataset,
     parts = dirichlet_partition(
         work.labels if work.labels is not None else np.zeros(work.n_samples),
         config.n_clients, config.dirichlet_beta, seeds.partition)
-    shards = [ClientShard(i, ctype, subset, idx)
-              for i, ((ctype, subset), idx) in enumerate(zip(assignments, parts))]
+    shards = [ClientShard(i, subset, idx)
+              for i, (subset, idx) in enumerate(zip(assignments, parts))]
 
     arch = Architecture(work.view_dims, work.n_clusters, config.latent_dim,
                         config.high_dim, config.hidden)
@@ -463,10 +447,8 @@ def run_federation(config, dataset: MultiViewDataset,
         raise ConfigError(
             f"resume checkpoint architecture {initial_global.arch} does not match "
             f"the configured architecture {arch}")
-    server = ServerState(global_params=initial_global,
-                         registry=[ClientInfo(s.client_id, s.n_samples, s.n_views)
-                                   for s in shards])
-    clients = build_clients(work, shards, server.global_params, seeds.train)
+    global_params = initial_global
+    clients = build_clients(work, shards, global_params, seeds.train)
     # clients train one after another, so one working model with its
     # gradient and one optimizer state serve the whole run
     working = ModelParams(arch, trainable=True)
@@ -474,18 +456,14 @@ def run_federation(config, dataset: MultiViewDataset,
     for c in clients:
         pretrain_client(c, config, working, workspace)
 
-    # the registry never changes, so neither do the weights
-    weights = compute_weights(server.registry, work.n_views, config.alpha_c_mode)
-    reports: list[RoundReport] = []
+    # the shards never change, so neither do the weights
+    weights = compute_weights(shards, work.n_views, config.alpha_c_mode)
     for r in range(1, config.rounds + 1):
         t0 = time.perf_counter()
-        losses = [local_train_round(c, server.global_params, config, r, working,
-                                    workspace)
+        losses = [local_train_round(c, global_params, config, r, working, workspace)
                   for c in clients]
-        server.global_params = aggregate(server.global_params,
-                                         [c.snapshot for c in clients],
-                                         shards, weights)
-        server.round_index = r
+        global_params = aggregate(global_params, [c.snapshot for c in clients],
+                                  shards, weights)
         report = RoundReport(
             round_index=r,
             client_losses={c.shard.client_id: stats
@@ -493,7 +471,6 @@ def run_federation(config, dataset: MultiViewDataset,
             weights=[float(w) for w in weights],
             wall_time=time.perf_counter() - t0,
         )
-        reports.append(report)
         if round_hook is not None:
-            round_hook(server, report)
-    return server, reports
+            round_hook(global_params, report)
+    return global_params

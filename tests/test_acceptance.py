@@ -15,7 +15,7 @@ from helpers import central_diff, param, rel_error
 from fedmvc import tensor as T
 from fedmvc.cli import run_experiment
 from fedmvc.config import ExperimentConfig
-from fedmvc.data import dirichlet_partition
+from fedmvc.data import ClientShard, dirichlet_partition
 from fedmvc.evaluation import (
     accuracy,
     adjusted_rand_index,
@@ -23,7 +23,7 @@ from fedmvc.evaluation import (
     kmeans_best,
     normalized_mutual_info,
 )
-from fedmvc.federation import ClientInfo, aggregate, compute_weights
+from fedmvc.federation import aggregate, compute_weights
 from fedmvc.losses import (
     cluster_size_entropy,
     drift_loss,
@@ -34,7 +34,6 @@ from fedmvc.losses import (
     single_view_contrast,
 )
 from fedmvc.model import Architecture, init_params
-from fedmvc.data import ClientShard
 
 TAU = 0.5
 
@@ -152,26 +151,25 @@ def test_criterion_3_aggregation():
     for _ in range(1000):
         c = int(rng.integers(1, 12))
         total_views = int(rng.integers(1, 6))
-        registry = [ClientInfo(i, int(rng.integers(1, 1000)),
-                               int(rng.integers(1, total_views + 1)))
-                    for i in range(c)]
+        shards = [ClientShard(i, tuple(range(int(rng.integers(1, total_views + 1)))),
+                              np.arange(int(rng.integers(1, 1000))))
+                  for i in range(c)]
         mode = ("linear", "uniform")[int(rng.integers(2))]
-        w = compute_weights(registry, total_views, mode)
+        w = compute_weights(shards, total_views, mode)
         worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
 
     arch = Architecture((4, 3), 2, 4, 5, 6)
     base = init_params(arch, seed=0)
     params = [init_params(arch, seed=s) for s in (1, 2, 3)]
-    shards = [ClientShard(i, "full", (0, 1), np.arange(4) + 10 * i)
-              for i in range(3)]
-    w = compute_weights([ClientInfo(i, 50, 2) for i in range(3)], 2, "linear")
+    shards = [ClientShard(i, (0, 1), np.arange(4) + 10 * i) for i in range(3)]
+    w = compute_weights(shards, 2, "linear")
     merged = aggregate(base, params, shards, w)
     mean = np.mean([p.vector for p in params], axis=0)
     uniform_dev = float(np.abs(merged.vector - mean).max())
 
-    shards_masked = [ClientShard(0, "full", (0, 1), np.arange(4)),
-                     ClientShard(1, "full", (0, 1), np.arange(4) + 10),
-                     ClientShard(2, "single", (1,), np.arange(4) + 20)]
+    shards_masked = [ClientShard(0, (0, 1), np.arange(4)),
+                     ClientShard(1, (0, 1), np.arange(4) + 10),
+                     ClientShard(2, (1,), np.arange(4) + 20)]
     masked = aggregate(base, params, shards_masked, [0.2, 0.3, 0.5])
     renorm_dev = 0.0
     for slot, (a, b) in enumerate(zip(params[0].view_params(0),

@@ -20,6 +20,7 @@ from fedmvc.config import (
     parse_field,
 )
 from fedmvc.data import (
+    ClientShard,
     MultiViewDataset,
     assign_views,
     dirichlet_partition,
@@ -29,7 +30,7 @@ from fedmvc.data import (
 )
 from fedmvc.errors import ConfigError
 from fedmvc.evaluation import eval_view_order, kmeans, kmeans_best
-from fedmvc.federation import ClientInfo, compute_weights
+from fedmvc.federation import compute_weights
 from fedmvc.model import Architecture, init_params, load_checkpoint, save_checkpoint
 
 TINY = dict(seed=3, n_clusters=2, n_samples=30, view_dims=(4, 3),
@@ -185,7 +186,8 @@ LIBRARY_ENTRIES = {
     "latent_dim": [lambda v: Architecture((2,), 2, v, 4, 6)],
     "high_dim": [lambda v: Architecture((2,), 2, 4, v, 6)],
     "hidden": [lambda v: Architecture((2,), 2, 4, 4, v)],
-    "alpha_c_mode": [lambda v: compute_weights([ClientInfo(0, 5, 1)], 1, v)],
+    "alpha_c_mode": [
+        lambda v: compute_weights([ClientShard(0, (0,), np.arange(5))], 1, v)],
     "eval_restarts": [lambda v: kmeans_best(_POINTS, 2, n_restarts=v)],
     "eval_views": [lambda v: eval_view_order(v, 3)],
 }

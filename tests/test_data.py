@@ -12,9 +12,9 @@ from fedmvc.data import (
     ClientShard,
     MultiViewDataset,
     assign_views,
+    client_type_for,
     dirichlet_partition,
     generate_blobs,
-    load_csv_dataset,
     load_dataset,
     save_dataset,
 )
@@ -123,20 +123,26 @@ class TestDirichletPartition:
             dirichlet_partition(np.zeros(10, dtype=int), 2, beta=-1.0)
 
 
+def types_of(subsets, n_views):
+    return [client_type_for(len(s), n_views) for s in subsets]
+
+
 class TestAssignViews:
     def test_full_only(self):
         out = assign_views(4, 3, "full_only", seed=0)
-        assert out == [(CLIENT_FULL, (0, 1, 2))] * 4
+        assert out == [(0, 1, 2)] * 4
+        assert types_of(out, 3) == [CLIENT_FULL] * 4
 
     def test_single_only_sizes(self):
         out = assign_views(7, 3, "single_only", seed=1)
-        assert all(t == CLIENT_SINGLE and len(s) == 1 for t, s in out)
-        assert set().union(*(s for _, s in out)) == {0, 1, 2}
+        assert all(len(s) == 1 for s in out)
+        assert types_of(out, 3) == [CLIENT_SINGLE] * 7
+        assert set().union(*out) == {0, 1, 2}
 
     def test_mixed_covers_views_and_types_match(self):
         out = assign_views(6, 3, "mixed", seed=2)
-        assert set().union(*(s for _, s in out)) == {0, 1, 2}
-        for ctype, subset in out:
+        assert set().union(*out) == {0, 1, 2}
+        for ctype, subset in zip(types_of(out, 3), out):
             if len(subset) == 3:
                 assert ctype == CLIENT_FULL
             elif len(subset) == 1:
@@ -146,11 +152,11 @@ class TestAssignViews:
 
     def test_mixed_with_fixed_counts(self):
         out = assign_views(6, 3, "mixed", seed=3, counts=(2, 2, 2))
-        types = [t for t, _ in out]
+        types = types_of(out, 3)
         assert types.count(CLIENT_FULL) == 2
         assert types.count(CLIENT_PARTIAL) == 2
         assert types.count(CLIENT_SINGLE) == 2
-        assert set().union(*(s for _, s in out)) == {0, 1, 2}
+        assert set().union(*out) == {0, 1, 2}
 
     def test_uncoverable_configuration(self):
         with pytest.raises(ConfigError):
@@ -166,11 +172,11 @@ class TestAssignViews:
 class TestShardInvariants:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ConfigError):
-            ClientShard(0, CLIENT_FULL, (0,), np.array([1, 1, 2]))
+            ClientShard(0, (0,), np.array([1, 1, 2]))
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ConfigError):
-            ClientShard(0, CLIENT_SINGLE, (0,), np.array([], dtype=int))
+            ClientShard(0, (0,), np.array([], dtype=int))
 
 
 class TestDatasetIO:
@@ -229,26 +235,3 @@ class TestDatasetIO:
         for v in std.views:
             assert np.abs(v.mean(axis=0)).max() < 1e-12
             assert np.abs(v.std(axis=0) - 1.0).max() < 1e-12
-
-    def test_csv_import(self, tmp_path):
-        ds = self._random_dataset()
-        paths = []
-        for i, v in enumerate(ds.views):
-            p = tmp_path / f"view{i}.csv"
-            np.savetxt(p, v, delimiter=",")
-            paths.append(p)
-        labels_path = tmp_path / "labels.csv"
-        np.savetxt(labels_path, ds.labels, delimiter=",", fmt="%d")
-        loaded = load_csv_dataset(paths, labels_path)
-        assert loaded.n_clusters == 4
-        assert np.array_equal(loaded.labels, ds.labels)
-        for a, b in zip(ds.views, loaded.views):
-            assert np.allclose(a, b, atol=1e-12)
-
-    def test_csv_unlabeled_needs_k(self, tmp_path):
-        p = tmp_path / "v.csv"
-        np.savetxt(p, np.ones((3, 2)), delimiter=",")
-        with pytest.raises(ConfigError):
-            load_csv_dataset([p])
-        ds = load_csv_dataset([p], n_clusters=2)
-        assert ds.n_clusters == 2

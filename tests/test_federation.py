@@ -1,6 +1,7 @@
 """Round loop: local training, weights, masked aggregation, determinism."""
 
 import gc
+import itertools
 import re
 
 import numpy as np
@@ -12,10 +13,9 @@ from hypothesis import strategies as st
 from fedmvc import federation
 from fedmvc import tensor as T
 from fedmvc.config import ExperimentConfig
-from fedmvc.data import CLIENT_FULL, ClientShard, client_type_for, generate_blobs
+from fedmvc.data import ClientShard, client_type_for, generate_blobs
 from fedmvc.errors import ConfigError, TrainingError
 from fedmvc.federation import (
-    ClientInfo,
     ClientState,
     aggregate,
     broadcast,
@@ -63,10 +63,9 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def make_client(client_id=0, ctype=CLIENT_FULL, subset=(0, 1), n=12, seed=5,
-                arch=ARCH):
+def make_client(client_id=0, subset=(0, 1), n=12, seed=5, arch=ARCH):
     rng = np.random.default_rng(seed)
-    shard = ClientShard(client_id, ctype, subset, np.arange(n))
+    shard = ClientShard(client_id, subset, np.arange(n))
     views = {v: rng.standard_normal((n, arch.view_dims[v])) for v in subset}
     return ClientState(shard=shard, views=views, snapshot=init_params(arch, seed=seed),
                        rng=np.random.default_rng(seed + 100))
@@ -91,6 +90,22 @@ def train_round(client, global_params, cfg, round_index):
     working = ModelParams(client.snapshot.arch, trainable=True)
     local_train_round(client, global_params, cfg, round_index, working,
                       workspace(working))
+
+
+class TestClientType:
+    @pytest.mark.parametrize("view_dims,expected", [
+        ((4,), ["full"]),  # the one view is all views
+        ((4, 3), ["single", "full"]),
+        ((4, 3, 2), ["single", "partial", "full"]),
+    ])
+    def test_follows_the_subset_size(self, view_dims, expected):
+        n_views = len(view_dims)
+        arch = Architecture(view_dims, n_clusters=2, latent_dim=4, high_dim=5,
+                            hidden=6)
+        for size, ctype in enumerate(expected, start=1):
+            assert client_type_for(size, n_views) == ctype
+            for subset in itertools.combinations(range(n_views), size):
+                assert make_client(subset=subset, n=4, arch=arch).client_type == ctype
 
 
 class TestPretrain:
@@ -146,7 +161,7 @@ class TestPretrain:
     def test_warmup_never_touches_the_shared_nets(self, ctype, subset, optimizer):
         # warm-up steps only the owned autoencoder spans; that is exact only
         # because the reconstruction loss gives the shared nets no gradient
-        client = make_client(ctype=ctype, subset=subset, n=11, seed=61, arch=ARCH3)
+        client = make_client(subset=subset, n=11, seed=61, arch=ARCH3)
         snapshot = client.snapshot
         shared = snapshot.shared_span()
         before = snapshot.vector.copy()
@@ -177,8 +192,7 @@ class TestLocalTrainRound:
             train_round(client, None, tiny_config(), round_index=1)
 
     def test_unowned_view_params_untouched(self):
-        client = make_client(ctype="partial", subset=(0,), n=10)
-        client.shard = ClientShard(0, "single", (0,), np.arange(10))
+        client = make_client(subset=(0,), n=10)
         cfg = tiny_config(local_epochs=3, batch_size=4)
         global_params = init_params(ARCH, seed=3)
         initial = init_params(ARCH, seed=5)  # the client's first snapshot
@@ -205,7 +219,7 @@ class TestLocalTrainRound:
         monkeypatch.setattr(federation, "make_optimizer",
                             lambda mode, lr, *buffers: RecordingAdam(lr, *buffers))
         n = 8
-        client = make_client(ctype=ctype, subset=subset, n=n, seed=51, arch=ARCH3)
+        client = make_client(subset=subset, n=n, seed=51, arch=ARCH3)
         client.snapshot = init_params(ARCH3, seed=52)
         global_params = init_params(ARCH3, seed=53)
         cfg = tiny_config(local_epochs=1, batch_size=n, lr=2e-3)
@@ -311,7 +325,7 @@ class TestLocalTrainRound:
             return infer_fused(params, views)
 
         monkeypatch.setattr(federation, "infer_fused", counting)
-        client = make_client(ctype=ctype, subset=subset, n=n, seed=41, arch=ARCH3)
+        client = make_client(subset=subset, n=n, seed=41, arch=ARCH3)
         cfg = tiny_config(local_epochs=3, batch_size=4)
         global_params = init_params(ARCH3, seed=42)
         train_round(client, global_params, cfg, round_index=1)
@@ -354,7 +368,7 @@ CLIENTS3 = [("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))]
 
 def one_step_stats(ctype, subset, round_index, n=8, **overrides):
     """The stats of a local round of one step: one epoch of one batch."""
-    client = make_client(ctype=ctype, subset=subset, n=n, seed=61, arch=ARCH3)
+    client = make_client(subset=subset, n=n, seed=61, arch=ARCH3)
     client.snapshot = init_params(ARCH3, seed=62)
     cfg = tiny_config(local_epochs=1, batch_size=n, **overrides)
     working = ModelParams(ARCH3, trainable=True)
@@ -404,7 +418,7 @@ class TestObjective:
         for name in names:
             monkeypatch.setattr(federation, name,
                                 counting(name, getattr(federation, name)))
-        client = make_client(ctype=ctype, subset=subset, n=8, seed=71, arch=ARCH3)
+        client = make_client(subset=subset, n=8, seed=71, arch=ARCH3)
         cfg = tiny_config(local_epochs=2, batch_size=4)
         train_round(client, init_params(ARCH3, seed=72), cfg, round_index=2)
         own = {"full": ("feature_contrast_full", "label_contrast"),
@@ -480,53 +494,56 @@ class TestTrainingErrors:
             train_round(client, init_params(ARCH, seed=1), cfg, round_index=2)
 
 
+def shard_of(client_id, n_samples, n_views):
+    """A shard of ``n_samples`` rows holding the first ``n_views`` views."""
+    return ClientShard(client_id, tuple(range(n_views)), np.arange(n_samples))
+
+
 class TestWeights:
     def test_uniform_when_equal(self):
-        registry = [ClientInfo(i, 10, 2) for i in range(4)]
-        w = compute_weights(registry, 3, "linear")
+        shards = [shard_of(i, 10, 2) for i in range(4)]
+        w = compute_weights(shards, 3, "linear")
         assert np.allclose(w, 0.25, atol=1e-15)
         assert abs(w.sum() - 1.0) < 1e-12
 
     def test_view_coverage_example(self):
-        registry = [ClientInfo(0, 50, 1), ClientInfo(1, 50, 3)]
-        w = compute_weights(registry, 3, "linear")
+        shards = [shard_of(0, 50, 1), shard_of(1, 50, 3)]
+        w = compute_weights(shards, 3, "linear")
         assert np.allclose(w, [0.25, 0.75], atol=1e-12)
 
     def test_sample_scale_invariance(self):
-        registry = [ClientInfo(0, 10, 1), ClientInfo(1, 30, 2)]
-        doubled = [ClientInfo(0, 20, 1), ClientInfo(1, 60, 2)]
-        assert np.allclose(compute_weights(registry, 2, "linear"),
+        shards = [shard_of(0, 10, 1), shard_of(1, 30, 2)]
+        doubled = [shard_of(0, 20, 1), shard_of(1, 60, 2)]
+        assert np.allclose(compute_weights(shards, 2, "linear"),
                            compute_weights(doubled, 2, "linear"), atol=1e-15)
 
     def test_modes(self):
-        registry = [ClientInfo(0, 10, 1), ClientInfo(1, 10, 2)]
-        lin = compute_weights(registry, 2, "linear")
-        unif = compute_weights(registry, 2, "uniform")
+        shards = [shard_of(0, 10, 1), shard_of(1, 10, 2)]
+        lin = compute_weights(shards, 2, "linear")
+        unif = compute_weights(shards, 2, "uniform")
         assert np.allclose(lin, [1 / 3, 2 / 3])
         assert np.allclose(unif, [0.5, 0.5])
 
-    def test_empty_registry(self):
+    def test_no_clients(self):
         with pytest.raises(ValueError):
             compute_weights([], 2, "linear")
 
-    def test_random_registries_sum_to_one(self):
+    def test_random_shards_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             c = int(rng.integers(1, 12))
             total_views = int(rng.integers(1, 6))
-            registry = [ClientInfo(i, int(rng.integers(1, 500)),
-                                   int(rng.integers(1, total_views + 1)))
-                        for i in range(c)]
+            shards = [shard_of(i, int(rng.integers(1, 500)),
+                               int(rng.integers(1, total_views + 1)))
+                      for i in range(c)]
             mode = ("linear", "uniform")[int(rng.integers(2))]
-            w = compute_weights(registry, total_views, mode)
+            w = compute_weights(shards, total_views, mode)
             assert abs(w.sum() - 1.0) < 1e-12
             assert (w > 0).all()
 
 
 def shard_for(client_id, subset, n=4):
-    ctype = CLIENT_FULL if len(subset) == 2 else "single"
-    return ClientShard(client_id, ctype, subset,
-                       np.arange(n) + 100 * client_id)
+    return ClientShard(client_id, subset, np.arange(n) + 100 * client_id)
 
 
 class TestAggregate:
@@ -552,7 +569,7 @@ class TestAggregate:
         g = init_params(ARCH, seed=0)
         params = [init_params(ARCH, seed=s) for s in (1, 2, 3)]
         shards = [shard_for(0, (0, 1)), shard_for(1, (0, 1)),
-                  ClientShard(2, "single", (1,), np.arange(4) + 500)]
+                  ClientShard(2, (1,), np.arange(4) + 500)]
         weights = [0.2, 0.3, 0.5]
         out = aggregate(g, params, shards, weights)
         expected = 0.4 * params[0].encoders[0][0].value \
@@ -566,7 +583,7 @@ class TestAggregate:
     def test_orphan_view_keeps_global(self):
         g = init_params(ARCH, seed=0)
         params = [init_params(ARCH, seed=1)]
-        shards = [ClientShard(0, "single", (0,), np.arange(4))]
+        shards = [ClientShard(0, (0,), np.arange(4))]
         out = aggregate(g, params, shards, [1.0])
         for a, b in zip(out.view_params(1), g.view_params(1)):
             assert np.array_equal(a.value, b.value)
@@ -577,7 +594,7 @@ class TestAggregate:
         g = init_params(ARCH, seed=0)
         params = [init_params(ARCH, seed=s) for s in (1, 2, 3, 4)]
         shards = [shard_for(i, (0, 1)) for i in range(4)]
-        w = compute_weights([ClientInfo(i, 25, 2) for i in range(4)], 2, "linear")
+        w = compute_weights(shards, 2, "linear")
         out = aggregate(g, params, shards, w)
         mean = np.mean([p.vector for p in params], axis=0)
         assert np.abs(out.vector - mean).max() < 1e-12
@@ -610,9 +627,7 @@ class TestAggregateProperty:
         prev, *params = [init_params(arch, seed=0) for _ in range(len(ids) + 1)]
         for p in (prev, *params):
             p.vector[:] = rng.standard_normal(p.vector.size)
-        shards = [ClientShard(cid, client_type_for(len(sub), len(view_dims)), sub,
-                              np.arange(3))
-                  for cid, sub in zip(ids, subsets)]
+        shards = [ClientShard(cid, sub, np.arange(3)) for cid, sub in zip(ids, subsets)]
         out = aggregate(prev, params, shards, weights)
         expected = aggregate_reference(prev, params, shards, weights)
         assert out.vector.tobytes() == expected.tobytes()
@@ -643,9 +658,9 @@ class TestSharedWorkingModel:
         cfg = tiny_config(view_dims=(4, 3, 2), local_epochs=2, batch_size=5)
         warm_cfg = cfg.replace(warmup_epochs=2, batch_size=4)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
-        shards = [ClientShard(0, "full", (0, 1, 2), np.arange(0, 12)),
-                  ClientShard(1, "partial", (0, 2), np.arange(12, 24)),
-                  ClientShard(2, "single", (1,), np.arange(24, 36))]
+        shards = [ClientShard(0, (0, 1, 2), np.arange(0, 12)),
+                  ClientShard(1, (0, 2), np.arange(12, 24)),
+                  ClientShard(2, (1,), np.arange(24, 36))]
         base, global_params = init_params(ARCH3, seed=0), init_params(ARCH3, seed=1)
 
         def run(order):
@@ -670,74 +685,87 @@ class TestSharedWorkingModel:
         assert len({snapshot for snapshot, _, _ in forward.values()}) == 3
 
 
+def initial_global(cfg, view_dims):
+    """The global model a run with ``cfg`` starts from."""
+    arch = Architecture(view_dims, cfg.n_clusters, cfg.latent_dim, cfg.high_dim,
+                        cfg.hidden)
+    return init_params(arch, derive_seeds(cfg.seed).init)
+
+
 class TestRunFederation:
     def test_zero_rounds_returns_initial(self):
         cfg = tiny_config(rounds=0, warmup_epochs=0)
         ds = generate_blobs(2, 40, (4, 3), 5.0, 1.0, seed=0)
-        seeds = derive_seeds(cfg.seed)
-        server, reports = run_federation(cfg, ds, seeds=seeds)
-        expected = init_params(
-            Architecture((4, 3), 2, cfg.latent_dim, cfg.high_dim, cfg.hidden),
-            seeds.init)
+        reports = []
+        global_params = run_federation(cfg, ds, round_hook=lambda g, r: reports.append(r))
         assert reports == []
-        assert np.array_equal(server.global_params.vector, expected.vector)
+        assert np.array_equal(global_params.vector, initial_global(cfg, (4, 3)).vector)
+
+    def test_returns_the_model_the_last_hook_received(self):
+        cfg = tiny_config(rounds=3, warmup_epochs=1)
+        ds = generate_blobs(2, 40, (4, 3), 5.0, 1.0, seed=6)
+        received = []
+        global_params = run_federation(
+            cfg, ds, round_hook=lambda g, r: received.append((g, r.round_index)))
+        assert [r for _, r in received] == [1, 2, 3]
+        assert global_params is received[-1][0]
+        # each round aggregates into a new model
+        assert len({id(g) for g, _ in received}) == 3
 
     def test_single_full_client_round_is_its_params(self):
         cfg = tiny_config(n_clients=1, rounds=1, warmup_epochs=2)
         ds = generate_blobs(2, 30, (4, 3), 5.0, 1.0, seed=1)
         captured = {}
 
-        def hook(server, report):
+        def hook(global_params, report):
             captured["weights"] = report.weights
 
-        server, _ = run_federation(cfg, ds, round_hook=hook)
+        global_params = run_federation(cfg, ds, round_hook=hook)
         assert captured["weights"] == [1.0]
 
         # the same steps composed by hand: with weight 1 the aggregate IS
         # the lone client's trained parameters
         seeds = derive_seeds(cfg.seed)
         work = ds.standardized()
-        shards = [ClientShard(0, "full", (0, 1), np.arange(30))]
-        base = init_params(server.global_params.arch, seeds.init)
+        shards = [ClientShard(0, (0, 1), np.arange(30))]
+        base = init_params(global_params.arch, seeds.init)
         clients = build_clients(work, shards, base, seeds.train)
         working = ModelParams(base.arch, trainable=True)
         pretrain_client(clients[0], cfg, working, workspace(base))
         local_train_round(clients[0], base, cfg, 1, working, workspace(base))
         merged = aggregate(base, [clients[0].snapshot], shards, [1.0])
-        assert np.array_equal(server.global_params.vector, merged.vector)
+        assert np.array_equal(global_params.vector, merged.vector)
         assert np.array_equal(merged.vector, clients[0].snapshot.vector)
 
     def test_deterministic_reruns(self):
         cfg = tiny_config(rounds=2, warmup_epochs=1, scenario="mixed",
                           view_dims=(4, 3), n_clients=3)
         ds = generate_blobs(2, 36, (4, 3), 5.0, 1.0, seed=2)
-        a, _ = run_federation(cfg, ds)
-        b, _ = run_federation(cfg, ds)
-        assert np.array_equal(a.global_params.vector, b.global_params.vector)
+        a = run_federation(cfg, ds)
+        b = run_federation(cfg, ds)
+        assert np.array_equal(a.vector, b.vector)
 
     def test_weights_reported_and_sum_to_one(self):
         cfg = tiny_config(rounds=1, warmup_epochs=0)
         ds = generate_blobs(2, 40, (4, 3), 5.0, 1.0, seed=3)
-        _, reports = run_federation(cfg, ds)
+        reports = []
+        run_federation(cfg, ds, round_hook=lambda g, r: reports.append(r))
+        assert len(reports) == 1
         for r in reports:
             assert abs(sum(r.weights) - 1.0) < 1e-12
             assert set(r.client_losses) == {0, 1}
 
-    def test_type_subset_mismatch_rejected(self):
+    def test_out_of_range_view_rejected(self):
         ds = generate_blobs(2, 20, (4, 3), 5.0, 1.0, seed=8)
-        bad = [ClientShard(0, "single", (0, 1), np.arange(20))]
-        with pytest.raises(ConfigError, match="type 'single'"):
-            build_clients(ds, bad, init_params(ARCH, seed=0),
-                          np.random.SeedSequence(0))
-        out_of_range = [ClientShard(0, "single", (5,), np.arange(20))]
+        out_of_range = [ClientShard(0, (5,), np.arange(20))]
         with pytest.raises(ConfigError, match="out of range"):
             build_clients(ds, out_of_range, init_params(ARCH, seed=0),
                           np.random.SeedSequence(0))
 
     def test_clients_hold_only_their_rows_and_views(self):
         ds = generate_blobs(2, 30, (4, 3), 5.0, 1.0, seed=4)
-        shards = [ClientShard(0, "single", (1,), np.arange(0, 10)),
-                  ClientShard(1, CLIENT_FULL, (0, 1), np.arange(10, 30))]
+        shards = [ClientShard(0, (1,), np.arange(0, 10)),
+                  ClientShard(1, (0, 1), np.arange(10, 30))]
         params = init_params(ARCH, seed=0)
         clients = build_clients(ds, shards, params, np.random.SeedSequence(0))
         assert set(clients[0].views) == {1}
@@ -750,11 +778,11 @@ class TestRunFederation:
                           batch_size=32)
         ds = generate_blobs(2, 90, (4, 3), 5.0, 1.0, seed=7)
         seeds = derive_seeds(cfg.seed)
-        server, _ = run_federation(cfg, ds, seeds=seeds)
+        global_params = run_federation(cfg, ds, seeds=seeds)
         from fedmvc.evaluation import evaluate_global
-        trained = evaluate_global(server.global_params, ds, n_restarts=5, seed=0)
+        trained = evaluate_global(global_params, ds, n_restarts=5, seed=0)
         untrained = evaluate_global(
-            init_params(server.global_params.arch, seeds.init), ds,
+            init_params(global_params.arch, seeds.init), ds,
             n_restarts=5, seed=0)
         assert trained.acc >= untrained.acc
 
@@ -765,8 +793,9 @@ class TestRunFederation:
         with pytest.raises(ConfigError):
             run_federation(cfg, unlabeled)
         cfg_iid = tiny_config(rounds=0, warmup_epochs=0, dirichlet_beta=None)
-        server, _ = run_federation(cfg_iid, unlabeled)
-        assert server.round_index == 0
+        global_params = run_federation(cfg_iid, unlabeled)
+        assert np.array_equal(global_params.vector,
+                              initial_global(cfg_iid, (4, 3)).vector)
 
     def test_round_loop_allocates_no_model(self, monkeypatch, tmp_path):
         # a run constructs one trainable model, the working model, and each
@@ -798,7 +827,7 @@ class TestRunFederation:
 
         per_round = []
 
-        def hook(server, report):
+        def hook(global_params, report):
             per_round.append(dict(counts))
 
         monkeypatch.setattr(ModelParams, "__init__", counting_init)
@@ -808,12 +837,12 @@ class TestRunFederation:
                           view_dims=(4, 3, 2), rounds=3, warmup_epochs=1,
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
-        server, _ = run_federation(cfg, ds, round_hook=hook)
+        global_params = run_federation(cfg, ds, round_hook=hook)
         # the working model, then one aggregate per round
         assert per_round == [{"init": 1 + r, "clone": 0} for r in (1, 2, 3)]
         (working,) = trainable
         clients = seen["clients"]
-        assert {c.shard.client_type for c in clients} == {"full", "partial", "single"}
+        assert {c.client_type for c in clients} == {"full", "partial", "single"}
         for c, held in zip(clients, seen["buffers"], strict=True):
             assert [k for k, v in vars(c).items() if isinstance(v, ModelParams)] \
                 == ["snapshot"]
@@ -823,9 +852,9 @@ class TestRunFederation:
 
         # only the run's working model takes gradients
         views = {v: ds.views[v][:5] for v in range(3)}
-        save_checkpoint(server.global_params, tmp_path / "model.ckpt")
+        save_checkpoint(global_params, tmp_path / "model.ckpt")
         loaded = load_checkpoint(tmp_path / "model.ckpt")
-        grad_less = [server.global_params, clients[0].snapshot, loaded]
+        grad_less = [global_params, clients[0].snapshot, loaded]
         for model in grad_less:
             assert model.grad is None
             tape = T.Tape()
@@ -855,9 +884,9 @@ class TestRunFederation:
                           view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
-        server, _ = run_federation(cfg, ds)
+        global_params = run_federation(cfg, ds)
         (workspace,) = workspaces
-        assert workspace.shape[1] == server.global_params.vector.size
+        assert workspace.shape[1] == global_params.vector.size
         assert len(built) == 3 + 3 * 2
         assert all(w is workspace for w in built)
 
@@ -881,9 +910,9 @@ class TestTapeLifetime:
         # a single-view client
         cfg = tiny_config(view_dims=(4, 3, 2), local_epochs=2, batch_size=5)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
-        shards = [ClientShard(0, "full", (0, 1, 2), np.arange(0, 12)),
-                  ClientShard(1, "partial", (0, 2), np.arange(12, 24)),
-                  ClientShard(2, "single", (1,), np.arange(24, 36))]
+        shards = [ClientShard(0, (0, 1, 2), np.arange(0, 12)),
+                  ClientShard(1, (0, 2), np.arange(12, 24)),
+                  ClientShard(2, (1,), np.arange(24, 36))]
         clients = build_clients(ds, shards, init_params(ARCH3, seed=0),
                                 np.random.SeedSequence(9))
         global_params = init_params(ARCH3, seed=1)
