@@ -18,7 +18,6 @@ from pathlib import Path
 from .config import (
     SWEEPABLE,
     ExperimentConfig,
-    check,
     config_from_mapping,
     load_config,
     parse_field,
@@ -93,11 +92,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     last_eval: dict[str, MetricsReport] = {}
 
     def evaluate(global_params, round_index: int) -> MetricsReport:
-        report = evaluate_global(
-            global_params, dataset,
-            n_restarts=config.eval_restarts, seed=seeds.evaluation,
-            view_subset=config.eval_views, max_iter=config.kmeans_max_iter,
-            tol=config.kmeans_tol, standardize=config.standardize)
+        report = evaluate_global(global_params, dataset, config, seeds.evaluation)
         csv_rows.append(_metrics_row(round_index, config.seed, report))
         last_eval["report"] = report
         return report
@@ -166,9 +161,13 @@ def run_sweep(config: ExperimentConfig, param: str, values: list) -> Path:
     return path
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per config field; a boolean's kind follows its default."""
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One flag for each config field in ``names``, the fields the command
+    reads; a boolean's kind follows its default. A flag not given leaves
+    the field to the config file or the default (see ``_build_config``)."""
     for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in names:
+            continue
         flag = "--" + f.name.replace("_", "-")
         if f.default is False:
             parser.add_argument(flag, action="store_true", default=None)
@@ -198,9 +197,14 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-# the config values `eval` takes as flags: the master seed (k-means is seeded
-# from it as in `run`) and the k-means settings
-_EVAL_FIELDS = ("seed", "eval_restarts", "kmeans_max_iter", "kmeans_tol")
+_ALL_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+# the fields `gen-data` reads: the blob parameters and the seed they derive from
+_DATA_FIELDS = ("seed", "n_clusters", "n_samples", "view_dims", "separation",
+                "noise_sigma")
+# the fields `eval` reads: the seed k-means derives from, as in `run`, and
+# the evaluation settings
+_EVAL_FIELDS = ("seed", "eval_restarts", "eval_views", "kmeans_max_iter",
+                "kmeans_tol", "standardize")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,27 +216,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("config", nargs="?", default=None,
                        help="key=value or JSON config file")
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, _ALL_FIELDS)
 
     p_sweep = sub.add_parser("sweep", help="grid over one hyperparameter")
     p_sweep.add_argument("config", nargs="?", default=None)
     p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values (dirichlet_beta accepts 'iid')")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, _ALL_FIELDS)
 
     p_gen = sub.add_parser("gen-data", help="generate a blob dataset file")
     p_gen.add_argument("--out", required=True, help="output .mvd path")
-    _add_config_flags(p_gen)
+    _add_config_flags(p_gen, _DATA_FIELDS)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    for name in _EVAL_FIELDS:
-        p_eval.add_argument("--" + name.replace("_", "-"), default=None,
-                            metavar=name.upper())
-    p_eval.add_argument("--eval-views", default=None)
-    p_eval.add_argument("--no-standardize", action="store_true")
+    _add_config_flags(p_eval, _EVAL_FIELDS)
 
     p_inspect = sub.add_parser("inspect", help="print checkpoint architecture")
     p_inspect.add_argument("--checkpoint", required=True)
@@ -259,42 +259,23 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     config = _build_config(args)
-    ds = generate_blobs(config.n_clusters, config.n_samples, config.view_dims,
-                        config.separation, config.noise_sigma,
-                        derive_seeds(config.seed).data)
+    ds = _load_or_generate(config, derive_seeds(config.seed))
     save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples x {ds.n_views} views to {args.out}")
     return 0
 
 
-def _eval_settings(args) -> dict:
-    """The eval flags as config values, parsed and checked as ``run`` does;
-    a flag not given takes the config default."""
-    defaults = ExperimentConfig()
-    values = {name: getattr(defaults, name) if getattr(args, name) is None
-              else parse_field(name, getattr(args, name))
-              for name in _EVAL_FIELDS}
-    check(**values)
-    return values
-
-
 def _cmd_eval(args) -> int:
-    settings = _eval_settings(args)
+    config = _build_config(args)
     if not Path(args.checkpoint).exists():
         raise ConfigError(f"checkpoint: file not found: {args.checkpoint}")
     if not Path(args.data).exists():
         raise ConfigError(f"data: dataset file not found: {args.data}")
     params = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    views = parse_field("eval_views", args.eval_views) if args.eval_views else None
     try:
-        report = evaluate_global(params, dataset,
-                                 n_restarts=settings["eval_restarts"],
-                                 seed=derive_seeds(settings["seed"]).evaluation,
-                                 view_subset=views,
-                                 max_iter=settings["kmeans_max_iter"],
-                                 tol=settings["kmeans_tol"],
-                                 standardize=not args.no_standardize)
+        report = evaluate_global(params, dataset, config,
+                                 derive_seeds(config.seed).evaluation)
     except DimensionError as err:
         raise ConfigError(f"checkpoint does not fit this dataset: {err}") from err
     print(f"ACC={_fmt(report.acc)} NMI={_fmt(report.nmi)} ARI={_fmt(report.ari)} "

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import check
+from .config import ExperimentConfig, check
 from .data import MultiViewDataset
 from .errors import ConfigError
 from .model import ModelParams, infer_fused
@@ -108,8 +108,9 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def kmeans(points, n_clusters: int, seed=0, max_iter: int = 300,
-           tol: float = 1e-6) -> KMeansResult:
+def kmeans(points, n_clusters: int, seed=0,
+           max_iter: int = ExperimentConfig.kmeans_max_iter,
+           tol: float = ExperimentConfig.kmeans_tol) -> KMeansResult:
     """Lloyd iterations from a k-means++ start.
 
     Each point is assigned to its nearest centroid, ties going to the
@@ -157,8 +158,10 @@ def kmeans(points, n_clusters: int, seed=0, max_iter: int = 300,
     return KMeansResult(centroids, labels, float(assigned.sum()), trace)
 
 
-def kmeans_best(points, n_clusters: int, n_restarts: int = 10, seed=0,
-                max_iter: int = 300, tol: float = 1e-6
+def kmeans_best(points, n_clusters: int,
+                n_restarts: int = ExperimentConfig.eval_restarts, seed=0,
+                max_iter: int = ExperimentConfig.kmeans_max_iter,
+                tol: float = ExperimentConfig.kmeans_tol
                 ) -> tuple[KMeansResult, list[float]]:
     """Best of several seeded restarts (ties keep the earliest restart),
     plus every restart's final objective."""
@@ -299,22 +302,22 @@ def eval_view_order(view_subset: Sequence[int] | None, n_views: int) -> list[int
     return views
 
 
-def evaluate_global(params: ModelParams, dataset: MultiViewDataset, *,
-                    n_restarts: int = 10, seed=0,
-                    view_subset: Sequence[int] | None = None,
-                    max_iter: int = 300, tol: float = 1e-6,
-                    standardize: bool = True) -> MetricsReport:
+def evaluate_global(params: ModelParams, dataset: MultiViewDataset,
+                    config: ExperimentConfig, seed) -> MetricsReport:
     """Cluster the model's fused features over the whole pool.
 
-    Evaluation is an offline measurement, so by default every sample is
-    rendered with its full view set; pass ``view_subset`` to restrict it.
-    Unlabeled datasets yield a report with only the k-means objective.
+    The evaluation settings are the config's: ``standardize``,
+    ``eval_views`` (all views when None: evaluation is an offline
+    measurement, so every sample is rendered with its full view set),
+    ``eval_restarts``, ``kmeans_max_iter`` and ``kmeans_tol``. The restarts
+    spawn from ``seed``. Unlabeled datasets yield a report with only the
+    k-means objective.
     """
-    work = dataset.standardized() if standardize else dataset
-    views = eval_view_order(view_subset, work.n_views)
+    work = dataset.standardized() if config.standardize else dataset
+    views = eval_view_order(config.eval_views, work.n_views)
     fused = infer_fused(params, {v: work.views[v] for v in views})
-    best, objectives = kmeans_best(fused, work.n_clusters, n_restarts, seed,
-                                   max_iter, tol)
+    best, objectives = kmeans_best(fused, work.n_clusters, config.eval_restarts,
+                                   seed, config.kmeans_max_iter, config.kmeans_tol)
     if work.labels is None:
         return MetricsReport(None, None, None, best.objective, tuple(objectives))
     return MetricsReport(

@@ -399,7 +399,7 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
             raise ConfigError(
                 f"client {shard.client_id}: view subset {shard.view_subset} out "
                 f"of range for a {dataset.n_views}-view dataset")
-        views = {v: dataset.views[v][shard.sample_indices].copy()
+        views = {v: dataset.views[v][shard.sample_indices]
                  for v in shard.view_subset}
         clients.append(ClientState(
             shard=shard,

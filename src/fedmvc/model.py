@@ -288,8 +288,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(vec.astype("<f8").tobytes())
 
 
-def load_checkpoint(path, expect_arch: Architecture | None = None) -> ModelParams:
-    """Read a checkpoint; optionally require a specific architecture."""
+def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint with the architecture its header describes; a
+    caller that needs a given architecture (a resumed run) compares it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -311,9 +312,6 @@ def load_checkpoint(path, expect_arch: Architecture | None = None) -> ModelParam
     latent, high, hidden, n_clusters, count = struct.unpack(
         "<IIIIQ", take(24, "architecture"))
     arch = Architecture(view_dims, n_clusters, latent, high, hidden)
-    if expect_arch is not None and arch != expect_arch:
-        raise DataFormatError(
-            f"checkpoint architecture {arch} does not match expected {expect_arch}")
     needed = sum(r * c for r, c in _layer_shapes(arch))
     if count != needed:
         raise DataFormatError(

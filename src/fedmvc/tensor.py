@@ -605,7 +605,7 @@ class SGD(_SpanOptimizer):
 
 
 class Adam(_SpanOptimizer):
-    """Adam with the conventional defaults over owned spans.
+    """Adam with the conventional constants over owned spans.
 
     The moments ``m`` and ``v`` are one vector each over all spans. Each
     step makes the numpy calls of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
@@ -615,14 +615,14 @@ class Adam(_SpanOptimizer):
     ``v`` are zeroed when the optimizer is built.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(self, lr: float, value: Array, grad: Array, spans: Sequence[slice],
-                 workspace: Array,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 workspace: Array):
         super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._work, self._denom, self._m, self._v = self._rows
         self._m[...] = 0.0
         self._v[...] = 0.0

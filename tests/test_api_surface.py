@@ -6,6 +6,10 @@ referenced by name somewhere in ``src/`` other than its own definition, in
 section is the one list of entry points kept for outside callers. A name
 only tests call is test-only code in the library: delete it, or move it to
 ``tests/helpers.py``.
+
+Likewise every parameter default in ``src/`` is overridden, by name or by
+position, by some call in ``src/``, ``perfbench/`` or ``tools/``; a default
+no such call sets is a settable value nothing sets.
 """
 
 import ast
@@ -88,3 +92,79 @@ def test_every_public_name_has_a_user_outside_the_tests():
     unused = [f"{module}:{line} {name}" for module, line, name in defined
               if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
+
+
+# (module, function, parameter) defaults no call sets, each kept on purpose:
+# ``main``'s ``argv`` is the seam through which the tests drive the CLI
+DEFAULT_EXEMPT = {("cli.py", "main", "argv")}
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, int, str, int | None]]:
+    """(callable name, line, parameter, position) of each parameter with a
+    default, over every function, method and nested function. A method's
+    position does not count ``self``; a keyword-only parameter has
+    position None. ``__init__`` is named after its class, the name its
+    callers use; a dataclass's generated ``__init__`` is not in the tree."""
+    out = []
+    classes = {id(item): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if id(node) in classes and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list):
+            positional = positional[1:]
+        name = classes[id(node)] if node.name == "__init__" and id(node) in classes \
+            else node.name
+        first = len(positional) - len(args.defaults)
+        out += [(name, node.lineno, a.arg, first + i)
+                for i, a in enumerate(positional[first:])]
+        out += [(name, node.lineno, a.arg, None)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, int, set[str]]]:
+    """(called name, positional arguments before any ``*args``, keyword
+    names) of every call; ``**kwargs`` names no parameter."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name is None:
+            continue
+        positional = 0
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                break
+            positional += 1
+        out.append((name, positional, {k.arg for k in node.keywords if k.arg}))
+    return out
+
+
+def test_every_default_is_set_by_some_call():
+    """A parameter's default that every call keeps is a constant spelled as
+    a knob: make it one, or give the call that needs another value."""
+    trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    calls = []
+    for path in [*trees, *sorted(BENCH.glob("*.py")),
+                 *sorted((ROOT / "tools").glob("*.py"))]:
+        calls += _calls(trees.get(path) or _parse(path))
+    defaulted = [(path.name, *entry) for path, tree in trees.items()
+                 for entry in _defaulted_parameters(tree)]
+    # a walk that found no defaults would pass vacuously
+    assert {("main", "argv"), ("kmeans", "max_iter"), ("affine", "relu")} <= {
+        (name, param) for _, name, _, param, _ in defaulted}
+    unset = [f"{module}:{line} {name}({param})"
+             for module, name, line, param, position in defaulted
+             if (module, name, param) not in DEFAULT_EXEMPT
+             and not any(called == name and (param in keywords or (
+                 position is not None and given > position))
+                 for called, given, keywords in calls)]
+    assert unset == []

@@ -234,15 +234,27 @@ class TestRuleTable:
         assert not UNCONSTRAINED & set(RULES)
         assert fields == ruled | UNCONSTRAINED
 
-    def test_every_field_has_one_flag_of_the_kind_its_default_implies(self):
+    @pytest.mark.parametrize("command,names,own", [
+        ("run", None, {"config"}),
+        ("sweep", None, {"config", "param", "values"}),
+        ("gen-data", {"seed", "n_clusters", "n_samples", "view_dims", "separation",
+                      "noise_sigma"}, {"out"}),
+        ("eval", {"seed", "eval_restarts", "eval_views", "kmeans_max_iter",
+                  "kmeans_tol", "standardize"}, {"checkpoint", "data"}),
+        ("inspect", set(), {"checkpoint"}),
+    ], ids=["run", "sweep", "gen-data", "eval", "inspect"])
+    def test_every_field_has_one_flag_of_the_kind_its_default_implies(
+            self, command, names, own):
+        # each command has a flag for exactly the config fields it reads
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
-        run = subparsers.choices["run"]
-        fields = dataclasses.fields(ExperimentConfig)
-        assert ({a.dest for a in run._actions}
-                == {f.name for f in fields} | {"help", "config"})
+        parser = subparsers.choices[command]
+        fields = [f for f in dataclasses.fields(ExperimentConfig)
+                  if names is None or f.name in names]
+        assert ({a.dest for a in parser._actions}
+                == {f.name for f in fields} | {"help"} | own)
         for f in fields:
-            (action,) = [a for a in run._actions if a.dest == f.name]
+            (action,) = [a for a in parser._actions if a.dest == f.name]
             assert "--" + f.name.replace("_", "-") in action.option_strings
             kind = (argparse._StoreTrueAction if f.default is False
                     else argparse.BooleanOptionalAction if f.default is True
@@ -404,6 +416,23 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--rounds", "3"], ["--data-path", "x"]])
+    def test_gen_data_flag_it_does_not_read_exit_2(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--out", str(tmp_path / "d.mvd"), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "d.mvd").exists()
+
+    def test_resume_from_another_architecture_exit_2(self, tmp_path, capsys):
+        result = run_experiment(tiny_config(tmp_path / "a", rounds=0, warmup_epochs=0))
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "b")
+        assert main(["run", str(path), "--resume-from", str(result.out_dir / "model.ckpt"),
+                     "--latent-dim", str(TINY["latent_dim"] + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: resume checkpoint architecture")
+        assert "does not match" in err
+
     @pytest.mark.parametrize("beta", ["iid", "1.0"])
     def test_more_clients_than_samples_exit_2(self, tmp_path, capsys, beta):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
@@ -480,6 +509,22 @@ class TestDataVerbs:
                      "--kmeans-tol", "1e-3"]) == 0
         assert capsys.readouterr().out.strip() == (
             f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}")
+
+    def test_eval_no_standardize_reproduces_an_unstandardized_run(self, tmp_path, capsys):
+        data_path = tmp_path / "blobs.mvd"
+        save_dataset(generate_blobs(6, 60, (4, 3), 3.0, 1.0, seed=5), data_path)
+        out = tmp_path / "out"
+        result = run_experiment(tiny_config(out, data_path=str(data_path),
+                                            eval_every=2, eval_restarts=1,
+                                            standardize=False))
+        acc, nmi, ari, objective = result.csv_path.read_text().splitlines()[-1].split(",")[2:]
+        row = f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}"
+        command = ["eval", "--checkpoint", str(out / "model.ckpt"), "--data",
+                   str(data_path), "--eval-restarts", "1", "--seed", str(TINY["seed"])]
+        assert main(command + ["--no-standardize"]) == 0
+        assert capsys.readouterr().out.strip() == row
+        assert main(command) == 0
+        assert capsys.readouterr().out.strip() != row
 
     @pytest.mark.parametrize("flag,bad", [
         ("--eval-restarts", "1.5"), ("--eval-restarts", "0"), ("--seed", "1.5"),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedmvc import evaluation
+from fedmvc.config import ExperimentConfig
 from fedmvc.data import generate_blobs
 from fedmvc.errors import ConfigError
 from fedmvc.evaluation import (
@@ -347,7 +348,7 @@ class TestEvaluateGlobal:
         ds = generate_blobs(3, 120, [6, 6], separation=6.0, noise_sigma=1.0, seed=0)
         arch = Architecture(ds.view_dims, 3, latent_dim=8, high_dim=8, hidden=16)
         params = init_params(arch, seed=0)
-        report = evaluate_global(params, ds, n_restarts=4, seed=0)
+        report = evaluate_global(params, ds, ExperimentConfig(eval_restarts=4), 0)
         assert 0.0 <= report.acc <= 1.0
         assert 0.0 <= report.nmi <= 1.0
         assert -1.0 <= report.ari <= 1.0
@@ -358,7 +359,7 @@ class TestEvaluateGlobal:
         unlabeled = type(ds)(ds.views, None, ds.n_clusters)
         arch = Architecture(ds.view_dims, 3, latent_dim=4, high_dim=4, hidden=8)
         report = evaluate_global(init_params(arch, seed=0), unlabeled,
-                                 n_restarts=2, seed=0)
+                                 ExperimentConfig(eval_restarts=2), 0)
         assert report.acc is None and report.nmi is None and report.ari is None
         assert np.isfinite(report.kmeans_objective)
 
@@ -366,8 +367,8 @@ class TestEvaluateGlobal:
         ds = generate_blobs(3, 90, [5, 5], separation=5.0, noise_sigma=1.0, seed=2)
         arch = Architecture(ds.view_dims, 3, latent_dim=6, high_dim=6, hidden=12)
         params = init_params(arch, seed=3)
-        a = evaluate_global(params, ds, n_restarts=3, seed=11)
-        b = evaluate_global(params, ds, n_restarts=3, seed=11)
+        a = evaluate_global(params, ds, ExperimentConfig(eval_restarts=3), 11)
+        b = evaluate_global(params, ds, ExperimentConfig(eval_restarts=3), 11)
         assert (a.acc, a.nmi, a.ari, a.kmeans_objective) == \
             (b.acc, b.nmi, b.ari, b.kmeans_objective)
 
@@ -375,6 +376,7 @@ class TestEvaluateGlobal:
         ds = generate_blobs(2, 40, [3, 4], separation=5.0, noise_sigma=0.5, seed=3)
         arch = Architecture(ds.view_dims, 2, latent_dim=4, high_dim=4, hidden=8)
         params = init_params(arch, seed=4)
-        full = evaluate_global(params, ds, n_restarts=2, seed=0)
-        only0 = evaluate_global(params, ds, n_restarts=2, seed=0, view_subset=[0])
+        full = evaluate_global(params, ds, ExperimentConfig(eval_restarts=2), 0)
+        only0 = evaluate_global(params, ds,
+                                ExperimentConfig(eval_restarts=2, eval_views=(0,)), 0)
         assert full.kmeans_objective != only0.kmeans_objective

@@ -780,10 +780,10 @@ class TestRunFederation:
         seeds = derive_seeds(cfg.seed)
         global_params = run_federation(cfg, ds, seeds=seeds)
         from fedmvc.evaluation import evaluate_global
-        trained = evaluate_global(global_params, ds, n_restarts=5, seed=0)
+        trained = evaluate_global(global_params, ds, cfg.replace(eval_restarts=5), 0)
         untrained = evaluate_global(
             init_params(global_params.arch, seeds.init), ds,
-            n_restarts=5, seed=0)
+            cfg.replace(eval_restarts=5), 0)
         assert trained.acc >= untrained.acc
 
     def test_unlabeled_requires_iid(self):

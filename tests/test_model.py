@@ -357,15 +357,6 @@ class TestFlattenCheckpoint:
         assert loaded.arch == ARCH
         assert np.array_equal(loaded.vector, params.vector)
 
-    def test_checkpoint_arch_validation(self, tmp_path):
-        params = init_params(ARCH, seed=7)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
-        other = Architecture(view_dims=(5, 7), n_clusters=4, latent_dim=4,
-                             high_dim=6, hidden=8)
-        with pytest.raises(DataFormatError):
-            load_checkpoint(path, expect_arch=other)
-
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(ARCH, seed=8), path)
