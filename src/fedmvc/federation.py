@@ -16,6 +16,7 @@ batch on its own.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -218,7 +219,8 @@ def _drift_references(client: ClientState, global_params: ModelParams,
 def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
                 global_params: ModelParams, config, use_contrast: bool,
                 refs: tuple[np.ndarray, np.ndarray | None] | None,
-                trainable: Sequence[Param]) -> tuple[Tensor, dict[str, float]]:
+                trainable: Sequence[Param], mu: float,
+                ) -> tuple[Tensor, dict[str, float]]:
     """The total loss of ``params`` on batch ``rows``, recorded on a new
     tape, and its ``recon``, ``contrast``, ``drift`` and ``total`` values.
 
@@ -226,7 +228,8 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
     with its own contrast: feature plus label contrast on a full client,
     partial contrast on a partial one, the noise-enhanced contrast on a
     single-view one, and 0 when contrast is off. ``refs`` is None without
-    drift, and then the drift term is left out."""
+    drift, and then the drift term is left out. The drift term's proximal
+    pull toward ``global_params`` has weight ``mu``; 0 leaves it out."""
     use_drift = refs is not None
     shard = client.shard
     ctype = client.client_type
@@ -268,7 +271,7 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
         global_values = [p.value for p in
                          global_params.trainable_params(shard.view_subset)]
         drift = drift_loss(fwd.fused, pos[rows], neg, [tape.leaf(p) for p in trainable],
-                           global_values, config.tau, config.mu)
+                           global_values, config.tau, mu)
         total = T.add(total, T.scale(drift, 1.0 - config.alpha))
 
     stats = {
@@ -293,6 +296,13 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     is nothing meaningful to contrast against. The round runs
     ``config.local_epochs`` epochs of the loop warm-up uses
     (:func:`_train_phase`).
+
+    The first step of a round from 2 on runs at the global model itself,
+    where the proximal term ``(mu/2)*||w - w_global||**2`` and its gradient
+    are exactly +0.0, so that step leaves the term out; later steps keep
+    it. This is exact: dropping a +0.0 from a leaf's gradient can change
+    only the sign of a zero, and adding it into the gradient buffer, which
+    holds +0.0 on every coordinate when a step starts, gives +0.0 either way.
     """
     if global_params is None:
         raise ValueError("local training requires the broadcast global parameters")
@@ -307,11 +317,12 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     subset = client.shard.view_subset
     trainable = working.trainable_params(subset)
     refs = _drift_references(client, global_params) if use_drift else None
+    mus = itertools.chain([0.0], itertools.repeat(config.mu))
     return _train_phase(
         client, config, config.local_epochs, f"round {round_index}", working,
         workspace, working.owned_spans(subset),
         lambda rows: _train_step(client, working, rows, global_params, config,
-                                 use_contrast, refs, trainable),
+                                 use_contrast, refs, trainable, next(mus)),
         ("recon", "contrast", "drift", "total"))
 
 

@@ -611,8 +611,13 @@ class Adam(_SpanOptimizer):
     step makes the numpy calls of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
     (1-b2)*g**2``, ``w -= lr*m_hat / (sqrt(v_hat) + eps)`` in that order,
     writing into its own buffers instead of new arrays, so the result is
-    bitwise that of the per-parameter loop (``tests/helpers.py``). ``m`` and
-    ``v`` are zeroed when the optimizer is built.
+    bitwise that of the per-parameter loop (``tests/helpers.py``).
+
+    The first step starts from zero moments, so it writes them straight
+    from the gradient, ``m = +0.0 + (1-b1)*g`` and ``v = (1-b2)*g**2``,
+    and the optimizer never zeroes them. Adding ``+0.0`` turns a ``-0.0``
+    into ``+0.0``, as ``b1*0 + (1-b1)*g`` does; ``v``'s term is never
+    ``-0.0``. So the bits are those of the general step from zeroed moments.
     """
 
     beta1 = 0.9
@@ -624,8 +629,6 @@ class Adam(_SpanOptimizer):
         super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
         self._work, self._denom, self._m, self._v = self._rows
-        self._m[...] = 0.0
-        self._v[...] = 0.0
         self._step = 0
 
     def step(self) -> None:
@@ -637,13 +640,19 @@ class Adam(_SpanOptimizer):
         for span, seg in self._segments:
             g, w = self.grad[span], self.value[span]
             m, v, a, d = self._m[seg], self._v[seg], self._work[seg], self._denom[seg]
-            m *= b1
-            np.multiply(1 - b1, g, out=a)
-            m += a
-            v *= b2
-            np.square(g, out=a)
-            np.multiply(1 - b2, a, out=a)
-            v += a
+            if t == 1:
+                np.multiply(1 - b1, g, out=m)
+                m += 0.0
+                np.square(g, out=v)
+                np.multiply(1 - b2, v, out=v)
+            else:
+                m *= b1
+                np.multiply(1 - b1, g, out=a)
+                m += a
+                v *= b2
+                np.square(g, out=a)
+                np.multiply(1 - b2, a, out=a)
+                v += a
             np.divide(m, c1, out=a)            # m_hat
             np.divide(v, c2, out=d)            # v_hat
             np.sqrt(d, out=d)

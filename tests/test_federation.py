@@ -430,6 +430,163 @@ class TestObjective:
         assert calls == expected
 
 
+def round_start(subset, n=8, seed=82):
+    """A client, the global model and the working model at the start of a
+    round from 2 on, when ``broadcast`` has copied the global model in."""
+    client = make_client(subset=subset, n=n, seed=seed, arch=ARCH3)
+    client.snapshot = init_params(ARCH3, seed=seed + 1)
+    global_params = init_params(ARCH3, seed=seed + 2)
+    working = ModelParams(ARCH3, global_params.vector.copy(), trainable=True)
+    return client, global_params, working
+
+
+def step_at(client, working, global_params, cfg, rows, mu, refs, use_contrast=True):
+    """``_train_step``'s stats and the gradient its backward leaves in
+    ``working``, which is cleared again. The client's rng is restored, so
+    every call draws the same single-view noise."""
+    state = client.rng.bit_generator.state
+    trainable = working.trainable_params(client.shard.view_subset)
+    loss, stats = federation._train_step(client, working, rows, global_params, cfg,
+                                         use_contrast, refs, trainable, mu)
+    loss.tape.backward(loss)
+    grad = working.grad.copy()
+    working.grad[...] = 0.0
+    client.rng.bit_generator.state = state
+    return stats, grad
+
+
+def stat_bits(stats):
+    return np.array(list(stats.values())).tobytes()
+
+
+class TestProximalTermAtRoundStart:
+    """A round's first step runs at the global model, where the proximal
+    term and its gradient are +0.0, so the round leaves it out."""
+
+    @pytest.mark.parametrize("ctype,subset", CLIENTS3, ids=["full", "partial", "single"])
+    def test_first_step_is_bitwise_the_same_without_the_term(self, ctype, subset):
+        client, global_params, working = round_start(subset)
+        cfg = tiny_config(mu=0.5)
+        refs = federation._drift_references(client, global_params)
+        rows = np.random.default_rng(3).permutation(client.shard.n_samples)
+        with_term = step_at(client, working, global_params, cfg, rows, cfg.mu, refs)
+        without = step_at(client, working, global_params, cfg, rows, 0.0, refs)
+        assert stat_bits(with_term[0]) == stat_bits(without[0])
+        assert with_term[1].tobytes() == without[1].tobytes()
+
+        # control: one update later the term is no longer zero
+        working.grad[...] = with_term[1]
+        T.make_optimizer("adam", 1e-2, working.vector, working.grad,
+                         working.owned_spans(subset), workspace(working)).step()
+        with_term = step_at(client, working, global_params, cfg, rows, cfg.mu, refs)
+        without = step_at(client, working, global_params, cfg, rows, 0.0, refs)
+        assert with_term[0]["drift"] > without[0]["drift"]
+        assert with_term[0]["total"] > without[0]["total"]
+        assert not np.array_equal(with_term[1], without[1])
+
+    @pytest.mark.parametrize("ctype,subset", CLIENTS3, ids=["full", "partial", "single"])
+    def test_round_passes_mu_to_every_step_but_the_first(self, monkeypatch, ctype,
+                                                         subset):
+        mus = []
+        step = federation._train_step
+
+        def recording(*args):
+            mus.append(args[-1])
+            return step(*args)
+
+        monkeypatch.setattr(federation, "_train_step", recording)
+        client = make_client(subset=subset, n=8, seed=83, arch=ARCH3)
+        cfg = tiny_config(local_epochs=2, batch_size=4, mu=0.5)
+        train_round(client, init_params(ARCH3, seed=84), cfg, round_index=2)
+        assert mus == [0.0, 0.5, 0.5, 0.5]
+
+    def test_every_step_starts_from_a_clear_gradient(self, monkeypatch):
+        # leaving a +0.0 out of a leaf's gradient is exact only because every
+        # coordinate of the gradient buffer holds +0.0 when a step starts
+        phase = federation._train_phase
+        starts = []
+
+        def checking(client, config, epochs, where, working, ws, spans, step, keys):
+            def checked(rows):
+                assert not working.grad.any()
+                assert not np.signbit(working.grad).any()
+                starts.append(where)
+                return step(rows)
+            return phase(client, config, epochs, where, working, ws, spans, checked,
+                         keys)
+
+        monkeypatch.setattr(federation, "_train_phase", checking)
+        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+                          view_dims=(4, 3, 2), rounds=2, warmup_epochs=2,
+                          local_epochs=2, batch_size=5)
+        ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
+        run_federation(cfg, ds)
+        assert set(starts) == {"warm-up", "round 1", "round 2"}
+
+
+def noisy_negative(client, params, rows, cfg):
+    """A single-view client's drift negative at ``params`` as a shard-sized
+    reference: its features of the batch rows plus the noise the client's
+    next step draws."""
+    state = client.rng.bit_generator.state
+    (v,) = client.shard.view_subset
+    x = client.views[v][rows]
+    noisy = x + client.rng.standard_normal(x.shape) * cfg.sigma_noise
+    client.rng.bit_generator.state = state
+    neg = np.full((client.shard.n_samples, params.arch.high_dim), np.nan)
+    neg[rows] = infer_fused(params, {v: noisy})
+    return neg
+
+
+class TestWholeObjectiveGradient:
+    """The gradient the optimizer steps is the derivative of the total that
+    ``_train_step`` reports, with respect to the working model's vector."""
+
+    @pytest.mark.parametrize("later", [False, True], ids=["first_step", "later_step"])
+    @pytest.mark.parametrize("use_drift", [True, False], ids=["drift", "no_drift"])
+    @pytest.mark.parametrize("use_contrast", [True, False],
+                             ids=["contrast", "no_contrast"])
+    @pytest.mark.parametrize("ctype,subset", CLIENTS3, ids=["full", "partial", "single"])
+    def test_directional_central_difference(self, ctype, subset, use_contrast,
+                                            use_drift, later):
+        client, global_params, working = round_start(subset)
+        cfg = tiny_config(mu=0.5)
+        rng = np.random.default_rng(len(subset) + 10 * later)
+        spans = working.owned_spans(subset)
+        owned = np.zeros(working.vector.size, dtype=bool)
+        for span in spans:
+            owned[span] = True
+        if later:  # away from the global model, as after an update
+            working.vector[owned] += 0.05 * rng.standard_normal(owned.sum())
+        # a zero feature row is a kink of the cosines: stay off it
+        assert np.linalg.norm(infer_fused(working, client.views), axis=1).min() > 1e-3
+        direction = np.where(owned, rng.standard_normal(owned.size), 0.0)
+        direction /= np.linalg.norm(direction)
+        rows = rng.permutation(client.shard.n_samples)
+        refs = (federation._drift_references(client, global_params)
+                if use_drift else None)
+        # the step the round takes: its first leaves the proximal term out
+        stats, grad = step_at(client, working, global_params, cfg, rows,
+                              cfg.mu if later else 0.0, refs, use_contrast)
+        assert not grad[~owned].any()  # the optimizer steps all of it
+        if ctype == "single" and use_drift:
+            # the step takes its noisy negative as a constant: hold it there
+            refs = (refs[0], noisy_negative(client, working, rows, cfg))
+
+        start = working.vector.copy()
+
+        def total(w):
+            working.vector[...] = w
+            s, _ = step_at(client, working, global_params, cfg, rows, cfg.mu, refs,
+                           use_contrast)
+            return s["total"]
+
+        assert total(start) == stats["total"]
+        h = 1e-6
+        numeric = (total(start + h * direction) - total(start - h * direction)) / (2 * h)
+        assert numeric == pytest.approx(grad @ direction, rel=1e-6, abs=1e-9)
+
+
 def batch_holding(row, n, batch_size, seed):
     """1-based index of the first-epoch batch that holds ``row`` for a
     ``make_client(seed=seed)`` client; no tail is folded for these sizes."""
@@ -631,6 +788,29 @@ class TestAggregateProperty:
         out = aggregate(prev, params, shards, weights)
         expected = aggregate_reference(prev, params, shards, weights)
         assert out.vector.tobytes() == expected.tobytes()
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(aggregation_cases())
+    def test_unowned_coordinates_never_reach_the_aggregate(self, case):
+        # only the coordinates a client trains cross to the server
+        view_dims, subsets, ids, weights, seed = case
+        arch = Architecture(tuple(view_dims), n_clusters=2, latent_dim=2,
+                            high_dim=3, hidden=3)
+        rng = np.random.default_rng(seed)
+        prev, *params = [init_params(arch, seed=0) for _ in range(len(ids) + 1)]
+        for p in (prev, *params):
+            p.vector[:] = rng.standard_normal(p.vector.size)
+        shards = [ClientShard(cid, sub, np.arange(3)) for cid, sub in zip(ids, subsets)]
+        masked = []
+        for p, sub in zip(params, subsets):
+            upload = np.full(p.vector.size, np.nan)
+            for span in p.owned_spans(sub):
+                upload[span] = p.vector[span]
+            masked.append(ModelParams(arch, upload))
+        out = aggregate(prev, params, shards, weights)
+        assert aggregate(prev, masked, shards, weights).vector.tobytes() \
+            == out.vector.tobytes()
 
 
 class TestBroadcast:

@@ -785,6 +785,15 @@ class TestOwnedSpans:
         assert len(params.owned_spans((1,), shared=False)) == 2
 
 
+# finite floats with both zeros, subnormals and magnitudes from 1e-300 to 1e300
+_MAGNITUDES = st.floats(-300, 300).map(lambda e: 10.0 ** e)
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    _MAGNITUDES, _MAGNITUDES.map(lambda x: -x),
+    st.floats(-10.0, 10.0))
+
+
 class TestSpanOptimizersMatchReference:
     @pytest.mark.parametrize("mode", sorted(REFERENCES))
     @pytest.mark.parametrize("subset", SUBSETS, ids=str)
@@ -834,7 +843,7 @@ class TestSpanOptimizersMatchReference:
     @pytest.mark.parametrize("mode", sorted(REFERENCES))
     def test_dirty_workspace_matches_fresh(self, mode):
         # a workspace left dirty by an earlier optimizer gives the bits of a
-        # fresh one: Adam zeroes m and v when it is built
+        # fresh one: Adam's first step writes m and v without reading them
         rng = np.random.default_rng(5)
         size = init_params(ARCH3, seed=4).vector.size
         workspace = T.optimizer_workspace(size)
@@ -856,6 +865,35 @@ class TestSpanOptimizersMatchReference:
                 own_opt.step()
             assert shared.vector.tobytes() == own.vector.tobytes()
             assert np.shares_memory(opt._work, workspace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_first_steps_on_dirty_workspace_match_reference(self, data):
+        # the first step writes the moments straight from the gradient; its
+        # bits, and the second step's, are those of moments zeroed first,
+        # for signed zeros, subnormals and magnitudes from 1e-300 to 1e300
+        n = data.draw(st.integers(1, 12))
+        floats = st.lists(EXTREME_FLOATS, min_size=n, max_size=n)
+        value = np.array(data.draw(floats))
+        grads = [np.array(data.draw(floats)) for _ in range(2)]
+        cut = data.draw(st.integers(0, n - 1))
+        spans = [span for span in (slice(0, cut), slice(cut, n))
+                 if span.stop > span.start]
+        workspace = np.full((4, n), data.draw(st.sampled_from(
+            [np.nan, np.inf, -0.0, -1e300])))
+        grad = np.zeros(n)
+        opt = T.Adam(3e-3, value, grad, spans, workspace)
+        ref_value, ref_grad = value.copy(), grad.copy()
+        ref_params = [T.Param(ref_value[span], ref_grad[span]) for span in spans]
+        ref_opt = AdamReference(3e-3)
+        for g in grads:
+            grad[...] = g
+            ref_grad[...] = g
+            with np.errstate(over="ignore", under="ignore"):  # g**2 of 1e300
+                opt.step()
+                ref_opt.step(ref_params)
+            assert value.tobytes() == ref_value.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
 
     def test_short_workspace_rejected(self):
         params = ModelParams(ARCH3, init_params(ARCH3, seed=3).vector.copy(),

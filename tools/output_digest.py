@@ -1,6 +1,7 @@
 """Digest the output files of the benchmark's workloads.
 
     python3 tools/output_digest.py [--workloads NAME ...] [--seeds N ...]
+                                   [--expect FILE]
 
 Runs from the root of a checkout. Each run is one
 ``perfbench.workloads.settings`` config through
@@ -9,25 +10,29 @@ one thread as the benchmark pins it. Prints one line per run: the sha256 of
 ``metrics.csv``, of ``model.ckpt`` and of the ``rounds`` of
 ``summary.json`` (the rest of the summary holds the wall time). Two
 checkouts that print the same lines wrote byte-identical output.
+
+With ``--expect FILE`` (the lines another checkout printed, say), the
+printed lines are compared with FILE's: the exit code is 1, naming the
+first line that differs, or 0 when every line matches.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.run import PINNED_ENV  # noqa: E402  (imports no numpy)
 from perfbench.workloads import WORKLOADS, settings  # noqa: E402
-
-os.environ.update(PINNED_ENV)  # before numpy is first imported
 
 
 def sha256(data: bytes) -> str:
@@ -49,16 +54,41 @@ def digest(overrides: dict) -> str:
                 f"rounds={sha256(json.dumps(rounds, sort_keys=True).encode())}")
 
 
+def first_difference(printed: Sequence[str], expected: Sequence[str]) -> str | None:
+    """The first line where ``printed`` and ``expected`` differ, described,
+    or None when they hold the same lines."""
+    for n, (got, want) in enumerate(itertools.zip_longest(printed, expected),
+                                    start=1):
+        if got != want:
+            got, want = ("(no line)" if x is None else x for x in (got, want))
+            return f"line {n} differs:\n  expected {want}\n  printed  {got}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
                         choices=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 7])
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="exit 1 unless the printed lines are FILE's")
     args = parser.parse_args(argv)
+    expected = (args.expect.read_text(encoding="utf-8").splitlines()
+                if args.expect else None)
+    os.environ.update(PINNED_ENV)  # before numpy is first imported
+    printed = []
     for workload in args.workloads:
         for seed in args.seeds:
             line = digest(settings(workload, seed, output_dir=""))
-            print(f"{workload} seed={seed} {line}", flush=True)
+            printed.append(f"{workload} seed={seed} {line}")
+            print(printed[-1], flush=True)
+    if expected is None:
+        return 0
+    difference = first_difference(printed, expected)
+    if difference is not None:
+        print(f"{args.expect}: {difference}", file=sys.stderr)
+        return 1
+    print(f"{args.expect}: all {len(printed)} lines match", file=sys.stderr)
     return 0
 
 
