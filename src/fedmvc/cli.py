@@ -203,8 +203,7 @@ _DATA_FIELDS = ("seed", "n_clusters", "n_samples", "view_dims", "separation",
                 "noise_sigma")
 # the fields `eval` reads: the seed k-means derives from, as in `run`, and
 # the evaluation settings
-_EVAL_FIELDS = ("seed", "eval_restarts", "eval_views", "kmeans_max_iter",
-                "kmeans_tol", "standardize")
+_EVAL_FIELDS = ("seed", "eval_restarts", "eval_views", "standardize")
 
 
 def build_parser() -> argparse.ArgumentParser:

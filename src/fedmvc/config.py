@@ -18,7 +18,6 @@ from .errors import ConfigError
 from .tensor import OPTIMIZERS
 
 SWEEPABLE = ("alpha", "mu", "tau", "sigma_noise", "dirichlet_beta")
-SCENARIOS = ("full_only", "single_only", "mixed")
 ALPHA_C_MODES = ("linear", "uniform")
 
 
@@ -42,7 +41,6 @@ RULES = {
     "separation": _at_least(0),
     "noise_sigma": _at_least(0),
     "n_clients": _at_least(1),
-    "scenario": _one_of(SCENARIOS),
     "mixed_counts": (lambda v: len(v) == 3 and min(v) >= 0,
                      "must be three nonnegative counts"),
     "dirichlet_beta": (lambda v: v > 0, "must be > 0 (or 'iid')"),
@@ -63,8 +61,6 @@ RULES = {
     "eval_restarts": _at_least(1),
     "eval_every": _at_least(1),
     "eval_views": (lambda v: len(v) >= 1, "must list at least one view"),
-    "kmeans_max_iter": _at_least(1),
-    "kmeans_tol": _POSITIVE,
     "checkpoint_every": _at_least(0),
 }
 
@@ -108,7 +104,7 @@ class ExperimentConfig:
     standardize: bool = True
     # federation topology
     n_clients: int = 6
-    scenario: str = "mixed"
+    # how many clients hold all, some and one view; None draws each size
     mixed_counts: tuple[int, int, int] | None = None
     dirichlet_beta: float | None = 10.0  # None means IID
     # training
@@ -135,8 +131,6 @@ class ExperimentConfig:
     eval_restarts: int = 10
     eval_every: int = 1
     eval_views: tuple[int, ...] | None = None
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-6
     # execution
     checkpoint_every: int = 0
     resume_from: str | None = None

@@ -6,6 +6,7 @@ from any context. Seeds may be ints or ``numpy.random.SeedSequence``.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -100,15 +101,19 @@ class ClientShard:
     sample_indices: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if len(self.view_subset) == 0:
+        # plain ints, whatever integer type the subset was drawn as; a
+        # non-integer view raises TypeError rather than being truncated
+        subset = tuple(operator.index(v) for v in self.view_subset)
+        if len(subset) == 0:
             raise ConfigError("view subset must be nonempty")
-        if len(set(self.view_subset)) != len(self.view_subset):
+        if len(set(subset)) != len(subset):
             raise ConfigError("view subset contains duplicates")
         idx = np.asarray(self.sample_indices, dtype=np.int64)
         if idx.size == 0:
             raise ConfigError(f"client {self.client_id} received no samples")
         if np.unique(idx).size != idx.size:
             raise ConfigError(f"client {self.client_id} has duplicate sample indices")
+        object.__setattr__(self, "view_subset", subset)
         object.__setattr__(self, "sample_indices", idx)
 
     @property
@@ -206,41 +211,29 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None,
         f"(beta={beta}, n_clients={n_clients}, n_samples={n})")
 
 
-def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
+def assign_views(n_clients: int, n_views: int, seed=0,
                  counts: tuple[int, int, int] | None = None
                  ) -> list[tuple[int, ...]]:
     """Decide each client's view subset.
 
-    ``mixed`` draws subset sizes uniformly from 1..V unless ``counts``
-    fixes the composition as (full, partial, single). Assignments are
-    redrawn until every view is held by at least one client, up to
-    ``ASSIGN_RETRIES`` times.
+    ``counts`` fixes how many clients hold all ``n_views`` views, some
+    (2 to V-1) and one, in that order; without it each client's subset
+    size is drawn uniformly from 1..V. Which views a subset holds is drawn
+    too. Assignments are redrawn until every view is held by at least one
+    client, up to ``ASSIGN_RETRIES`` times.
     """
-    check(n_clients=n_clients, scenario=scenario)
+    check(n_clients=n_clients)
     if n_views < 1:
         raise ConfigError(f"n_views must be >= 1, got {n_views}")
+    if counts is not None:
+        check(mixed_counts=tuple(counts), n_clients=n_clients)
+        if counts[1] > 0 and n_views < 3:
+            raise ConfigError("partial clients need at least 3 views")
     rng = np.random.default_rng(seed)
 
     all_views = tuple(range(n_views))
-    if scenario == "full_only":
-        return [all_views] * n_clients
-
-    if scenario == "single_only":
-        if n_clients < n_views:
-            raise ConfigError(
-                f"single_only with {n_clients} clients cannot cover {n_views} views")
-    else:  # mixed
-        if n_views < 2:
-            raise ConfigError("mixed scenario requires at least 2 views")
-        if counts is not None:
-            check(mixed_counts=tuple(counts), n_clients=n_clients)
-            if counts[1] > 0 and n_views < 3:
-                raise ConfigError("partial clients need at least 3 views")
-
     for _ in range(ASSIGN_RETRIES):
-        if scenario == "single_only":
-            draw = [1] * n_clients
-        elif counts is not None:
+        if counts is not None:
             n_full, n_partial, n_single = counts
             draw = ([n_views] * n_full
                     + list(rng.integers(2, n_views, size=n_partial))
@@ -257,7 +250,7 @@ def assign_views(n_clients: int, n_views: int, scenario: str, seed=0,
             return subsets
     raise ConfigError(
         f"could not cover all {n_views} views with {n_clients} clients after "
-        f"{ASSIGN_RETRIES} draws (scenario={scenario})")
+        f"{ASSIGN_RETRIES} draws (mixed_counts={counts})")
 
 
 def save_dataset(ds: MultiViewDataset, path) -> None:

@@ -108,10 +108,15 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def kmeans(points, n_clusters: int, seed=0,
-           max_iter: int = ExperimentConfig.kmeans_max_iter,
-           tol: float = ExperimentConfig.kmeans_tol) -> KMeansResult:
-    """Lloyd iterations from a k-means++ start.
+# Lloyd's stopping rules: at most this many iterations, and the last one
+# is the first that moves no centroid by ``KMEANS_TOL`` or more
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6
+
+
+def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
+    """Lloyd iterations from a k-means++ start, stopped by
+    ``KMEANS_MAX_ITER`` and ``KMEANS_TOL``.
 
     Each point is assigned to its nearest centroid, ties going to the
     lowest index. The assignment takes one matrix product per iteration
@@ -132,7 +137,7 @@ def kmeans(points, n_clusters: int, seed=0,
     centroids = _kmeanspp_init(points, k, rng)
     sq_norms = (points ** 2).sum(axis=1)
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         labels, assigned = _nearest(points, centroids, sq_norms)
         counts = np.bincount(labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
@@ -152,16 +157,14 @@ def kmeans(points, n_clusters: int, seed=0,
                                   for count, end in zip(counts, ends)])
         shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     labels, assigned = _nearest(points, centroids, sq_norms)
     return KMeansResult(centroids, labels, float(assigned.sum()), trace)
 
 
 def kmeans_best(points, n_clusters: int,
-                n_restarts: int = ExperimentConfig.eval_restarts, seed=0,
-                max_iter: int = ExperimentConfig.kmeans_max_iter,
-                tol: float = ExperimentConfig.kmeans_tol
+                n_restarts: int = ExperimentConfig.eval_restarts, seed=0
                 ) -> tuple[KMeansResult, list[float]]:
     """Best of several seeded restarts (ties keep the earliest restart),
     plus every restart's final objective."""
@@ -171,7 +174,7 @@ def kmeans_best(points, n_clusters: int,
     best = None
     objectives = []
     for child in seq.spawn(n_restarts):
-        result = kmeans(points, n_clusters, child, max_iter, tol)
+        result = kmeans(points, n_clusters, child)
         objectives.append(result.objective)
         if best is None or result.objective < best.objective:
             best = result
@@ -308,16 +311,15 @@ def evaluate_global(params: ModelParams, dataset: MultiViewDataset,
 
     The evaluation settings are the config's: ``standardize``,
     ``eval_views`` (all views when None: evaluation is an offline
-    measurement, so every sample is rendered with its full view set),
-    ``eval_restarts``, ``kmeans_max_iter`` and ``kmeans_tol``. The restarts
-    spawn from ``seed``. Unlabeled datasets yield a report with only the
-    k-means objective.
+    measurement, so every sample is rendered with its full view set) and
+    ``eval_restarts``, the number of :func:`kmeans` restarts, which spawn
+    from ``seed``. Unlabeled datasets yield a report with only the k-means
+    objective.
     """
     work = dataset.standardized() if config.standardize else dataset
     views = eval_view_order(config.eval_views, work.n_views)
     fused = infer_fused(params, {v: work.views[v] for v in views})
-    best, objectives = kmeans_best(fused, work.n_clusters, config.eval_restarts,
-                                   seed, config.kmeans_max_iter, config.kmeans_tol)
+    best, objectives = kmeans_best(fused, work.n_clusters, config.eval_restarts, seed)
     if work.labels is None:
         return MetricsReport(None, None, None, best.objective, tuple(objectives))
     return MetricsReport(

@@ -267,7 +267,7 @@ def _train_step(client: ClientState, params: ModelParams, rows: np.ndarray,
     if use_drift:
         pos, neg = refs
         # a single-view client's negative: the current model on noisy input, detached
-        neg = noisy_feat.value.copy() if neg is None else neg[rows]
+        neg = noisy_feat.value if neg is None else neg[rows]
         global_values = [p.value for p in
                          global_params.trainable_params(shard.view_subset)]
         drift = drift_loss(fwd.fused, pos[rows], neg, [tape.leaf(p) for p in trainable],
@@ -442,8 +442,8 @@ def run_federation(config, dataset: MultiViewDataset,
             "(use dirichlet_beta=iid)")
     work = dataset.standardized() if config.standardize else dataset
 
-    assignments = assign_views(config.n_clients, work.n_views, config.scenario,
-                               seeds.assign, counts=config.mixed_counts)
+    assignments = assign_views(config.n_clients, work.n_views, seeds.assign,
+                               counts=config.mixed_counts)
     parts = dirichlet_partition(
         work.labels if work.labels is not None else np.zeros(work.n_samples),
         config.n_clients, config.dirichlet_beta, seeds.partition)

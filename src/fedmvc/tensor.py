@@ -558,31 +558,23 @@ class _SpanOptimizer:
     Every update is elementwise, so stepping a few long spans gives the
     bits that stepping each parameter on its own would. Per-coordinate
     state and scratch are rows of ``workspace`` (see
-    :func:`optimizer_workspace`), cut to the length of all spans together;
-    ``_segments`` pairs each span with its slice of those rows. Optimizers
-    built one after another may share one workspace, so a run allocates it
-    once.
+    :func:`optimizer_workspace`), as wide as ``value`` and indexed by the
+    same spans. Optimizers built one after another may share one
+    workspace, so a run allocates it once.
     """
 
     def __init__(self, value: Array, grad: Array | None, spans: Sequence[slice],
                  workspace: Array):
         if grad is None:
             raise ValueError("optimizer needs a model with a gradient buffer")
-        self.value, self.grad = value, grad
-        self._segments = []
-        offset = 0
-        for span in spans:
-            size = value[span].size
-            self._segments.append((span, slice(offset, offset + size)))
-            offset += size
-        if workspace.shape[1] < offset:
+        if workspace.shape[1] != value.size:
             raise ValueError(f"optimizer workspace holds {workspace.shape[1]} "
-                             f"coordinates, the spans need {offset}")
-        self._rows = workspace[:, :offset]
-        self._work = self._rows[0]
+                             f"coordinates, the model {value.size}")
+        self.value, self.grad, self._spans = value, grad, spans
+        self._work = workspace[0]
 
     def _check_finite_grads(self) -> None:
-        for span, _ in self._segments:
+        for span in self._spans:
             if not np.isfinite(self.grad[span]).all():
                 raise TrainingError("non-finite gradient encountered during optimizer step")
 
@@ -597,8 +589,8 @@ class SGD(_SpanOptimizer):
 
     def step(self) -> None:
         self._check_finite_grads()
-        for span, seg in self._segments:
-            g, step = self.grad[span], self._work[seg]
+        for span in self._spans:
+            g, step = self.grad[span], self._work[span]
             np.multiply(self.lr, g, out=step)
             self.value[span] -= step
             g[...] = 0.0
@@ -628,7 +620,7 @@ class Adam(_SpanOptimizer):
                  workspace: Array):
         super().__init__(value, grad, spans, workspace)
         self.lr = float(lr)
-        self._work, self._denom, self._m, self._v = self._rows
+        self._work, self._denom, self._m, self._v = workspace
         self._step = 0
 
     def step(self) -> None:
@@ -637,9 +629,9 @@ class Adam(_SpanOptimizer):
         t = self._step
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-        for span, seg in self._segments:
+        for span in self._spans:
             g, w = self.grad[span], self.value[span]
-            m, v, a, d = self._m[seg], self._v[seg], self._work[seg], self._denom[seg]
+            m, v, a, d = self._m[span], self._v[span], self._work[span], self._denom[span]
             if t == 1:
                 np.multiply(1 - b1, g, out=m)
                 m += 0.0
@@ -667,7 +659,7 @@ OPTIMIZERS = ("adam", "sgd")
 
 
 def optimizer_workspace(size: int) -> Array:
-    """State and scratch rows for any optimizer over at most ``size`` coordinates."""
+    """State and scratch rows for any optimizer over a ``size``-coordinate model."""
     return np.empty((4, size))
 
 

@@ -272,7 +272,7 @@ def test_criterion_6_kmeans():
 
 ACCEPTANCE_SCENARIO = dict(
     seed=0, n_clusters=3, n_samples=600, view_dims=(10, 10, 10),
-    separation=6.0, noise_sigma=1.0, n_clients=6, scenario="mixed",
+    separation=6.0, noise_sigma=1.0, n_clients=6,
     mixed_counts=(2, 2, 2), dirichlet_beta=10.0, rounds=30,
     alpha=0.5, mu=0.01)
 

@@ -34,7 +34,7 @@ from fedmvc.federation import compute_weights
 from fedmvc.model import Architecture, init_params, load_checkpoint, save_checkpoint
 
 TINY = dict(seed=3, n_clusters=2, n_samples=30, view_dims=(4, 3),
-            separation=5.0, noise_sigma=1.0, n_clients=2, scenario="full_only",
+            separation=5.0, noise_sigma=1.0, n_clients=2, mixed_counts=(2, 0, 0),
             dirichlet_beta=1.0, rounds=2, warmup_epochs=1, local_epochs=1,
             batch_size=16, latent_dim=4, high_dim=4, hidden=6, eval_restarts=2)
 
@@ -138,7 +138,7 @@ class TestConfigParsing:
         cfg = load_config(path)
         cfg.validate()
         assert cfg.n_clusters == 3 and cfg.mixed_counts == (2, 2, 2)
-        assert cfg.scenario == "mixed" and cfg.alpha_c_mode == "linear"
+        assert cfg.alpha_c_mode == "linear"
         assert cfg.no_contrast is False
 
     def test_comment_starts_at_line_start_or_after_whitespace(self, tmp_path):
@@ -152,14 +152,13 @@ class TestConfigParsing:
 # a value each rule rejects, for every rule of the table (a list gives several)
 BAD_VALUES = {
     "seed": 1.5, "n_clusters": 0, "view_dims": (3, 0), "separation": -1.0,
-    "noise_sigma": -0.5, "n_clients": 0, "scenario": "ring",
+    "noise_sigma": -0.5, "n_clients": 0,
     "mixed_counts": (3, -1, 4), "dirichlet_beta": 0.0, "rounds": -1,
     "warmup_epochs": -1, "local_epochs": -1, "batch_size": 0, "lr": 0.0,
     "optimizer": "rmsprop", "latent_dim": 0, "high_dim": 0, "hidden": 0,
     "tau": 0.0, "alpha": 1.5, "mu": -0.1, "sigma_noise": -1.0,
     "alpha_c_mode": ["cubic", "quadratic", "binary"], "eval_restarts": 0, "eval_every": 0,
-    "eval_views": (), "kmeans_max_iter": 0, "kmeans_tol": 0.0,
-    "checkpoint_every": -1,
+    "eval_views": (), "checkpoint_every": -1,
 }
 
 _POINTS = np.arange(8.0).reshape(4, 2)
@@ -179,9 +178,8 @@ LIBRARY_ENTRIES = {
     "n_clients": [
         lambda v: dirichlet_partition(np.zeros(10), v, 1.0),
         lambda v: dirichlet_partition(np.zeros(10), v, None),
-        lambda v: assign_views(v, 3, "mixed")],
-    "scenario": [lambda v: assign_views(2, 3, v)],
-    "mixed_counts": [lambda v: assign_views(6, 3, "mixed", counts=v)],
+        lambda v: assign_views(v, 3)],
+    "mixed_counts": [lambda v: assign_views(6, 3, counts=v)],
     "dirichlet_beta": [lambda v: dirichlet_partition(np.zeros(10), 2, v)],
     "latent_dim": [lambda v: Architecture((2,), 2, v, 4, 6)],
     "high_dim": [lambda v: Architecture((2,), 2, 4, v, 6)],
@@ -218,7 +216,7 @@ class TestRuleTable:
          [lambda: generate_blobs(3, 2, (2,), 1.0, 1.0),
           lambda: kmeans(_POINTS[:2], 3)]),
         ({"mixed_counts": (1, 1, 1), "n_clients": 4},
-         [lambda: assign_views(4, 3, "mixed", counts=(1, 1, 1))]),
+         [lambda: assign_views(4, 3, counts=(1, 1, 1))]),
     ], ids=[rule[0] for rule in PAIR_RULES])
     def test_pair_rule_rejects_alike_everywhere(self, fields, entries):
         field, other = next((f, o) for f, o, _, _ in PAIR_RULES if f in fields)
@@ -239,8 +237,8 @@ class TestRuleTable:
         ("sweep", None, {"config", "param", "values"}),
         ("gen-data", {"seed", "n_clusters", "n_samples", "view_dims", "separation",
                       "noise_sigma"}, {"out"}),
-        ("eval", {"seed", "eval_restarts", "eval_views", "kmeans_max_iter",
-                  "kmeans_tol", "standardize"}, {"checkpoint", "data"}),
+        ("eval", {"seed", "eval_restarts", "eval_views", "standardize"},
+         {"checkpoint", "data"}),
         ("inspect", set(), {"checkpoint"}),
     ], ids=["run", "sweep", "gen-data", "eval", "inspect"])
     def test_every_field_has_one_flag_of_the_kind_its_default_implies(
@@ -393,7 +391,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("line", ["threads = 2", "deterministic = true",
                                       "fedavg = true", "alpha_c_mode = quadratic",
-                                      "alpha_c_mode = binary"])
+                                      "alpha_c_mode = binary", "scenario = mixed",
+                                      "kmeans_max_iter = 10", "kmeans_tol = 1e-3"])
     def test_removed_knob_in_config_file_exit_2(self, tmp_path, capsys, line):
         # a removed key is unknown; a removed value breaks its field's rule
         key, value = (part.strip() for part in line.split("="))
@@ -409,12 +408,23 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--threads", "2"], ["--deterministic"],
-                                       ["--no-deterministic"], ["--fedavg"]])
+                                       ["--no-deterministic"], ["--fedavg"],
+                                       ["--scenario", "full_only"],
+                                       ["--kmeans-max-iter", "10"],
+                                       ["--kmeans-tol", "1e-3"]])
     def test_removed_knob_flag_exit_2(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["run", *flags])
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--kmeans-max-iter", "10"],
+                                       ["--kmeans-tol", "1e-3"]])
+    def test_removed_k_means_flag_on_eval_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", "m.ckpt", "--data", "d.mvd", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--rounds", "3"], ["--data-path", "x"]])
     def test_gen_data_flag_it_does_not_read_exit_2(self, tmp_path, capsys, flags):
@@ -437,7 +447,8 @@ class TestMainExitCodes:
     def test_more_clients_than_samples_exit_2(self, tmp_path, capsys, beta):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
                                dirichlet_beta=beta)
-        assert main(["run", str(path), "--n-clients", "50", "--n-samples", "40"]) == 2
+        assert main(["run", str(path), "--n-clients", "50", "--mixed-counts", "50,0,0",
+                     "--n-samples", "40"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         beta_text = "None" if beta == "iid" else beta
@@ -495,21 +506,6 @@ class TestDataVerbs:
         assert capsys.readouterr().out.strip() == (
             f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}")
 
-    def test_eval_reproduces_a_run_with_non_default_k_means(self, tmp_path, capsys):
-        data_path = tmp_path / "blobs.mvd"
-        save_dataset(generate_blobs(6, 60, (4, 3), 3.0, 1.0, seed=5), data_path)
-        out = tmp_path / "out"
-        result = run_experiment(tiny_config(out, data_path=str(data_path), rounds=1,
-                                            eval_restarts=1, kmeans_max_iter=1,
-                                            kmeans_tol=1e-3))
-        acc, nmi, ari, objective = result.csv_path.read_text().splitlines()[-1].split(",")[2:]
-        assert main(["eval", "--checkpoint", str(out / "model.ckpt"),
-                     "--data", str(data_path), "--eval-restarts", "1",
-                     "--seed", str(TINY["seed"]), "--kmeans-max-iter", "1",
-                     "--kmeans-tol", "1e-3"]) == 0
-        assert capsys.readouterr().out.strip() == (
-            f"ACC={acc} NMI={nmi} ARI={ari} objective={objective}")
-
     def test_eval_no_standardize_reproduces_an_unstandardized_run(self, tmp_path, capsys):
         data_path = tmp_path / "blobs.mvd"
         save_dataset(generate_blobs(6, 60, (4, 3), 3.0, 1.0, seed=5), data_path)
@@ -528,8 +524,7 @@ class TestDataVerbs:
 
     @pytest.mark.parametrize("flag,bad", [
         ("--eval-restarts", "1.5"), ("--eval-restarts", "0"), ("--seed", "1.5"),
-        ("--seed", "true"), ("--kmeans-max-iter", "0"), ("--kmeans-max-iter", "x"),
-        ("--kmeans-tol", "0"), ("--kmeans-tol", "nan")])
+        ("--seed", "true"), ("--eval-views", "x"), ("--eval-views", "")])
     def test_eval_flags_reject_as_run_does(self, tmp_path, capsys, flag, bad):
         arch = Architecture((4, 3), 2, latent_dim=4, high_dim=4, hidden=6)
         save_checkpoint(init_params(arch, seed=0), tmp_path / "model.ckpt")

@@ -129,18 +129,18 @@ def types_of(subsets, n_views):
 
 class TestAssignViews:
     def test_full_only(self):
-        out = assign_views(4, 3, "full_only", seed=0)
+        out = assign_views(4, 3, seed=0, counts=(4, 0, 0))
         assert out == [(0, 1, 2)] * 4
         assert types_of(out, 3) == [CLIENT_FULL] * 4
 
     def test_single_only_sizes(self):
-        out = assign_views(7, 3, "single_only", seed=1)
+        out = assign_views(7, 3, seed=1, counts=(0, 0, 7))
         assert all(len(s) == 1 for s in out)
         assert types_of(out, 3) == [CLIENT_SINGLE] * 7
         assert set().union(*out) == {0, 1, 2}
 
     def test_mixed_covers_views_and_types_match(self):
-        out = assign_views(6, 3, "mixed", seed=2)
+        out = assign_views(6, 3, seed=2)
         assert set().union(*out) == {0, 1, 2}
         for ctype, subset in zip(types_of(out, 3), out):
             if len(subset) == 3:
@@ -151,7 +151,7 @@ class TestAssignViews:
                 assert ctype == CLIENT_PARTIAL
 
     def test_mixed_with_fixed_counts(self):
-        out = assign_views(6, 3, "mixed", seed=3, counts=(2, 2, 2))
+        out = assign_views(6, 3, seed=3, counts=(2, 2, 2))
         types = types_of(out, 3)
         assert types.count(CLIENT_FULL) == 2
         assert types.count(CLIENT_PARTIAL) == 2
@@ -159,20 +159,44 @@ class TestAssignViews:
         assert set().union(*out) == {0, 1, 2}
 
     def test_uncoverable_configuration(self):
+        with pytest.raises(ConfigError, match="could not cover all 3 views"):
+            assign_views(2, 3, seed=0, counts=(0, 0, 2))
         with pytest.raises(ConfigError):
-            assign_views(2, 3, "single_only", seed=0)
-        with pytest.raises(ConfigError):
-            assign_views(0, 3, "mixed", seed=0)
+            assign_views(0, 3, seed=0)
 
     def test_counts_must_sum(self):
         with pytest.raises(ConfigError):
-            assign_views(6, 3, "mixed", seed=0, counts=(1, 1, 1))
+            assign_views(6, 3, seed=0, counts=(1, 1, 1))
+
+    def test_partial_clients_need_three_views(self):
+        with pytest.raises(ConfigError, match="partial clients need at least 3 views"):
+            assign_views(2, 2, seed=0, counts=(1, 1, 0))
+
+    @pytest.mark.parametrize("counts", [None, (3, 0, 0), (1, 0, 2), (0, 0, 3)])
+    def test_one_view_makes_every_client_full(self, counts):
+        # the one view is all views, so every draw holds it
+        out = assign_views(3, 1, seed=0, counts=counts)
+        assert out == [(0,)] * 3
+        assert types_of(out, 1) == [CLIENT_FULL] * 3
+
+    @pytest.mark.parametrize("counts", [None, (2, 2, 2), (6, 0, 0), (0, 0, 6)])
+    def test_shards_hold_plain_int_views(self, counts):
+        # a drawn subset may hold numpy integers; a shard holds ints
+        for seed in range(10):
+            for i, subset in enumerate(assign_views(6, 3, seed=seed, counts=counts)):
+                shard = ClientShard(i, subset, np.arange(2))
+                assert shard.view_subset == subset
+                assert all(type(v) is int for v in shard.view_subset)
 
 
 class TestShardInvariants:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ConfigError):
             ClientShard(0, (0,), np.array([1, 1, 2]))
+
+    def test_non_integer_view_rejected(self):
+        with pytest.raises(TypeError):
+            ClientShard(0, (1.7,), np.arange(3))
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ConfigError):

@@ -55,11 +55,13 @@ ARCH3 = Architecture(view_dims=(4, 3, 2), n_clusters=2, latent_dim=4, high_dim=5
 def tiny_config(**overrides):
     base = dict(seed=0, n_clusters=2, n_samples=40, view_dims=(4, 3),
                 separation=5.0, noise_sigma=1.0, n_clients=2,
-                scenario="full_only", dirichlet_beta=1.0, rounds=2,
+                dirichlet_beta=1.0, rounds=2,
                 warmup_epochs=1, local_epochs=1, batch_size=20, lr=1e-3,
                 latent_dim=4, high_dim=5, hidden=6, eval_restarts=2,
                 output_dir="unused")
     base.update(overrides)
+    # every client holds every view unless the mix is given (None draws it)
+    base.setdefault("mixed_counts", (base["n_clients"], 0, 0))
     return ExperimentConfig(**base)
 
 
@@ -516,7 +518,7 @@ class TestProximalTermAtRoundStart:
                          keys)
 
         monkeypatch.setattr(federation, "_train_phase", checking)
-        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+        cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=2, warmup_epochs=2,
                           local_epochs=2, batch_size=5)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
@@ -585,6 +587,52 @@ class TestWholeObjectiveGradient:
         h = 1e-6
         numeric = (total(start + h * direction) - total(start - h * direction)) / (2 * h)
         assert numeric == pytest.approx(grad @ direction, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("ctype,subset", CLIENTS3, ids=["full", "partial", "single"])
+    def test_warm_up_step(self, monkeypatch, ctype, subset):
+        # the step warm-up takes, captured from the loop it hands it to
+        phases = []
+
+        def capturing(client, config, epochs, where, working, ws, spans, step, keys):
+            phases.append((working, spans, step))
+            return dict.fromkeys(keys, 0.0)
+
+        monkeypatch.setattr(federation, "_train_phase", capturing)
+        client = make_client(subset=subset, n=8, seed=86, arch=ARCH3)
+        warm_up(client, epochs=1)
+        ((working, spans, step),) = phases
+        assert spans == working.owned_spans(subset, shared=False)
+        owned = np.zeros(working.vector.size, dtype=bool)
+        for span in spans:
+            owned[span] = True
+        rows = np.random.default_rng(len(subset)).permutation(client.shard.n_samples)
+        loss, stats = step(rows)
+        loss.tape.backward(loss)
+        grad = working.grad.copy()
+        working.grad[...] = 0.0
+        assert not grad[~owned].any()  # the optimizer steps all of it
+
+        start = working.vector.copy()
+
+        def total(w):
+            working.vector[...] = w
+            return step(rows)[1]["recon"]
+
+        assert total(start) == stats["recon"]
+        rng = np.random.default_rng(87)
+        h = 1e-6
+        # each view's autoencoder on its own, then all of them: a view whose
+        # reconstruction the loss left out would have a zero derivative
+        views = [working.view_spans(v) for v in subset]
+        for view_spans in [*views, spans]:
+            direction = np.zeros(working.vector.size)
+            for span in view_spans:
+                direction[span] = rng.standard_normal(span.stop - span.start)
+            direction /= np.linalg.norm(direction)
+            numeric = (total(start + h * direction)
+                       - total(start - h * direction)) / (2 * h)
+            assert numeric == pytest.approx(grad @ direction, rel=1e-6, abs=1e-9)
+            assert grad @ direction != 0.0
 
 
 def batch_holding(row, n, batch_size, seed):
@@ -918,7 +966,7 @@ class TestRunFederation:
         assert np.array_equal(merged.vector, clients[0].snapshot.vector)
 
     def test_deterministic_reruns(self):
-        cfg = tiny_config(rounds=2, warmup_epochs=1, scenario="mixed",
+        cfg = tiny_config(rounds=2, warmup_epochs=1, mixed_counts=None,
                           view_dims=(4, 3), n_clients=3)
         ds = generate_blobs(2, 36, (4, 3), 5.0, 1.0, seed=2)
         a = run_federation(cfg, ds)
@@ -953,7 +1001,7 @@ class TestRunFederation:
         assert np.array_equal(clients[1].views[0], ds.views[0][10:30])
 
     def test_training_beats_untrained_baseline(self):
-        cfg = tiny_config(n_clients=3, scenario="mixed", n_samples=90,
+        cfg = tiny_config(n_clients=3, mixed_counts=None, n_samples=90,
                           rounds=6, warmup_epochs=10, local_epochs=5,
                           batch_size=32)
         ds = generate_blobs(2, 90, (4, 3), 5.0, 1.0, seed=7)
@@ -1013,7 +1061,7 @@ class TestRunFederation:
         monkeypatch.setattr(ModelParams, "__init__", counting_init)
         monkeypatch.setattr(ModelParams, "clone", counting_clone)
         monkeypatch.setattr(federation, "build_clients", capture)
-        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+        cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=3, warmup_epochs=1,
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
@@ -1060,7 +1108,7 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "optimizer_workspace", allocating)
         monkeypatch.setattr(federation, "make_optimizer", recording)
-        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+        cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
@@ -1108,7 +1156,7 @@ class TestTapeLifetime:
         assert tapes_left_by(phases) == []
 
     def test_run_leaves_no_tape(self):
-        cfg = tiny_config(n_clients=3, scenario="mixed", mixed_counts=(1, 1, 1),
+        cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
