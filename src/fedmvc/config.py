@@ -229,8 +229,19 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 _COMMENT = re.compile(r"(^|\s)#.*")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key raises ``ConfigError``."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f"duplicate config key {key!r}")
+        mapping[key] = value
+    return mapping
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read a config file: JSON if it looks like JSON, else key=value lines."""
+    """Read a config file: JSON if it looks like JSON, else key=value lines.
+    A key given twice raises ``ConfigError`` in either form."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -239,19 +250,25 @@ def load_config(path) -> ExperimentConfig:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            mapping = json.loads(text)
+            mapping = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON config {path}: {err}") from err
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
         return config_from_mapping(mapping)
-    mapping = {}
+    mapping, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
+        mapping[key] = value
     return config_from_mapping(mapping)
 
 

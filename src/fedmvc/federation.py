@@ -178,8 +178,6 @@ def pretrain_client(client: ClientState, config, working: ModelParams,
     (the initial global model) in ``working``, the run's trainable model;
     the result is copied back into the snapshot.
     """
-    if not client.views:
-        raise ConfigError(f"client {client.shard.client_id} has no data")
     np.copyto(working.vector, client.snapshot.vector)
     order = sorted(client.views)
 

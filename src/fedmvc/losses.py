@@ -35,29 +35,13 @@ def feature_contrast_full(feats: Sequence[Tensor], tau: float) -> Tensor:
     return T.cycled_nt_xent(feats, tau, denom=feats[0].value.shape[0])
 
 
-def cluster_size_entropy(probs: Sequence[Tensor]) -> Tensor:
-    """sum_v sum_j s_j log s_j over mean cluster masses s_j (one view's
-    s_j is the column mean of its assignment matrix). Minimizing this
-    pushes cluster sizes toward uniform."""
-    if not probs:
-        raise ValueError("need at least one assignment matrix")
-    reg = None
-    for q in probs:
-        n = q.value.shape[0]
-        sizes = T.scale(T.colsum(q), 1.0 / n)
-        term = T.sum_all(T.xlogx(sizes))
-        reg = term if reg is None else T.add(reg, term)
-    return reg
-
-
 def label_contrast(probs: Sequence[Tensor], tau: float) -> Tensor:
-    """Cross-view contrast on cluster-assignment columns, plus the
-    cluster-size regularizer :func:`cluster_size_entropy`."""
+    """Cross-view contrast on cluster-assignment columns: the cycled-partner
+    NT-Xent over matched columns (``tensor.cycled_nt_xent``), with no
+    cluster-size regularizer."""
     if len(probs) < 2:
         raise ValueError("label contrast needs at least two views")
-    k = probs[0].value.shape[1]
-    contrast = T.cycled_nt_xent(probs, tau, denom=k, columns=True)
-    return T.add(contrast, cluster_size_entropy(probs))
+    return T.cycled_nt_xent(probs, tau, denom=probs[0].value.shape[1], columns=True)
 
 
 def partial_contrast(fused: Tensor, feats: Sequence[Tensor], tau: float) -> Tensor:

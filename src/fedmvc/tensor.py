@@ -22,10 +22,11 @@ three NT-Xent contrasts over row cosines (:func:`cycled_nt_xent`,
 calls of the chain of elementary ops it replaces, on arrays of the same
 memory layout, and sums every gradient in the order the chain did, so its
 value and gradients are bitwise equal to the chain's. Those elementary ops
-(``matmul``, ``transpose``, ``exp``, ``log``, ``rowsum``, ``normalize_rows``,
-``add_scalar``, ``sub``, ``mul``, ``add_row``, ``relu``) and the chains live
-in ``tests/helpers.py`` as the reference. The ReLU is ``np.fmax(x, 0.0)``,
-bitwise equal to ``np.where(x > 0, x, 0.0)`` for every input and faster.
+(``matmul``, ``transpose``, ``exp``, ``log``, ``rowsum``, ``colsum``,
+``sum_all``, ``normalize_rows``, ``add_scalar``, ``sub``, ``mul``,
+``add_row``, ``relu``) and the chains live in ``tests/helpers.py`` as the
+reference. The ReLU is ``np.fmax(x, 0.0)``, bitwise equal to
+``np.where(x > 0, x, 0.0)`` for every input and faster.
 
 :meth:`Tape.backward` keeps a node's first gradient without copying it when
 it is C-contiguous and writeable, and never writes into such a kept array:
@@ -227,40 +228,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         acc(a, g * c)
 
     return a.tape._track(Tensor(a.value * c, a.tape, backprop=backprop))
-
-
-def xlogx(a: Tensor) -> Tensor:
-    """Elementwise x*log(x) with the 0*log(0) := 0 convention."""
-    av = a.value
-    pos = av > 0
-    out = np.where(pos, av * np.log(np.where(pos, av, 1.0)), 0.0)
-
-    def backprop(g, acc):
-        acc(a, g * np.where(pos, np.log(np.where(pos, av, 1.0)) + 1.0, 0.0))
-
-    return a.tape._track(Tensor(out, a.tape, backprop=backprop))
-
-
-def colsum(a: Tensor) -> Tensor:
-    """Sum down each column: N x C -> 1 x C."""
-    shape = a.value.shape
-
-    def backprop(g, acc):
-        acc(a, np.broadcast_to(g, shape))
-
-    return a.tape._track(Tensor(a.value.sum(axis=0, keepdims=True), a.tape,
-                                backprop=backprop))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum over every entry: N x C -> 1 x 1."""
-    shape = a.value.shape
-
-    def backprop(g, acc):
-        acc(a, np.full(shape, g[0, 0]))
-
-    return a.tape._track(Tensor(np.array([[a.value.sum()]]), a.tape,
-                                backprop=backprop))
 
 
 def softmax_rows(a) -> Tensor:

@@ -59,7 +59,7 @@ def feature_contrast_bruteforce(feats, tau):
 
 
 def label_contrast_bruteforce(probs, tau):
-    """Column-level contrast plus the cluster-size entropy regularizer."""
+    """Direct double-loop evaluation of the cross-view column contrast."""
     n_views = len(probs)
     n, k = probs[0].shape
     total = 0.0
@@ -70,11 +70,7 @@ def label_contrast_bruteforce(probs, tau):
             others = [probs[v][:, c] for c in range(k) if c != j] + list(probs[nxt].T)
             den = sum(math.exp(cos(probs[v][:, j], col) / tau) for col in others)
             total += -math.log(num / den)
-    loss = total / k
-    for v in range(n_views):
-        sizes = probs[v].mean(axis=0)
-        loss += float(np.sum(sizes[sizes > 0] * np.log(sizes[sizes > 0])))
-    return loss
+    return total / k
 
 
 def partial_contrast_bruteforce(fused, feats, tau):
@@ -197,6 +193,28 @@ def rowsum(a):
                               backprop=backprop))
 
 
+def colsum(a):
+    """Sum down each column: N x C -> 1 x C."""
+    shape = a.value.shape
+
+    def backprop(g, acc):
+        acc(a, np.broadcast_to(g, shape))
+
+    return a.tape._track(T.Tensor(a.value.sum(axis=0, keepdims=True), a.tape,
+                              backprop=backprop))
+
+
+def sum_all(a):
+    """Sum over every entry: N x C -> 1 x 1."""
+    shape = a.value.shape
+
+    def backprop(g, acc):
+        acc(a, np.full(shape, g[0, 0]))
+
+    return a.tape._track(T.Tensor(np.array([[a.value.sum()]]), a.tape,
+                              backprop=backprop))
+
+
 def normalize_rows(a):
     """Scale each row to unit L2 norm; all-zero rows stay zero. A nonzero row
     of norm below sqrt(smallest normal float64) is divided by its largest
@@ -244,7 +262,7 @@ def cycled_nt_xent_chain(items, tau, denom, columns=False):
         pos = rowsum(mul(s_pair, eye))
         term = sub(log(den), T.scale(pos, inv_tau))
         total = term if total is None else T.add(total, term)
-    return T.scale(T.sum_all(total), 1.0 / denom)
+    return T.scale(sum_all(total), 1.0 / denom)
 
 
 def partial_nt_xent_chain(fused, feats, tau):
@@ -262,7 +280,7 @@ def partial_nt_xent_chain(fused, feats, tau):
         pos = rowsum(mul(sims, eye))
         term = sub(log(den), T.scale(pos, inv_tau))
         total = term if total is None else T.add(total, term)
-    return T.scale(T.sum_all(total), 1.0 / n)
+    return T.scale(sum_all(total), 1.0 / n)
 
 
 def one_vs_one_nt_xent_chain(a, b, c, d, tau):
@@ -281,7 +299,7 @@ def one_vs_one_nt_xent_chain(a, b, c, d, tau):
     inv_tau = 1.0 / tau
     den = T.add(exp(T.scale(pos, inv_tau)), exp(T.scale(neg, inv_tau)))
     term = sub(log(den), T.scale(pos, inv_tau))
-    return T.scale(T.sum_all(term), 1.0 / n)
+    return T.scale(sum_all(term), 1.0 / n)
 
 
 def add_row(x, row):
@@ -355,7 +373,7 @@ def sum_sq_dist_chain(leaves, refs):
     acc = None
     for leaf, ref in zip(leaves, refs):
         diff = sub(leaf, tape.constant(ref))
-        term = T.sum_all(mul(diff, diff))
+        term = sum_all(mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
     return acc
 

@@ -25,7 +25,6 @@ from fedmvc.evaluation import (
 )
 from fedmvc.federation import aggregate, compute_weights
 from fedmvc.losses import (
-    cluster_size_entropy,
     drift_loss,
     feature_contrast_full,
     label_contrast,
@@ -133,12 +132,6 @@ def test_criterion_2_analytic_identities():
 
     checks["drift proximal zero at equal params"] = abs(
         drift_at(3.0) - drift_at(0.0))
-
-    n_views, k = 3, 4
-    qs = [tape.constant(np.full((6, k), 1.0 / k)) for _ in range(n_views)]
-    entropy = float(cluster_size_entropy(qs).value[0, 0])
-    checks["uniform-assignment entropy = -V log K"] = abs(
-        entropy + n_views * math.log(k))
 
     worst = max(checks.values())
     report(2, worst < 1e-10,

@@ -407,6 +407,24 @@ class TestMainExitCodes:
             assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_key_in_config_file_exit_2(self, tmp_path, capsys):
+        path = write_kv_config(tmp_path / "dup.cfg", tmp_path / "out")
+        n_lines = len(path.read_text().splitlines())
+        path.write_text(path.read_text() + "alpha = 0.3\nalpha = 0.7\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{n_lines + 2}: duplicate config key 'alpha'" in err
+        assert f"(first set on line {n_lines + 1})" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_in_json_config_exit_2(self, tmp_path, capsys):
+        text = json.dumps(dict(TINY, output_dir=str(tmp_path / "out"), alpha=0.3))
+        path = tmp_path / "dup.json"
+        path.write_text(text[:-1] + ', "alpha": 0.7}')
+        assert main(["run", str(path)]) == 2
+        assert f"{path}: duplicate config key 'alpha'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [["--threads", "2"], ["--deterministic"],
                                        ["--no-deterministic"], ["--fedavg"],
                                        ["--scenario", "full_only"],

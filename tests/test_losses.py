@@ -19,7 +19,6 @@ from helpers import (
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError
 from fedmvc.losses import (
-    cluster_size_entropy,
     drift_loss,
     feature_contrast_full,
     label_contrast,
@@ -196,18 +195,16 @@ class TestFeatureContrast:
 
 
 class TestLabelContrast:
-    def test_uniform_assignment_entropy_closed_form(self):
-        n, k, n_views = 6, 3, 2
-        tape = T.Tape()
-        qs = [tape.constant(np.full((n, k), 1.0 / k)) for _ in range(n_views)]
-        entropy = scalar(cluster_size_entropy(qs))
-        assert entropy == pytest.approx(-n_views * math.log(k), abs=1e-10)
-
-    def test_one_hot_point_mass_entropy_zero(self):
-        q = np.zeros((5, 3))
-        q[:, 1] = 1.0  # every sample in one cluster
-        tape = T.Tape()
-        assert abs(scalar(cluster_size_entropy([tape.constant(q)]))) < 1e-15
+    def test_is_the_column_nt_xent(self):
+        rng = np.random.default_rng(7)
+        for n_views in (2, 3):
+            raw = [rng.uniform(0.05, 1.0, (5, 3)) for _ in range(n_views)]
+            qs = [r / r.sum(axis=1, keepdims=True) for r in raw]
+            tape = T.Tape()
+            loss = label_contrast([tape.constant(q) for q in qs], TAU)
+            direct = T.cycled_nt_xent([tape.constant(q) for q in qs], TAU, denom=3,
+                                      columns=True)
+            assert loss.value.tobytes() == direct.value.tobytes()
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(8)

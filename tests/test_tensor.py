@@ -11,6 +11,7 @@ from helpers import (
     add_row,
     add_scalar,
     central_diff,
+    colsum,
     cycled_nt_xent_chain,
     exp,
     feature_contrast_bruteforce,
@@ -27,6 +28,7 @@ from helpers import (
     relu as relu_op,
     rowsum,
     sub,
+    sum_all,
     sum_sq_dist_chain,
     transpose,
 )
@@ -134,10 +136,6 @@ class TestForward:
         assert norms[4:].tobytes() == plain.tobytes()
         assert unit[4:].tobytes() == (x[4:] / plain).tobytes()
 
-    def test_xlogx_zero_convention(self):
-        tape = T.Tape()
-        y = T.xlogx(tape.constant([[0.0, 1.0, np.e]]))
-        assert np.allclose(y.value, [[0.0, 0.0, np.e]])
 
 
 class TestBackward:
@@ -145,7 +143,7 @@ class TestBackward:
         tape = T.Tape()
         p = param([[1.0, -2.0, 3.0]])
         x = tape.leaf(p)
-        loss = T.sum_all(mul(x, x))
+        loss = sum_all(mul(x, x))
         tape.backward(loss)
         assert np.allclose(p.grad, 2 * p.value)
 
@@ -154,7 +152,7 @@ class TestBackward:
         p = param(np.random.default_rng(0).uniform(-2, 2, (3, 3)))
         x = tape.leaf(p)
         diff = sub(x, x)
-        tape.backward(T.sum_all(mul(diff, diff)))
+        tape.backward(sum_all(mul(diff, diff)))
         assert np.array_equal(p.grad, np.zeros((3, 3)))
 
     def test_grad_accumulates_until_cleared(self):
@@ -162,7 +160,7 @@ class TestBackward:
         for _ in range(2):
             tape = T.Tape()
             x = tape.leaf(p)
-            tape.backward(T.sum_all(mul(x, x)))
+            tape.backward(sum_all(mul(x, x)))
         assert np.allclose(p.grad, [[8.0]])
         T.make_optimizer("sgd", 0.1, p.value.reshape(-1), p.grad.reshape(-1),
                          [slice(0, 1)], T.optimizer_workspace(1)).step()
@@ -171,7 +169,7 @@ class TestBackward:
 
     def test_loss_not_on_tape(self):
         tape_a, tape_b = T.Tape(), T.Tape()
-        loss = T.sum_all(tape_a.constant([[1.0]]))
+        loss = sum_all(tape_a.constant([[1.0]]))
         with pytest.raises(ValueError):
             tape_b.backward(loss)
 
@@ -182,7 +180,7 @@ class TestBackward:
         with pytest.raises(ValueError, match="1x1"):
             tape.backward(x)
         # a call rejected before the replay leaves the record in place
-        tape.backward(T.sum_all(x))
+        tape.backward(sum_all(x))
         assert np.array_equal(p.grad, [[1.0, 1.0]])
 
 
@@ -193,7 +191,7 @@ class TestReplayOnce:
         tape = T.Tape()
         p = param([[3.0]])
         x = tape.leaf(p)
-        loss = T.sum_all(mul(x, x))
+        loss = sum_all(mul(x, x))
         tape.backward(loss)
         with pytest.raises(ValueError, match="already replayed"):
             tape.backward(loss)
@@ -203,13 +201,13 @@ class TestReplayOnce:
         lambda tape, x, p: tape.constant([[1.0]]),
         lambda tape, x, p: tape.leaf(p),
         lambda tape, x, p: tape.leaf(param([[1.0]])),
-        lambda tape, x, p: T.sum_all(x),
+        lambda tape, x, p: sum_all(x),
     ], ids=["constant", "same-leaf", "new-leaf", "op"])
     def test_recording_on_a_replayed_tape_raises(self, record):
         tape = T.Tape()
         p = param([[3.0]])
         x = tape.leaf(p)
-        tape.backward(T.sum_all(x))
+        tape.backward(sum_all(x))
         with pytest.raises(ValueError, match="already replayed"):
             record(tape, x, p)
 
@@ -217,7 +215,7 @@ class TestReplayOnce:
         tape = T.Tape()
         frozen = T.Param(np.ones((1, 2)), None)
         with pytest.raises(ValueError, match="without a gradient buffer"):
-            tape.backward(T.sum_all(tape.leaf(frozen)))
+            tape.backward(sum_all(tape.leaf(frozen)))
         assert not tape._nodes and not tape._leaves
         with pytest.raises(ValueError, match="already replayed"):
             tape.constant([[1.0]])
@@ -229,7 +227,7 @@ class TestReplayOnce:
         try:
             tape = T.Tape()
             hidden = T.affine(tape.constant(np.ones((3, 2))), w, b, relu=True)
-            loss = T.sum_all(T.scale(hidden, 2.0))
+            loss = sum_all(T.scale(hidden, 2.0))
             refs = [weakref.ref(tape), weakref.ref(hidden.value),
                     weakref.ref(loss.value)]
             tape.backward(loss)
@@ -250,12 +248,12 @@ class TestReplayOnce:
         d = rng.normal(size=shape)
         tape = T.Tape()
         a, b = tape.leaf(pa), tape.leaf(pb)
-        second = T.sum_all(mul(a, tape.constant(d)))
+        second = sum_all(mul(a, tape.constant(d)))
         through = {"direct": lambda t: t, "transposed": transpose, "broadcast": rowsum}
         route_op = through[route]
         s = T.add(route_op(a), route_op(b))
         c = rng.normal(size=s.value.shape)
-        tape.backward(T.add(T.sum_all(mul(s, tape.constant(c))), second))
+        tape.backward(T.add(sum_all(mul(s, tape.constant(c))), second))
         first = {"direct": c, "transposed": c.T,
                  "broadcast": np.broadcast_to(c, shape)}[route]
         assert np.array_equal(pb.grad, first)
@@ -270,9 +268,9 @@ class TestReplayOnce:
         x = tape.constant(np.arange(6.0).reshape(2, 3))
         probe = tape._track(T.Tensor(x.value.copy(), tape,
                                      backprop=lambda g, acc: seen.append(g.copy("K"))))
-        second = T.sum_all(mul(probe, tape.constant(np.ones((2, 3)))))
+        second = sum_all(mul(probe, tape.constant(np.ones((2, 3)))))
         flipped = transpose(probe)
-        tape.backward(T.add(T.sum_all(mul(flipped, tape.constant(np.ones((3, 2))))),
+        tape.backward(T.add(sum_all(mul(flipped, tape.constant(np.ones((3, 2))))),
                             second))
         (g,) = seen
         assert g.flags.f_contiguous and not g.flags.c_contiguous
@@ -297,27 +295,26 @@ class TestReplayOnce:
         y = T.affine(relu_op(T.affine(tape.constant(x), p1, param(b1))),
                      param(w2), param(b2))
         diff = sub(y, tape.constant(target))
-        tape.backward(T.sum_all(mul(diff, diff)))
+        tape.backward(sum_all(mul(diff, diff)))
         assert rel_error(p1.grad, central_diff(run, w1)) < 1e-4
 
     @pytest.mark.parametrize("op,builder", [
-        ("relu", lambda t, x: T.sum_all(mul(relu_op(x), relu_op(x)))),
-        ("softmax", lambda t, x: T.sum_all(mul(T.softmax_rows(x),
+        ("relu", lambda t, x: sum_all(mul(relu_op(x), relu_op(x)))),
+        ("softmax", lambda t, x: sum_all(mul(T.softmax_rows(x),
                                                  t.constant(_W)))),
-        ("normalize", lambda t, x: T.sum_all(mul(normalize_rows(x),
+        ("normalize", lambda t, x: sum_all(mul(normalize_rows(x),
                                                    t.constant(_W)))),
-        ("exp", lambda t, x: T.sum_all(exp(T.scale(x, 0.5)))),
-        ("log", lambda t, x: T.sum_all(log(add_scalar(mul(x, x), 1.0)))),
-        ("xlogx", lambda t, x: T.sum_all(T.xlogx(add_scalar(mul(x, x), 0.1)))),
-        ("colsum", lambda t, x: T.sum_all(mul(T.colsum(x), T.colsum(x)))),
-        ("rowsum", lambda t, x: T.sum_all(mul(rowsum(x), rowsum(x)))),
-        ("transpose", lambda t, x: T.sum_all(mul(transpose(x), transpose(x)))),
+        ("exp", lambda t, x: sum_all(exp(T.scale(x, 0.5)))),
+        ("log", lambda t, x: sum_all(log(add_scalar(mul(x, x), 1.0)))),
+        ("colsum", lambda t, x: sum_all(mul(colsum(x), colsum(x)))),
+        ("rowsum", lambda t, x: sum_all(mul(rowsum(x), rowsum(x)))),
+        ("transpose", lambda t, x: sum_all(mul(transpose(x), transpose(x)))),
         ("affine_x", lambda t, x: _dense_loss(x, _W45, _B5)),
         ("affine_relu_x", lambda t, x: _dense_loss(x, _W45, _B5, relu=True)),
         ("affine_w", lambda t, x: _dense_loss(_X23, x, _B4)),
         ("affine_relu_w", lambda t, x: _dense_loss(_X23, x, _B4, relu=True)),
-        ("affine_b", lambda t, x: _dense_loss(_X23, _W34, T.colsum(x))),
-        ("affine_relu_b", lambda t, x: _dense_loss(_X23, _W34, T.colsum(x), relu=True)),
+        ("affine_b", lambda t, x: _dense_loss(_X23, _W34, colsum(x))),
+        ("affine_relu_b", lambda t, x: _dense_loss(_X23, _W34, colsum(x), relu=True)),
         ("sum_sq_dist_0", lambda t, x: _sum_sq_dist_at(t, x, 0)),
         ("sum_sq_dist_1", lambda t, x: _sum_sq_dist_at(t, x, 1)),
         ("sum_sq_dist_2", lambda t, x: _sum_sq_dist_at(t, x, 2)),
@@ -360,7 +357,7 @@ class TestReplayOnce:
             p = param(rv)
             tape = T.Tape()
             y = add_row(tape.constant(x), tape.leaf(p))
-            loss = T.sum_all(mul(y, y))
+            loss = sum_all(mul(y, y))
             tape.backward(loss)
             return float(loss.value[0, 0]), p.grad
 
@@ -377,7 +374,7 @@ _X23, _W34, _W45, _B4, _B5 = (np.random.default_rng(124).uniform(-2, 2, shape)
 
 def _dense_loss(x, weight, bias, relu=False):
     # exp has a nonzero slope where a ReLU output is zero, so a lost mask shows
-    return T.sum_all(exp(T.scale(T.affine(x, weight, bias, relu=relu), 0.25)))
+    return sum_all(exp(T.scale(T.affine(x, weight, bias, relu=relu), 0.25)))
 
 
 def _sum_sq_dist_at(tape, x, pos):
@@ -397,7 +394,7 @@ class TestDeterminism:
             tape = T.Tape()
             x = tape.constant(rng.uniform(-1, 1, (5, 6)))
             y = T.softmax_rows(relu_op(matmul(x, tape.leaf(p))))
-            tape.backward(T.sum_all(mul(y, y)))
+            tape.backward(sum_all(mul(y, y)))
             return y.value.copy(), p.grad.copy()
         y1, g1 = run()
         y2, g2 = run()
@@ -432,8 +429,8 @@ class TestFusedOps:
             ys = [dense(dense(inp, w1, b1, relu=True), w2, b2)
                   for inp in (x, tape.constant(other))]
             loss = T.add(
-                T.sum_all(mul(normalize_rows(ys[0]), tape.constant(target))),
-                T.sum_all(mul(ys[1], ys[1])))
+                sum_all(mul(normalize_rows(ys[0]), tape.constant(target))),
+                sum_all(mul(ys[1], ys[1])))
             tape.backward(loss)
             return [y.value for y in ys], [p.grad for p in (w1, b1, w2, b2, px)]
 
@@ -462,7 +459,7 @@ class TestFusedOps:
         out = T.affine(tape.constant(np.ones((4, 3))), weight, bias, relu=True)
         assert out.value.tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
         # the backward mask is still ``pre > 0``: NaN, zeros and negatives pass nothing
-        tape.backward(T.sum_all(out))
+        tape.backward(sum_all(out))
         assert np.array_equal(bias.grad, (pre > 0).sum(axis=0, keepdims=True))
 
     def test_affine_rejects_mismatched_shapes(self):
@@ -485,9 +482,9 @@ class TestFusedOps:
                                   params[0], params[1], relu=True),
                          params[2], params[3])
             # the leaves already carry forward gradients when the term joins
-            drift = T.add(T.sum_all(mul(y, y)),
+            drift = T.add(sum_all(mul(y, y)),
                           T.scale(prox([tape.leaf(p) for p in params], refs), mu / 2))
-            loss = T.add(T.sum_all(y), T.scale(drift, 1.0 - alpha))
+            loss = T.add(sum_all(y), T.scale(drift, 1.0 - alpha))
             tape.backward(loss)
             return loss.value, [p.grad for p in params]
 

@@ -8,8 +8,9 @@ Runs from the root of a checkout. Each run is one
 ``fedmvc.cli.run_experiment`` in a temporary directory, with BLAS pinned to
 one thread as the benchmark pins it. Prints one line per run: the sha256 of
 ``metrics.csv``, of ``model.ckpt`` and of the ``rounds`` of
-``summary.json`` (the rest of the summary holds the wall time). Two
-checkouts that print the same lines wrote byte-identical output.
+``summary.json`` (the rest of the summary holds the wall time), then of
+each round checkpoint a run wrote. Two checkouts that print the same lines
+wrote byte-identical output.
 
 With ``--expect FILE`` (the lines another checkout printed, say), the
 printed lines are compared with FILE's: the exit code is 1, naming the
@@ -41,7 +42,8 @@ def sha256(data: bytes) -> str:
 
 def digest(overrides: dict) -> str:
     """Run one config and return ``metrics.csv``, ``model.ckpt`` and
-    ``summary.json`` rounds digests as one line."""
+    ``summary.json`` rounds digests as one line, followed by one for each
+    round checkpoint (``checkpoint_every``) in round order."""
     from fedmvc.cli import run_experiment
     from fedmvc.config import ExperimentConfig
 
@@ -49,9 +51,12 @@ def digest(overrides: dict) -> str:
         out = Path(tmp)
         run_experiment(ExperimentConfig(**{**overrides, "output_dir": str(out)}))
         rounds = json.loads((out / "summary.json").read_text(encoding="utf-8"))["rounds"]
-        return (f"metrics.csv={sha256((out / 'metrics.csv').read_bytes())} "
-                f"model.ckpt={sha256((out / 'model.ckpt').read_bytes())} "
-                f"rounds={sha256(json.dumps(rounds, sort_keys=True).encode())}")
+        fields = [f"metrics.csv={sha256((out / 'metrics.csv').read_bytes())}",
+                  f"model.ckpt={sha256((out / 'model.ckpt').read_bytes())}",
+                  f"rounds={sha256(json.dumps(rounds, sort_keys=True).encode())}"]
+        fields += [f"{ckpt.name}={sha256(ckpt.read_bytes())}"
+                   for ckpt in sorted(out.glob("round_*.ckpt"))]
+        return " ".join(fields)
 
 
 def first_difference(printed: Sequence[str], expected: Sequence[str]) -> str | None:
