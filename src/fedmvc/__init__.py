@@ -7,6 +7,7 @@ from .errors import (
     DataFormatError,
     DimensionError,
     FedmvcError,
+    NonFiniteError,
     PartitionError,
     TrainingError,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "MetricsReport",
     "ModelParams",
     "MultiViewDataset",
+    "NonFiniteError",
     "PartitionError",
     "RoundReport",
     "TrainingError",

@@ -24,7 +24,7 @@ from .config import (
     save_config,
 )
 from .data import generate_blobs, load_dataset, save_dataset
-from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError, PartitionError
+from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError, NonFiniteError, PartitionError
 from .evaluation import MetricsReport, eval_view_order, evaluate_global
 from .federation import derive_seeds, run_federation
 from .model import load_checkpoint, save_checkpoint
@@ -311,6 +311,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, DataFormatError, PartitionError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except NonFiniteError as err:
+        print(f"input error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:
         print(f"configuration error: missing file: {err.filename}", file=sys.stderr)

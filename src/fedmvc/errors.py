@@ -23,3 +23,7 @@ class PartitionError(FedmvcError, RuntimeError):
 
 class TrainingError(FedmvcError, RuntimeError):
     """Training produced a non-finite loss or gradient."""
+
+
+class NonFiniteError(FedmvcError, ValueError):
+    """Values are NaN or infinite, or so large that squaring them overflows."""

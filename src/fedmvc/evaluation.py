@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import ExperimentConfig, check
 from .data import MultiViewDataset
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .model import ModelParams, infer_fused
 
 
@@ -41,36 +41,42 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray,
-             sq_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centroid (ties to the lowest index) and its
-    squared distance to it.
-
-    Both are bitwise the argmin and the minimum of
-    ``_pairwise_sq_dists(points, centroids)``, at the cost of one matrix
-    product. ``points`` is C-contiguous; ``sq_norms`` is
-    ``(points ** 2).sum(axis=1)``.
-    """
-    # Labels come from the GEMM form ‖x‖² − 2·x·c + ‖c‖². Two facts bound
-    # how far each form's computed value is from the true ‖x − c‖², with
-    # u = eps/2 the unit roundoff and g_n = n·u/(1 − n·u):
+def _margin(norms: np.ndarray, c_norm, d: int) -> np.ndarray:
+    """At least twice the sum of four rounding errors, each of the GEMM form
+    ‖x‖² − 2·x·c + ‖c‖² or of the exact form ``((x - c)**2).sum()`` of a
+    squared distance, for rows of norm ``norms``, centroids of norm at most
+    ``c_norm`` and ``d`` features."""
+    # With u = eps/2 the unit roundoff and g_n = n·u/(1 − n·u):
     #  * GEMM form: ‖x‖², x·c and ‖c‖² are dot products of length D, each
     #    within g_D of the sum of its terms' magnitudes in any summation
     #    order, with or without FMA; two more additions make the error at
     #    most g_{D+2}·(‖x‖² + 2‖x‖‖c‖ + ‖c‖²) = g_{D+2}·(‖x‖ + ‖c‖)².
     #  * Exact form: a subtraction and a square per term, then D − 1
     #    additions: at most g_{D+2}·‖x − c‖² ≤ g_{D+2}·(‖x‖ + ‖c‖)².
-    # If the exact form ranks some centroid at or before the GEMM argmin,
-    # their GEMM values differ by at most those four errors,
-    # 4·g_{D+2}·(‖x‖ + max‖c‖)². A row with a single centroid within that
-    # margin of its best therefore has the exact form's label, whatever
-    # order BLAS used; every other row is redone with the exact form.
-    # `gamma` uses eps in place of u, so the margin is at least twice the
-    # bound: that covers the rounding of the margin, the norms and the
-    # differences themselves (relatively below g_{2D+8}, far under a half).
-    # 4·D·_TINY covers underflow (at most half a subnormal per product).
-    # An inf or NaN anywhere in a row's comparison makes it be redone.
-    d = points.shape[1]
+    # The margin is 4·gamma·(‖x‖ + max‖c‖)², four such errors; `gamma` uses
+    # eps in place of u, so it is at least twice their sum. That covers the
+    # rounding of the margin, the norms and the differences themselves
+    # (relatively below g_{2D+8}, far under a half). 4·D·_TINY covers
+    # underflow (at most half a subnormal per product).
+    gamma = (d + 2) * _EPS / (1 - (d + 2) * _EPS)
+    return 4 * gamma * (norms + c_norm) ** 2 + 4 * d * _TINY
+
+
+def _nearest(points: np.ndarray, centroids: np.ndarray,
+             sq_norms: np.ndarray) -> np.ndarray:
+    """Each row's nearest centroid, ties to the lowest index.
+
+    Bitwise the argmin of ``_pairwise_sq_dists(points, centroids)``, at the
+    cost of one matrix product. ``points`` is C-contiguous; ``sq_norms`` is
+    ``(points ** 2).sum(axis=1)``.
+    """
+    # Labels come from the GEMM form. If the exact form ranks some centroid
+    # at or before the GEMM argmin, their GEMM values differ by at most two
+    # GEMM and two exact-form errors, within `_margin`. A row with a single
+    # centroid within that margin of its best therefore has the exact
+    # form's label, whatever order BLAS used; every other row is redone
+    # with the exact form. An inf or NaN anywhere in a row's comparison
+    # makes it be redone.
     c_sq = (centroids ** 2).sum(axis=1)
     # one row per centroid, so the reductions below run across rows
     d2 = centroids @ points.T
@@ -78,25 +84,63 @@ def _nearest(points: np.ndarray, centroids: np.ndarray,
     d2 += sq_norms
     d2 += c_sq[:, None]
     d2 -= d2.min(axis=0)
-    gamma = (d + 2) * _EPS / (1 - (d + 2) * _EPS)
-    margin = 4 * gamma * (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2 + 4 * d * _TINY
+    margin = _margin(np.sqrt(sq_norms), np.sqrt(c_sq.max()), points.shape[1])
     near = ~(d2 > margin)
     labels = near.argmax(axis=0)
     close = near.sum(axis=0) != 1
     if close.any():
         labels[close] = _pairwise_sq_dists(points[close], centroids).argmin(axis=1)
-    # ((x - c)**2).sum() row by row: the exact form's operations, in its order
-    diff = centroids[labels]
-    np.subtract(points, diff, out=diff)
+    return labels
+
+
+def _exact_sq_dists(points: np.ndarray, centroids: np.ndarray,
+                    labels: np.ndarray, rows) -> np.ndarray:
+    """``((x - c)**2).sum()`` for each row ``x`` of ``points[rows]`` and its
+    centroid ``c = centroids[labels[rows]]``: the exact form's operations,
+    in its order, so each value is bitwise the one
+    ``_pairwise_sq_dists`` gives."""
+    diff = centroids[labels[rows]]
+    np.subtract(points[rows], diff, out=diff)
     np.square(diff, out=diff)
-    return labels, diff.sum(axis=1)
+    return diff.sum(axis=1)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _finite_sq_norms(points: np.ndarray) -> np.ndarray:
+    """``(points ** 2).sum(axis=1)``, once every row's ``8·N·‖x‖²`` is known
+    to be finite for N rows. ``4·max‖x‖²`` bounds the squared distance
+    between any two points and their means, so N times it bounds every sum
+    k-means takes (the seeding's total, the trace and the objective), and
+    the factor 2 more covers their rounding.
+
+    Raises NonFiniteError naming the first row that fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_norms = (points ** 2).sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(8 * len(points) * sq_norms))
+    if bad.size:
+        raise NonFiniteError(
+            f"k-means points: row {bad[0]} of {len(points)} has squared norm "
+            f"{float(sq_norms[bad[0]])}; every row needs a finite 8·N·‖x‖²")
+    return sq_norms
+
+
+def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator,
+                   sq_norms: np.ndarray) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007): each next
+    centre is a row drawn with probability proportional to its exact
+    squared distance to the nearest centre so far.
+
+    After the first centre, a row's exact distance to a new centre is taken
+    only where the GEMM form cannot show it to be no nearer than the
+    current one; ``np.minimum`` keeps the current value elsewhere, so the
+    distances, the draws and the centres are bitwise those of an exact pass
+    over every row.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
     d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    norms = np.sqrt(sq_norms)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -104,7 +148,18 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = rng.integers(n)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        if j == k - 1:
+            break
+        # the GEMM form minus its margin is a lower bound on the exact
+        # distance; rows it cannot place at or beyond d2 (NaN included)
+        # are the ones the new centre may be nearer to
+        bound = points @ centroids[j]
+        bound *= -2.0
+        bound += sq_norms
+        bound += sq_norms[idx]
+        bound -= _margin(norms, norms[idx], points.shape[1])
+        redo = np.flatnonzero(~(bound >= d2))
+        d2[redo] = np.minimum(d2[redo], ((points[redo] - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
 
@@ -112,6 +167,22 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 # is the first that moves no centroid by ``KMEANS_TOL`` or more
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
+
+
+def _relabel(points: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray,
+             labels: np.ndarray, assigned: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """The nearest centroid of every row; ``assigned`` (each row's exact
+    squared distance to its centroid under ``labels``) is updated in place.
+
+    Only rows whose label changes, or whose centroid ``moved`` since
+    ``assigned`` was taken, are recomputed: every other row measures the
+    same bits against the same bits.
+    """
+    new = _nearest(points, centroids, sq_norms)
+    redo = (new != labels) | moved[new]
+    rows = slice(None) if redo.all() else np.flatnonzero(redo)
+    assigned[rows] = _exact_sq_dists(points, centroids, new, rows)
+    return new
 
 
 def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
@@ -125,22 +196,43 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
     bitwise those of computing every point-centroid distance as
     ``((x - c)**2).sum()``, whatever order the BLAS sums in.
 
+    Each iteration computes only what can change. A cluster whose member
+    list is the same as in the last update sums the same rows in the same
+    order, so its mean keeps its bits and is not recomputed; each changed
+    cluster's mean is ``np.add.reduce`` of its rows in row order over the
+    count, bitwise ``mean(axis=0)``. A row's exact distance is redone only
+    when its label changed or its centroid's bits moved. An iteration that
+    moves no centroid and reseats none ends the run with its own labels and
+    distances, which another assignment pass would repeat bit for bit.
+
     The objective is non-increasing across iterations (``trace`` records
     it after each assignment step); an emptied cluster is repaired by
     reseating it on the point farthest from its centroid among clusters
     that keep at least one other member.
+
+    Raises NonFiniteError when some point's ``8·N·‖x‖²`` is not finite,
+    for N points.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, k = points.shape[0], n_clusters
     check(n_clusters=k, n_samples=n)
+    sq_norms = _finite_sq_norms(points)
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(points, k, rng)
-    sq_norms = (points ** 2).sum(axis=1)
+    centroids = _kmeanspp_init(points, k, rng, sq_norms)
+    # Before the first step every centroid counts as moved and every mean
+    # as stale (the k-means++ centres are no cluster's mean), so the
+    # placeholder labels and distances are all replaced.
+    labels = np.zeros(n, dtype=np.intp)
+    assigned = np.empty(n)
+    moved = np.ones(k, dtype=bool)
+    stale = np.ones(k, dtype=bool)
     trace: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        labels, assigned = _nearest(points, centroids, sq_norms)
+        prev, labels = labels, _relabel(points, centroids, sq_norms,
+                                        labels, assigned, moved)
         counts = np.bincount(labels, minlength=k)
-        for j in np.flatnonzero(counts == 0):
+        empty = np.flatnonzero(counts == 0)
+        for j in empty:
             far = int(np.where(counts[labels] >= 2, assigned, -np.inf).argmax())
             counts[labels[far]] -= 1
             counts[j] = 1
@@ -148,18 +240,21 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
             labels[far] = j
             assigned[far] = 0.0
         trace.append(float(assigned.sum()))
-        # rows grouped by cluster, each group in its original row order;
-        # labels in the narrowest dtype let numpy radix-sort them
-        order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
-        grouped = points[order]
-        ends = np.cumsum(counts)
-        new_centroids = np.array([grouped[end - count:end].mean(axis=0)
-                                  for count, end in zip(counts, ends)])
+        # a cluster that a row left or joined gets a new mean
+        left = labels != prev
+        stale[labels[left]] = True
+        stale[prev[left]] = True
+        new_centroids = centroids.copy()
+        for j in np.flatnonzero(stale):
+            new_centroids[j] = np.add.reduce(points[labels == j], axis=0) / counts[j]
+        stale[:] = False
         shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
+        moved = (new_centroids != centroids).any(axis=1)
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
-    labels, assigned = _nearest(points, centroids, sq_norms)
+    if moved.any() or empty.size:
+        labels = _relabel(points, centroids, sq_norms, labels, assigned, moved)
     return KMeansResult(centroids, labels, float(assigned.sum()), trace)
 
 

@@ -253,8 +253,13 @@ def forward_views(tape: Tape, params: ModelParams, views: Mapping[int, np.ndarra
 
 def _infer_mlp2(x: np.ndarray, layer: Sequence[Param]) -> np.ndarray:
     w1, b1, w2, b2 = (p.value for p in layer)
-    h = x @ w1 + b1
-    return np.fmax(h, 0.0) @ w2 + b2
+    # in place: a pool-sized temporary per operation costs fresh pages
+    h = x @ w1
+    h += b1
+    np.fmax(h, 0.0, out=h)
+    out = h @ w2
+    out += b2
+    return out
 
 
 def infer_fused(params: ModelParams, views: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -271,8 +276,12 @@ def infer_fused(params: ModelParams, views: Mapping[int, np.ndarray]) -> np.ndar
         x = T.as_matrix(views[v])
         _check_view_columns(params, v, x)
         feat = _infer_mlp2(_infer_mlp2(x, params.encoders[v]), params.feature_net)
-        acc = feat if acc is None else acc + feat
-    return acc * (1.0 / len(views))
+        if acc is None:
+            acc = feat
+        else:
+            acc += feat
+    acc *= 1.0 / len(views)
+    return acc
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 
 from fedmvc import tensor as T
 from fedmvc.errors import DimensionError, TrainingError
-from fedmvc.evaluation import KMeansResult, _kmeanspp_init
+from fedmvc.evaluation import KMeansResult
 
 
 def param(x):
@@ -498,25 +498,47 @@ def pairwise_sq_dists_reference(points, centroids):
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
-def kmeans_reference(points, n_clusters, seed=0, max_iter=300, tol=1e-6):
+def kmeanspp_init_reference(points, k, rng):
+    """k-means++ seeding with an exact distance pass over every row for
+    each new centre."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def kmeans_reference(points, n_clusters, seed=0, max_iter=300, tol=1e-6,
+                     reseats=None):
     """Lloyd's k-means from the full distance tensor and one mask per cluster.
 
     The same k-means++ start, empty-cluster reseat and stopping rule as
-    ``fedmvc.evaluation.kmeans``; only the assignment (every distance
-    computed exactly) and the centroid update (a boolean mask per cluster)
-    are done the direct way.
+    ``fedmvc.evaluation.kmeans``; the seeding, the assignment (every
+    distance computed exactly) and the centroid update (every cluster's
+    mean, from a boolean mask) are done the direct way. Each reseat is
+    appended to the list ``reseats``, when given, as (iteration, cluster).
     """
     points = np.asarray(points, dtype=np.float64)
     n, k = points.shape[0], n_clusters
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(points, k, rng)
+    centroids = kmeanspp_init_reference(points, k, rng)
     trace = []
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         d2 = pairwise_sq_dists_reference(points, centroids)
         labels = d2.argmin(axis=1)
         assigned = d2[np.arange(n), labels]
         for j in range(k):
             if not np.any(labels == j):
+                if reseats is not None:
+                    reseats.append((iteration, j))
                 shared = np.bincount(labels, minlength=k)[labels] >= 2
                 far = int(np.where(shared, assigned, -np.inf).argmax())
                 centroids[j] = points[far]

@@ -579,6 +579,22 @@ class TestDataVerbs:
                      "--eval-views", ","]) == 2
         assert "eval_views: must list at least one view" in capsys.readouterr().err
 
+    # inference overflows on the way; k-means is where it is caught
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_eval_of_overflowing_features_exit_2(self, tmp_path, capsys, scale):
+        arch = Architecture((4, 3), 2, latent_dim=4, high_dim=4, hidden=6)
+        params = init_params(arch, seed=0)
+        params.vector *= scale
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        save_dataset(generate_blobs(2, 20, (4, 3), 4.0, 1.0, seed=0),
+                     tmp_path / "d.mvd")
+        assert main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path / "d.mvd")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: k-means points: row 0 of 20 ")
+
     def test_gen_data_writes_the_dataset_run_generates(self, tmp_path, monkeypatch):
         data_path = tmp_path / "blobs.mvd"
         # the data fields of TINY, which the run below generates from

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kmeans_reference, pairwise_sq_dists_reference
+from helpers import kmeans_reference, kmeanspp_init_reference, pairwise_sq_dists_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from fedmvc import evaluation
 from fedmvc.config import ExperimentConfig
 from fedmvc.data import generate_blobs
-from fedmvc.errors import ConfigError
+from fedmvc.errors import ConfigError, NonFiniteError
 from fedmvc.evaluation import (
     accuracy,
     adjusted_rand_index,
@@ -31,10 +31,12 @@ from fedmvc.model import Architecture, init_params
 
 def nearest(points, centroids):
     """Each row's nearest centroid and its squared distance to it, from
-    ``evaluation._nearest``, the assignment k-means uses."""
+    ``evaluation._nearest`` and ``_exact_sq_dists``, the assignment k-means
+    uses."""
     points = np.ascontiguousarray(points, dtype=np.float64)
-    return evaluation._nearest(points, np.asarray(centroids, dtype=np.float64),
-                               (points ** 2).sum(axis=1))
+    centroids = np.asarray(centroids, dtype=np.float64)
+    labels = evaluation._nearest(points, centroids, (points ** 2).sum(axis=1))
+    return labels, evaluation._exact_sq_dists(points, centroids, labels, slice(None))
 
 
 def partition_objective(points, labels, k):
@@ -200,6 +202,149 @@ class TestCertifiedAssignment:
         centroids = np.array([[8.0], [4.0]]) * unit
         exact = pairwise_sq_dists_reference(points, centroids)
         assert np.array_equal(nearest(points, centroids)[0], exact.argmin(axis=1))
+
+
+class TestKMeansPlusPlus:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_pruned_seeding_equals_exact_passes(self, case):
+        # the GEMM bound skips rows; the centres and the draws must not move
+        points, k, seed = case
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluation._kmeanspp_init(points, k, rng, (points ** 2).sum(axis=1))
+        assert same_bits(got, kmeanspp_init_reference(points, k, rng_ref))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_near_ties_keep_the_distance_bits(self):
+        # A row at equal distance from two centres in real arithmetic, whose
+        # computed distances differ by rounding: the GEMM form may put the
+        # new centre no nearer while the exact form puts it one ulp nearer.
+        # Each draw's probabilities carry the distances' bits.
+        class ScriptedDraws:
+            """Row 0 first, then the scripted rows; keeps every p."""
+
+            def __init__(self):
+                self.rows, self.p = iter([1, 2, 3]), []
+
+            def integers(self, n):
+                return 0
+
+            def choice(self, n, p):
+                self.p.append(p.copy())
+                return next(self.rows)
+
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            d = int(rng.integers(3, 40))
+            base = 10 * rng.standard_normal(d)
+            delta = rng.standard_normal(d)
+            points = np.vstack([base + delta, base + delta[rng.permutation(d)], base,
+                                base + 1e-9 * rng.standard_normal((3, d))])
+            got, want = ScriptedDraws(), ScriptedDraws()
+            evaluation._kmeanspp_init(points, 4, got, (points ** 2).sum(axis=1))
+            kmeanspp_init_reference(points, 4, want)
+            assert same_bits(got.p, want.p)
+
+
+def blobs(seed, per=10, k=3):
+    rng = np.random.default_rng(seed)
+    centres = np.repeat(rng.normal(0.0, 4.0, (k, 2)), per, axis=0)
+    return rng.standard_normal((per * k, 2)) + centres
+
+
+class TestIncrementalLloyd:
+    def test_reseat_in_a_later_iteration_matches_reference(self):
+        points = np.array([[-3.0, -3.0], [-3.0, 3.0], [4.0, 3.0], [1.0, -2.0],
+                           [-4.0, 4.0], [1.0, 4.0], [2.0, -3.0], [-4.0, -1.0],
+                           [0.0, -4.0], [1.0, -3.0]])
+        reseats = []
+        want = kmeans_reference(points, 5, seed=23705, reseats=reseats)
+        assert reseats and min(it for it, _ in reseats) >= 1
+        got = kmeans(points, 5, seed=23705)
+        assert np.array_equal(got.labels, want.labels)
+        assert same_bits(got.centroids, want.centroids)
+        assert same_bits(got.objective, want.objective)
+        assert same_bits(got.trace, want.trace)
+
+    def test_converged_iteration_redoes_only_moved_clusters(self, monkeypatch):
+        relabels, redone = [], []
+        relabel, exact = evaluation._relabel, evaluation._exact_sq_dists
+
+        def spy_relabel(points, centroids, sq_norms, labels, assigned, moved):
+            relabels.append((labels.copy(), moved.copy()))
+            return relabel(points, centroids, sq_norms, labels, assigned, moved)
+
+        def spy_exact(points, centroids, labels, rows):
+            redone.append(np.arange(len(points))[rows])
+            return exact(points, centroids, labels, rows)
+
+        monkeypatch.setattr(evaluation, "_relabel", spy_relabel)
+        monkeypatch.setattr(evaluation, "_exact_sq_dists", spy_exact)
+        points = blobs(0)
+        result = kmeans(points, 3, seed=0)
+        assert same_bits(result.trace, kmeans_reference(points, 3, seed=0).trace)
+        # one assignment per iteration, and none after the loop
+        assert len(relabels) == len(redone) == len(result.trace) >= 3
+        # the last iteration changed no label; of its rows only those whose
+        # centroid moved in the last update were measured again
+        prev, moved = relabels[-1]
+        assert np.array_equal(prev, result.labels)
+        assert moved.any() and not moved.all()
+        assert np.array_equal(redone[-1], np.flatnonzero(moved[result.labels]))
+        assert len(redone[0]) == len(points)
+
+    def test_fixed_start_takes_one_pass(self, monkeypatch):
+        calls = []
+        exact = evaluation._exact_sq_dists
+
+        def spy(points, centroids, labels, rows):
+            calls.append(rows)
+            return exact(points, centroids, labels, rows)
+
+        monkeypatch.setattr(evaluation, "_exact_sq_dists", spy)
+        result = kmeans(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 3, seed=0)
+        assert result.trace == [0.0] and result.objective == 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    def test_kmeans_best_runs_kmeans_once_per_restart(self, monkeypatch, restarts):
+        seeds = []
+        run = evaluation.kmeans
+
+        def spy(points, n_clusters, seed):
+            seeds.append(seed)
+            return run(points, n_clusters, seed)
+
+        monkeypatch.setattr(evaluation, "kmeans", spy)
+        best, objectives = kmeans_best(blobs(1), 3, n_restarts=restarts, seed=5)
+        assert len(seeds) == len(objectives) == restarts
+        assert best.objective == min(objectives)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160])
+    def test_rejected_naming_the_first_bad_row(self, bad):
+        points = blobs(2)
+        points[[4, 7], 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="row 4 of 30"):
+                kmeans(points, 3)
+
+    def test_largest_accepted_norm_keeps_sums_finite(self):
+        # 8·N·‖x‖² just below the top of the float range: every squared
+        # distance between points and means, and every sum of N of them,
+        # stays finite
+        top = np.sqrt(np.finfo(np.float64).max / 32) * (1 - 1e-15)
+        points = np.array([[top], [-top], [top / 2], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans(points, 2, seed=0)
+        assert np.isfinite(result.objective) and np.isfinite(result.centroids).all()
+        with pytest.raises(NonFiniteError, match="row 0"):
+            kmeans(points * 1.01, 2)
 
 
 class TestNearest:
