@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import ExperimentConfig, check
 from .data import MultiViewDataset
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, DimensionError, NonFiniteError
 from .model import ModelParams, infer_fused
 
 
@@ -63,12 +63,15 @@ def _margin(norms: np.ndarray, c_norm, d: int) -> np.ndarray:
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray,
-             sq_norms: np.ndarray) -> np.ndarray:
-    """Each row's nearest centroid, ties to the lowest index.
+             sq_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid, ties to the lowest index, and its
+    squared distance to it.
 
-    Bitwise the argmin of ``_pairwise_sq_dists(points, centroids)``, at the
-    cost of one matrix product. ``points`` is C-contiguous; ``sq_norms`` is
-    ``(points ** 2).sum(axis=1)``.
+    The labels are bitwise the argmin of
+    ``_pairwise_sq_dists(points, centroids)``, at the cost of one matrix
+    product. The distance is the GEMM form's, clipped at 0, except on the
+    rows redone with the exact form, where it is the exact value.
+    ``points`` is C-contiguous; ``sq_norms`` is ``(points ** 2).sum(axis=1)``.
     """
     # Labels come from the GEMM form. If the exact form ranks some centroid
     # at or before the GEMM argmin, their GEMM values differ by at most two
@@ -83,24 +86,27 @@ def _nearest(points: np.ndarray, centroids: np.ndarray,
     d2 *= -2.0
     d2 += sq_norms
     d2 += c_sq[:, None]
-    d2 -= d2.min(axis=0)
+    dists = d2.min(axis=0)
+    d2 -= dists
+    np.maximum(dists, 0.0, out=dists)
     margin = _margin(np.sqrt(sq_norms), np.sqrt(c_sq.max()), points.shape[1])
     near = ~(d2 > margin)
     labels = near.argmax(axis=0)
     close = near.sum(axis=0) != 1
     if close.any():
-        labels[close] = _pairwise_sq_dists(points[close], centroids).argmin(axis=1)
-    return labels
+        exact = _pairwise_sq_dists(points[close], centroids)
+        labels[close] = exact.argmin(axis=1)
+        dists[close] = exact.min(axis=1)
+    return labels, dists
 
 
 def _exact_sq_dists(points: np.ndarray, centroids: np.ndarray,
-                    labels: np.ndarray, rows) -> np.ndarray:
-    """``((x - c)**2).sum()`` for each row ``x`` of ``points[rows]`` and its
-    centroid ``c = centroids[labels[rows]]``: the exact form's operations,
-    in its order, so each value is bitwise the one
-    ``_pairwise_sq_dists`` gives."""
-    diff = centroids[labels[rows]]
-    np.subtract(points[rows], diff, out=diff)
+                    labels: np.ndarray) -> np.ndarray:
+    """``((x - c)**2).sum()`` for each row ``x`` of ``points`` and its
+    centroid ``c = centroids[labels]``: the exact form's operations, in its
+    order, so each value is bitwise the one ``_pairwise_sq_dists`` gives."""
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
     np.square(diff, out=diff)
     return diff.sum(axis=1)
 
@@ -108,9 +114,10 @@ def _exact_sq_dists(points: np.ndarray, centroids: np.ndarray,
 def _finite_sq_norms(points: np.ndarray) -> np.ndarray:
     """``(points ** 2).sum(axis=1)``, once every row's ``8·N·‖x‖²`` is known
     to be finite for N rows. ``4·max‖x‖²`` bounds the squared distance
-    between any two points and their means, so N times it bounds every sum
-    k-means takes (the seeding's total, the trace and the objective), and
-    the factor 2 more covers their rounding.
+    between any two points and their means, in the exact form and in each
+    term of the GEMM form ``‖x‖² − 2·x·c + ‖c‖²``, so N times it bounds
+    every sum k-means takes (the seeding's total, the trace and the
+    objective), and the factor 2 more covers their rounding.
 
     Raises NonFiniteError naming the first row that fails.
     """
@@ -169,22 +176,6 @@ KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
 
 
-def _relabel(points: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray,
-             labels: np.ndarray, assigned: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """The nearest centroid of every row; ``assigned`` (each row's exact
-    squared distance to its centroid under ``labels``) is updated in place.
-
-    Only rows whose label changes, or whose centroid ``moved`` since
-    ``assigned`` was taken, are recomputed: every other row measures the
-    same bits against the same bits.
-    """
-    new = _nearest(points, centroids, sq_norms)
-    redo = (new != labels) | moved[new]
-    rows = slice(None) if redo.all() else np.flatnonzero(redo)
-    assigned[rows] = _exact_sq_dists(points, centroids, new, rows)
-    return new
-
-
 def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, stopped by
     ``KMEANS_MAX_ITER`` and ``KMEANS_TOL``.
@@ -192,54 +183,58 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
     Each point is assigned to its nearest centroid, ties going to the
     lowest index. The assignment takes one matrix product per iteration
     and redoes exactly only the rows that rounding could decide
-    (``_nearest``), so labels, centroids, objective and trace are
-    bitwise those of computing every point-centroid distance as
-    ``((x - c)**2).sum()``, whatever order the BLAS sums in.
+    (``_nearest``), so labels, centroids and objective are bitwise those
+    of computing every point-centroid distance as ``((x - c)**2).sum()``,
+    whatever order the BLAS sums in. The objective is one exact pass over
+    the final assignment.
 
     Each iteration computes only what can change. A cluster whose member
     list is the same as in the last update sums the same rows in the same
     order, so its mean keeps its bits and is not recomputed; each changed
     cluster's mean is ``np.add.reduce`` of its rows in row order over the
-    count, bitwise ``mean(axis=0)``. A row's exact distance is redone only
-    when its label changed or its centroid's bits moved. An iteration that
-    moves no centroid and reseats none ends the run with its own labels and
-    distances, which another assignment pass would repeat bit for bit.
+    count, bitwise ``mean(axis=0)``. An iteration that moves no centroid
+    and reseats none ends the run with its own labels, which another
+    assignment pass would repeat bit for bit.
 
-    The objective is non-increasing across iterations (``trace`` records
-    it after each assignment step); an emptied cluster is repaired by
-    reseating it on the point farthest from its centroid among clusters
-    that keep at least one other member.
+    ``trace`` records the objective after each assignment step, as that
+    step measured it: the GEMM form's distances, exact on the rows
+    ``_nearest`` redoes and in an iteration that reseats. It is
+    non-increasing up to rounding. An emptied cluster is repaired by
+    reseating it on the point farthest from its centroid, by exact
+    distance, among clusters that keep at least one other member.
 
-    Raises NonFiniteError when some point's ``8·N·‖x‖²`` is not finite,
-    for N points.
+    Raises DimensionError when ``points`` is not a 2-D matrix, and
+    NonFiniteError when some point's ``8·N·‖x‖²`` is not finite, for N
+    points.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise DimensionError(
+            f"k-means points must be a 2-D matrix, got shape {points.shape}")
     n, k = points.shape[0], n_clusters
     check(n_clusters=k, n_samples=n)
     sq_norms = _finite_sq_norms(points)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng, sq_norms)
-    # Before the first step every centroid counts as moved and every mean
-    # as stale (the k-means++ centres are no cluster's mean), so the
-    # placeholder labels and distances are all replaced.
+    # Before the first step every mean is stale (the k-means++ centres are
+    # no cluster's mean), so the placeholder labels are all replaced.
     labels = np.zeros(n, dtype=np.intp)
-    assigned = np.empty(n)
-    moved = np.ones(k, dtype=bool)
     stale = np.ones(k, dtype=bool)
     trace: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        prev, labels = labels, _relabel(points, centroids, sq_norms,
-                                        labels, assigned, moved)
+        prev, (labels, dists) = labels, _nearest(points, centroids, sq_norms)
         counts = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            dists = _exact_sq_dists(points, centroids, labels)
         for j in empty:
-            far = int(np.where(counts[labels] >= 2, assigned, -np.inf).argmax())
+            far = int(np.where(counts[labels] >= 2, dists, -np.inf).argmax())
             counts[labels[far]] -= 1
             counts[j] = 1
             centroids[j] = points[far]
             labels[far] = j
-            assigned[far] = 0.0
-        trace.append(float(assigned.sum()))
+            dists[far] = 0.0
+        trace.append(float(dists.sum()))
         # a cluster that a row left or joined gets a new mean
         left = labels != prev
         stale[labels[left]] = True
@@ -249,13 +244,14 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
             new_centroids[j] = np.add.reduce(points[labels == j], axis=0) / counts[j]
         stale[:] = False
         shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
-        moved = (new_centroids != centroids).any(axis=1)
+        moved = (new_centroids != centroids).any()
         centroids = new_centroids
         if shift < KMEANS_TOL:
             break
-    if moved.any() or empty.size:
-        labels = _relabel(points, centroids, sq_norms, labels, assigned, moved)
-    return KMeansResult(centroids, labels, float(assigned.sum()), trace)
+    if moved or empty.size:
+        labels, _ = _nearest(points, centroids, sq_norms)
+    objective = float(_exact_sq_dists(points, centroids, labels).sum())
+    return KMeansResult(centroids, labels, objective, trace)
 
 
 def kmeans_best(points, n_clusters: int,
@@ -413,7 +409,9 @@ def evaluate_global(params: ModelParams, dataset: MultiViewDataset,
     """
     work = dataset.standardized() if config.standardize else dataset
     views = eval_view_order(config.eval_views, work.n_views)
-    fused = infer_fused(params, {v: work.views[v] for v in views})
+    # features that overflow are reported once, by kmeans' NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = infer_fused(params, {v: work.views[v] for v in views})
     best, objectives = kmeans_best(fused, work.n_clusters, config.eval_restarts, seed)
     if work.labels is None:
         return MetricsReport(None, None, None, best.objective, tuple(objectives))

@@ -114,3 +114,28 @@ def test_incorrect_runs_are_kept_and_flagged(tool, tmp_path):
     assert workload["flagged"] == ["seed 2 parent: correct=False failed=0"]
     assert workload["metrics"]["eval_s"]["wins"] == 3
     assert workload["pairs"][1]["parent"]["correct"] is False
+
+
+def test_a_slowdown_beyond_the_bound_regressed(tool, tmp_path, capsys):
+    # 2.055 -> 3.055 s is +48.7 %, over eval_s's 0.25 bound; acc ties
+    report = run(tool, tmp_path, checkout(tmp_path, "parent", 2.0),
+                 checkout(tmp_path, "change", 3.0), range(1, 11))
+    metrics = report["workloads"]["large-pool"]["metrics"]
+    assert metrics["eval_s"]["regressed"] is True
+    assert metrics["acc"]["regressed"] is False
+    assert capsys.readouterr().out.splitlines() == [
+        "large-pool eval_s: 2.055 -> 3.055 s (+48.7 %), wins 0/10, "
+        "holds False, regressed True",
+        "large-pool acc: 1 -> 1 fraction (+0.0 %), wins 0/10, "
+        "holds False, regressed False",
+    ]
+
+
+def test_a_slowdown_inside_the_bound_is_clean(tool, tmp_path, capsys):
+    # 2.055 -> 2.355 s is +14.6 %, inside the 0.25 bound
+    report = run(tool, tmp_path, checkout(tmp_path, "parent", 2.0),
+                 checkout(tmp_path, "change", 2.3), range(1, 11))
+    metrics = report["workloads"]["large-pool"]["metrics"]
+    assert metrics["eval_s"]["regressed"] is False
+    assert metrics["acc"]["regressed"] is False
+    assert "eval_s: 2.055 -> 2.355 s (+14.6 %)" in capsys.readouterr().out

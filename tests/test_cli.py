@@ -579,8 +579,9 @@ class TestDataVerbs:
                      "--eval-views", ","]) == 2
         assert "eval_views: must list at least one view" in capsys.readouterr().err
 
-    # inference overflows on the way; k-means is where it is caught
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # inference overflows on the way without a warning; k-means is where
+    # it is caught and named
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e80, 1e160])
     def test_eval_of_overflowing_features_exit_2(self, tmp_path, capsys, scale):
         arch = Architecture((4, 3), 2, latent_dim=4, high_dim=4, hidden=6)

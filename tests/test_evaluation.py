@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from fedmvc import evaluation
 from fedmvc.config import ExperimentConfig
 from fedmvc.data import generate_blobs
-from fedmvc.errors import ConfigError, NonFiniteError
+from fedmvc.errors import ConfigError, DimensionError, NonFiniteError
 from fedmvc.evaluation import (
     accuracy,
     adjusted_rand_index,
@@ -35,8 +35,8 @@ def nearest(points, centroids):
     uses."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    labels = evaluation._nearest(points, centroids, (points ** 2).sum(axis=1))
-    return labels, evaluation._exact_sq_dists(points, centroids, labels, slice(None))
+    labels, _ = evaluation._nearest(points, centroids, (points ** 2).sum(axis=1))
+    return labels, evaluation._exact_sq_dists(points, centroids, labels)
 
 
 def partition_objective(points, labels, k):
@@ -84,6 +84,11 @@ class TestKMeans:
             best, _ = kmeans_best(points, 2, n_restarts=10, seed=trial)
             oracle = exhaustive_best_objective(points)
             assert best.objective == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 2)])
+    def test_points_not_a_matrix(self, shape):
+        with pytest.raises(DimensionError, match=r"2-D matrix, got shape \(5,"):
+            kmeans(np.zeros(shape), 2)
 
     def test_too_few_points(self):
         with pytest.raises(ConfigError):
@@ -160,7 +165,7 @@ class TestCertifiedAssignment:
         assert np.array_equal(got.labels, want.labels)
         assert same_bits(got.centroids, want.centroids)
         assert same_bits(got.objective, want.objective)
-        assert same_bits(got.trace, want.trace)
+        assert len(got.trace) == len(want.trace)
         assert np.isfinite(got.centroids).all()
 
     @settings(max_examples=200, deadline=None)
@@ -177,6 +182,15 @@ class TestCertifiedAssignment:
         labels, dists = nearest(probes, centroids)
         assert np.array_equal(labels, exact.argmin(axis=1))
         assert same_bits(dists, exact.min(axis=1))
+        # the distance the label step measured is the exact one within the
+        # margin that certifies the label, and never negative
+        sq_norms = (probes ** 2).sum(axis=1)
+        _, measured = evaluation._nearest(probes, centroids, sq_norms)
+        margin = evaluation._margin(np.sqrt(sq_norms),
+                                    np.sqrt((centroids ** 2).sum(axis=1).max()),
+                                    probes.shape[1])
+        assert (measured >= 0).all()
+        assert (np.abs(measured - exact.min(axis=1)) <= margin).all()
 
     def test_rows_on_a_bisector_are_rechecked_exactly(self, monkeypatch):
         rechecked = []
@@ -193,6 +207,17 @@ class TestCertifiedAssignment:
         assert nearest(points, centroids)[0].tolist() == [0, 0, 0, 0, 1]
         assert len(rechecked) == 1
         assert np.array_equal(rechecked[0], bisector)
+
+    def test_redone_rows_carry_their_exact_distance(self):
+        # far from the origin the GEMM form cancels: every row is within the
+        # margin of its second centroid, so it is redone, and the distance
+        # returned with its label is the exact form's
+        centroids = np.array([[-1.0, 0.3], [1.0, 0.3]]) + 1e8
+        points = np.array([[0.0, -2.5], [0.1, 7.0], [-4.0, 0.0], [3.0, 1.0]]) + 1e8
+        labels, dists = evaluation._nearest(points, centroids, (points ** 2).sum(axis=1))
+        exact = pairwise_sq_dists_reference(points, centroids)
+        assert np.array_equal(labels, exact.argmin(axis=1))
+        assert same_bits(dists, exact.min(axis=1))
 
     def test_underflowing_distances(self):
         # the squares fall into the subnormal range, where rounding error is
@@ -266,42 +291,38 @@ class TestIncrementalLloyd:
         assert np.array_equal(got.labels, want.labels)
         assert same_bits(got.centroids, want.centroids)
         assert same_bits(got.objective, want.objective)
-        assert same_bits(got.trace, want.trace)
+        assert len(got.trace) == len(want.trace)
 
-    def test_converged_iteration_redoes_only_moved_clusters(self, monkeypatch):
-        relabels, redone = [], []
-        relabel, exact = evaluation._relabel, evaluation._exact_sq_dists
+    def test_exact_pass_runs_once_plus_once_per_reseat(self, monkeypatch):
+        # the exact distances feed only the farthest-point choice and the
+        # final objective; the trace takes the label step's own
+        calls = []
+        exact = evaluation._exact_sq_dists
 
-        def spy_relabel(points, centroids, sq_norms, labels, assigned, moved):
-            relabels.append((labels.copy(), moved.copy()))
-            return relabel(points, centroids, sq_norms, labels, assigned, moved)
+        def spy(points, centroids, labels):
+            calls.append(labels.copy())
+            return exact(points, centroids, labels)
 
-        def spy_exact(points, centroids, labels, rows):
-            redone.append(np.arange(len(points))[rows])
-            return exact(points, centroids, labels, rows)
-
-        monkeypatch.setattr(evaluation, "_relabel", spy_relabel)
-        monkeypatch.setattr(evaluation, "_exact_sq_dists", spy_exact)
-        points = blobs(0)
-        result = kmeans(points, 3, seed=0)
-        assert same_bits(result.trace, kmeans_reference(points, 3, seed=0).trace)
-        # one assignment per iteration, and none after the loop
-        assert len(relabels) == len(redone) == len(result.trace) >= 3
-        # the last iteration changed no label; of its rows only those whose
-        # centroid moved in the last update were measured again
-        prev, moved = relabels[-1]
-        assert np.array_equal(prev, result.labels)
-        assert moved.any() and not moved.all()
-        assert np.array_equal(redone[-1], np.flatnonzero(moved[result.labels]))
-        assert len(redone[0]) == len(points)
+        monkeypatch.setattr(evaluation, "_exact_sq_dists", spy)
+        points = np.array([[-3.0, -3.0], [-3.0, 3.0], [4.0, 3.0], [1.0, -2.0],
+                           [-4.0, 4.0], [1.0, 4.0], [2.0, -3.0], [-4.0, -1.0],
+                           [0.0, -4.0], [1.0, -3.0]])
+        reseats = []
+        kmeans_reference(points, 5, seed=23705, reseats=reseats)
+        result = kmeans(points, 5, seed=23705)
+        assert len(calls) == 1 + len({it for it, _ in reseats})
+        assert np.array_equal(calls[-1], result.labels)
+        calls.clear()
+        result = kmeans(blobs(0), 3, seed=0)
+        assert len(calls) == 1 and len(result.trace) >= 3
 
     def test_fixed_start_takes_one_pass(self, monkeypatch):
         calls = []
         exact = evaluation._exact_sq_dists
 
-        def spy(points, centroids, labels, rows):
-            calls.append(rows)
-            return exact(points, centroids, labels, rows)
+        def spy(points, centroids, labels):
+            calls.append(labels.copy())
+            return exact(points, centroids, labels)
 
         monkeypatch.setattr(evaluation, "_exact_sq_dists", spy)
         result = kmeans(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 3, seed=0)

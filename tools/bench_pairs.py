@@ -11,12 +11,16 @@ speed falls on both sides alike.
 FILE gets one JSON object. For each workload and each end-to-end metric of
 the change's ``BENCHMARK.json``, it holds both sides' median and quartiles,
 the change's wins and ties over the pairs (a win is a value better in the
-metric's direction), and ``holds``: whether the change wins at least 9 of
+metric's direction), ``holds``: whether the change wins at least 9 of
 every 10 pairs and its median is better than the parent's by more than the
-parent's interquartile range. Every run is listed as ``perfbench/run.py``
-reported it. A run with ``correct: false`` or ``failed > 0`` is kept and
-also named under ``flagged``; a run that printed no result is named there
-with its exit code, and its pair counts as no win.
+parent's interquartile range, and ``regressed``: whether the change's
+median is worse than the parent's by more than the metric's ``bound``, as
+a share of the parent's median (always true when the change reported no
+run). Each workload's metrics are also printed, one line each, to stdout.
+Every run is listed as ``perfbench/run.py`` reported it. A run with
+``correct: false`` or ``failed > 0`` is kept and also named under
+``flagged``; a run that printed no result is named there with its exit
+code, and its pair counts as no win.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], spec: list[dict]) -> dict:
-    """Per metric: each side's quartiles over the runs that reported, and
-    the change's wins, ties and whether its gain holds over all pairs."""
+    """Per metric: each side's quartiles over the runs that reported, the
+    change's wins and ties, whether its gain holds over all pairs and
+    whether it regressed beyond the metric's bound."""
     out = {}
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -71,14 +76,27 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
                 ties += a == b
                 wins += b < a if lower else b > a
         entry.update(unit=metric["unit"], better=metric["better"], pairs=len(pairs),
-                     wins=wins, ties=ties, holds=False)
+                     wins=wins, ties=ties, holds=False, regressed="change" not in entry)
         if "parent" in entry and "change" in entry:
             parent, change = entry["parent"], entry["change"]
             gain = (parent["median"] - change["median"]) * (1 if lower else -1)
             entry["holds"] = (wins >= WIN_SHARE * len(pairs)
                               and gain > parent["q3"] - parent["q1"])
+            entry["regressed"] = -gain > metric["bound"] * abs(parent["median"])
         out[name] = entry
     return out
+
+
+def summary_line(workload: str, name: str, entry: dict) -> str:
+    """One metric of one workload: both medians, the change in %, wins,
+    ``holds`` and ``regressed``."""
+    parent, change = (entry.get(side, {}).get("median") for side in ("parent", "change"))
+    shown = " -> ".join("none" if m is None else f"{m:.4g}" for m in (parent, change))
+    pct = (f"{(change - parent) / abs(parent) * 100:+.1f} %"
+           if parent and change is not None else "n/a")
+    return (f"{workload} {name}: {shown} {entry['unit']} ({pct}), "
+            f"wins {entry['wins']}/{entry['pairs']}, holds {entry['holds']}, "
+            f"regressed {entry['regressed']}")
 
 
 def flagged(pairs: list[dict]) -> list[str]:
@@ -121,6 +139,8 @@ def main(argv=None) -> int:
             "flagged": flagged(pairs),
             "pairs": pairs,
         }
+        for name, entry in report["workloads"][workload]["metrics"].items():
+            print(summary_line(workload, name, entry), flush=True)
         for line in report["workloads"][workload]["flagged"]:
             print(f"FLAGGED {workload} {line}", file=sys.stderr)
         # after each workload, so an interrupted run keeps what it measured
