@@ -111,8 +111,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "client_losses": round_report.client_losses,
         })
 
-    global_params = run_federation(config, dataset, seeds=seeds,
-                                   initial_global=initial_global, round_hook=hook)
+    global_params = run_federation(config, dataset, initial_global=initial_global,
+                                   round_hook=hook)
     if config.rounds == 0:
         evaluate(global_params, 0)
     final = last_eval["report"]

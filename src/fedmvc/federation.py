@@ -420,20 +420,19 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
 
 
 def run_federation(config, dataset: MultiViewDataset,
-                   seeds: RunSeeds | None = None,
                    initial_global: ModelParams | None = None,
                    round_hook: Callable[[ModelParams, RoundReport], None] | None = None,
                    ) -> ModelParams:
     """Full pipeline: partition, warm-up, then R rounds of train/aggregate.
 
-    Deterministic per master seed. Returns the final global model, which
+    Deterministic per ``config.seed``, from which every stream is derived
+    (``derive_seeds``). Returns the final global model, which
     is the initial one when ``config.rounds`` is 0. ``round_hook`` (if
     given) runs after each round's aggregation with the new global model
     and the round's report; it is the only way reports leave the run.
     """
     config.validate()
-    if seeds is None:
-        seeds = derive_seeds(config.seed)
+    seeds = derive_seeds(config.seed)
     if dataset.labels is None and config.dirichlet_beta is not None:
         raise ConfigError(
             "dirichlet_beta: label-skewed partitioning needs a labeled dataset "

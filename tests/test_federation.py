@@ -1006,7 +1006,7 @@ class TestRunFederation:
                           batch_size=32)
         ds = generate_blobs(2, 90, (4, 3), 5.0, 1.0, seed=7)
         seeds = derive_seeds(cfg.seed)
-        global_params = run_federation(cfg, ds, seeds=seeds)
+        global_params = run_federation(cfg, ds)
         from fedmvc.evaluation import evaluate_global
         trained = evaluate_global(global_params, ds, cfg.replace(eval_restarts=5), 0)
         untrained = evaluate_global(
