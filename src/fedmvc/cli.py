@@ -79,13 +79,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     seeds = derive_seeds(config.seed)
     dataset = _load_or_generate(config, seeds)
     eval_view_order(config.eval_views, dataset.n_views)  # fail before training
+    initial_global = None
+    if config.resume_from is not None:
+        path = Path(config.resume_from)
+        if not path.exists():
+            raise ConfigError(f"resume_from: checkpoint file not found: {path}")
+        initial_global = load_checkpoint(path)
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-
-    initial_global = None
-    if config.resume_from is not None:
-        initial_global = load_checkpoint(config.resume_from)
 
     csv_rows: list[str] = []
     summary_rounds: list[dict] = []

@@ -60,7 +60,8 @@ RULES = {
     "alpha_c_mode": _one_of(ALPHA_C_MODES),
     "eval_restarts": _at_least(1),
     "eval_every": _at_least(1),
-    "eval_views": (lambda v: len(v) >= 1, "must list at least one view"),
+    "eval_views": (lambda v: len(v) >= 1 and len(set(v)) == len(v),
+                   "must list at least one view, each once"),
     "checkpoint_every": _at_least(0),
 }
 

@@ -126,11 +126,12 @@ class ClientShard:
 
 
 def client_type_for(subset_size: int, n_views: int) -> str:
-    """The client type implied by how many of the views a subset holds."""
-    if subset_size == n_views:
-        return CLIENT_FULL
+    """The client type implied by how many of the views a subset holds: a
+    subset of one view is single-view even when the dataset has one view."""
     if subset_size == 1:
         return CLIENT_SINGLE
+    if subset_size == n_views:
+        return CLIENT_FULL
     return CLIENT_PARTIAL
 
 

@@ -32,7 +32,7 @@ def feature_contrast_full(feats: Sequence[Tensor], tau: float) -> Tensor:
     cycled-partner NT-Xent over matched rows (``tensor.cycled_nt_xent``)."""
     if len(feats) < 2:
         raise ValueError("feature contrast needs at least two views")
-    return T.cycled_nt_xent(feats, tau, denom=feats[0].value.shape[0])
+    return T.cycled_nt_xent(feats, tau)
 
 
 def label_contrast(probs: Sequence[Tensor], tau: float) -> Tensor:
@@ -41,7 +41,7 @@ def label_contrast(probs: Sequence[Tensor], tau: float) -> Tensor:
     cluster-size regularizer."""
     if len(probs) < 2:
         raise ValueError("label contrast needs at least two views")
-    return T.cycled_nt_xent(probs, tau, denom=probs[0].value.shape[1], columns=True)
+    return T.cycled_nt_xent(probs, tau, columns=True)
 
 
 def partial_contrast(fused: Tensor, feats: Sequence[Tensor], tau: float) -> Tensor:
@@ -59,9 +59,9 @@ def partial_contrast(fused: Tensor, feats: Sequence[Tensor], tau: float) -> Tens
 
 def single_view_contrast(fused: Tensor, feat: Tensor, feat_noisy, tau: float) -> Tensor:
     """Noise-enhanced contrast for one-view clients: the perturbed-input
-    features act as the negative against the clean positives, cos(fused,
-    clean) against cos(clean, noisy)."""
-    return T.one_vs_one_nt_xent(fused, feat, feat, feat_noisy, tau)
+    features act as the negative against the clean positives, cos(clean,
+    fused) against cos(clean, noisy)."""
+    return T.one_vs_one_nt_xent(feat, fused, feat_noisy, tau)
 
 
 def drift_loss(fused: Tensor, pos_ref: np.ndarray, neg_ref: np.ndarray,
@@ -74,7 +74,7 @@ def drift_loss(fused: Tensor, pos_ref: np.ndarray, neg_ref: np.ndarray,
     ``global_values`` the matching global arrays; the reference feature
     matrices are constants.
     """
-    loss = T.one_vs_one_nt_xent(fused, pos_ref, fused, neg_ref, tau)
+    loss = T.one_vs_one_nt_xent(fused, pos_ref, neg_ref, tau)
     if mu:
         prox = T.sum_sq_dist(local_params, global_values)
         loss = T.add(loss, T.scale(prox, mu / 2.0))

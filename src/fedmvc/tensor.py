@@ -356,15 +356,14 @@ def _unit_rows_grad(g: Array, unit: Array, safe: Array, nonzero: Array) -> Array
     return np.where(nonzero, gx, 0.0)
 
 
-def cycled_nt_xent(items: Sequence, tau: float, denom: int,
-                   columns: bool = False) -> Tensor:
+def cycled_nt_xent(items: Sequence, tau: float, columns: bool = False) -> Tensor:
     """Cycled-partner NT-Xent over the row cosines of ``items``, one node.
 
     Row i of item v is paired with row i of item n = (v+1) mod V. The
     denominator sums the exponentiated similarities against every row of
     both items and subtracts the anchor's similarity to itself: e^{1/tau},
     or 1 for an all-zero row, whose cosine with itself is 0. The summed
-    terms are divided by ``denom``. With ``columns`` the rows are the
+    terms are divided by the row count. With ``columns`` the rows are the
     items' columns.
     """
     tape = _tape_of(*items)
@@ -393,7 +392,7 @@ def cycled_nt_xent(items: Sequence, tau: float, denom: int,
         saved.append((a_t, b_t, e_own, e_pair, den))
 
     def backprop(g, acc):
-        each = np.full((n, 1), (g * (1.0 / denom))[0, 0])
+        each = np.full((n, 1), (g * (1.0 / n))[0, 0])
         g_pos = (-each) * inv_tau
         g_units = [None] * n_views
 
@@ -416,7 +415,7 @@ def cycled_nt_xent(items: Sequence, tau: float, denom: int,
             g_item = _unit_rows_grad(g_units[v], *units[v])
             acc(items[v], g_item.T if columns else g_item)
 
-    return tape._track(Tensor(np.array([[total.sum()]]) * (1.0 / denom), tape,
+    return tape._track(Tensor(np.array([[total.sum()]]) * (1.0 / n), tape,
                               backprop=backprop))
 
 
@@ -465,31 +464,27 @@ def partial_nt_xent(fused, feats: Sequence, tau: float) -> Tensor:
                               backprop=backprop))
 
 
-def one_vs_one_nt_xent(a, b, c, d, tau: float) -> Tensor:
+def one_vs_one_nt_xent(anchor, pos, neg, tau: float) -> Tensor:
     """-(1/N) sum_i log(e^{p_i/tau} / (e^{p_i/tau} + e^{q_i/tau})), one node,
-    where p_i = cos(a_i, b_i) is the positive and q_i = cos(c_i, d_i) the
-    negative row cosine.
+    where p_i = cos(anchor_i, pos_i) is the positive and q_i =
+    cos(anchor_i, neg_i) the negative row cosine.
 
-    Each operand is normalised on its own, except that ``c`` shares ``b``'s
-    unit rows when it is ``b`` (as in the single-view contrast, where the
-    clean features are the positive's partner and the negative's anchor):
-    then the two gradients are summed before one normalisation backward. A
-    constant operand (a reference) gets no gradient.
+    Each operand is normalised once; the anchor's two gradients are summed
+    before its one normalisation backward. A constant operand (a
+    reference) gets no gradient.
     """
-    tape = _tape_of(a, b, c, d)
-    a, b, c, d = (wrap(tape, t) for t in (a, b, c, d))
-    if not (a.value.shape == b.value.shape == c.value.shape == d.value.shape):
+    tape = _tape_of(anchor, pos, neg)
+    anchor, pos, neg = (wrap(tape, t) for t in (anchor, pos, neg))
+    if not (anchor.value.shape == pos.value.shape == neg.value.shape):
         raise DimensionError("contrasted matrices must share one shape")
-    shared = c is b
-    ua, ub, ud = _unit_rows(a.value), _unit_rows(b.value), _unit_rows(d.value)
-    uc = ub if shared else _unit_rows(c.value)
-    n = a.value.shape[0]
+    ua, up, un = (_unit_rows(t.value) for t in (anchor, pos, neg))
+    n = anchor.value.shape[0]
     inv_tau = 1.0 / tau
-    pos = (ua[0] * ub[0]).sum(axis=1, keepdims=True)
-    neg = (uc[0] * ud[0]).sum(axis=1, keepdims=True)
-    e_pos, e_neg = np.exp(pos * inv_tau), np.exp(neg * inv_tau)
+    p = (ua[0] * up[0]).sum(axis=1, keepdims=True)
+    q = (ua[0] * un[0]).sum(axis=1, keepdims=True)
+    e_pos, e_neg = np.exp(p * inv_tau), np.exp(q * inv_tau)
     den = e_pos + e_neg
-    term = np.log(den) - pos * inv_tau
+    term = np.log(den) - p * inv_tau
 
     def backprop(g, acc):
         each = np.full((n, 1), (g * (1.0 / n))[0, 0])
@@ -503,16 +498,11 @@ def one_vs_one_nt_xent(a, b, c, d, tau: float) -> Tensor:
                 acc(t, _unit_rows_grad(g_unit, *units))
 
         # the order in which the chain's nodes reached the operands
-        give(d, g_neg * uc[0], ud)
-        if shared:
-            give(a, g_pos * ub[0], ua)
-            g_b = g_neg * ud[0]
-            g_b += g_pos * ua[0]
-            give(b, g_b, ub)
-        else:
-            give(c, g_neg * ud[0], uc)
-            give(b, g_pos * ua[0], ub)
-            give(a, g_pos * ub[0], ua)
+        give(neg, g_neg * ua[0], un)
+        give(pos, g_pos * ua[0], up)
+        g_anchor = g_neg * un[0]
+        g_anchor += g_pos * up[0]
+        give(anchor, g_anchor, ua)
 
     return tape._track(Tensor(np.array([[term.sum()]]) * (1.0 / n), tape,
                               backprop=backprop))

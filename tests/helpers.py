@@ -239,7 +239,7 @@ def normalize_rows(a):
     return tape._track(T.Tensor(out, tape, backprop=backprop))
 
 
-def cycled_nt_xent_chain(items, tau, denom, columns=False):
+def cycled_nt_xent_chain(items, tau, columns=False):
     """Elementary chain of ``T.cycled_nt_xent``, as the losses built it."""
     if columns:
         items = [transpose(q) for q in items]
@@ -262,7 +262,7 @@ def cycled_nt_xent_chain(items, tau, denom, columns=False):
         pos = rowsum(mul(s_pair, eye))
         term = sub(log(den), T.scale(pos, inv_tau))
         total = term if total is None else T.add(total, term)
-    return T.scale(sum_all(total), 1.0 / denom)
+    return T.scale(sum_all(total), 1.0 / n_rows)
 
 
 def partial_nt_xent_chain(fused, feats, tau):
@@ -283,18 +283,14 @@ def partial_nt_xent_chain(fused, feats, tau):
     return T.scale(sum_all(total), 1.0 / n)
 
 
-def one_vs_one_nt_xent_chain(a, b, c, d, tau):
-    """Elementary chain of ``T.one_vs_one_nt_xent``, cos(a, b) against
-    cos(c, d), with the node structure each caller had."""
-    tape = T._tape_of(a, b, c, d)
-    a, b, c, d = (T.wrap(tape, t) for t in (a, b, c, d))
-    if c is b:  # single_view_contrast: one node normalises the shared operand
-        u_b = normalize_rows(b)
-        pos = rowsum(mul(normalize_rows(a), u_b))
-        neg = rowsum(mul(u_b, normalize_rows(d)))
-    else:  # drift_loss: every operand has a node of its own
-        pos = rowsum(mul(normalize_rows(a), normalize_rows(b)))
-        neg = rowsum(mul(normalize_rows(c), normalize_rows(d)))
+def one_vs_one_nt_xent_chain(anchor, pos, neg, tau):
+    """Elementary chain of ``T.one_vs_one_nt_xent``, cos(anchor, pos) against
+    cos(anchor, neg), with one normalisation node per operand."""
+    tape = T._tape_of(anchor, pos, neg)
+    anchor, pos, neg = (T.wrap(tape, t) for t in (anchor, pos, neg))
+    u_anchor = normalize_rows(anchor)
+    pos = rowsum(mul(u_anchor, normalize_rows(pos)))
+    neg = rowsum(mul(u_anchor, normalize_rows(neg)))
     n = pos.value.shape[0]
     inv_tau = 1.0 / tau
     den = T.add(exp(T.scale(pos, inv_tau)), exp(T.scale(neg, inv_tau)))

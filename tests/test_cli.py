@@ -158,7 +158,7 @@ BAD_VALUES = {
     "optimizer": "rmsprop", "latent_dim": 0, "high_dim": 0, "hidden": 0,
     "tau": 0.0, "alpha": 1.5, "mu": -0.1, "sigma_noise": -1.0,
     "alpha_c_mode": ["cubic", "quadratic", "binary"], "eval_restarts": 0, "eval_every": 0,
-    "eval_views": (), "checkpoint_every": -1,
+    "eval_views": [(), (0, 0)], "checkpoint_every": -1,
 }
 
 _POINTS = np.arange(8.0).reshape(4, 2)
@@ -460,6 +460,23 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: resume checkpoint architecture")
         assert "does not match" in err
+
+    def test_missing_resume_checkpoint_exit_2(self, tmp_path, capsys):
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",
+                               resume_from=str(tmp_path / "absent.ckpt"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: resume_from: ")
+        assert "absent.ckpt" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("counts", ["none", "2,0,0", "0,0,2"])
+    def test_one_view_run_succeeds(self, tmp_path, capsys, counts):
+        # on a one-view dataset every client holds one view and trains as a
+        # single-view client, whatever the mix calls it
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out", view_dims=(4,))
+        assert main(["run", str(path), "--mixed-counts", counts]) == 0
+        assert "ACC=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("beta", ["iid", "1.0"])
     def test_more_clients_than_samples_exit_2(self, tmp_path, capsys, beta):

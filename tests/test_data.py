@@ -173,11 +173,12 @@ class TestAssignViews:
             assign_views(2, 2, seed=0, counts=(1, 1, 0))
 
     @pytest.mark.parametrize("counts", [None, (3, 0, 0), (1, 0, 2), (0, 0, 3)])
-    def test_one_view_makes_every_client_full(self, counts):
-        # the one view is all views, so every draw holds it
+    def test_one_view_makes_every_client_single(self, counts):
+        # the one view is all views, so every draw holds it; a client that
+        # holds one view trains as a single-view client
         out = assign_views(3, 1, seed=0, counts=counts)
         assert out == [(0,)] * 3
-        assert types_of(out, 1) == [CLIENT_FULL] * 3
+        assert types_of(out, 1) == [CLIENT_SINGLE] * 3
 
     @pytest.mark.parametrize("counts", [None, (2, 2, 2), (6, 0, 0), (0, 0, 6)])
     def test_shards_hold_plain_int_views(self, counts):

@@ -96,7 +96,7 @@ def train_round(client, global_params, cfg, round_index):
 
 class TestClientType:
     @pytest.mark.parametrize("view_dims,expected", [
-        ((4,), ["full"]),  # the one view is all views
+        ((4,), ["single"]),  # one view is single-view, though it is all views
         ((4, 3), ["single", "full"]),
         ((4, 3, 2), ["single", "partial", "full"]),
     ])
