@@ -26,7 +26,7 @@ from .config import (
 from .data import generate_blobs, load_dataset, save_dataset
 from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError, NonFiniteError, PartitionError
 from .evaluation import MetricsReport, eval_view_order, evaluate_global
-from .federation import derive_seeds, run_federation
+from .federation import derive_seeds, model_architecture, run_federation
 from .model import load_checkpoint, save_checkpoint
 
 ENV_OUTPUT_ROOT = "FEDMVC_OUT"
@@ -84,7 +84,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         path = Path(config.resume_from)
         if not path.exists():
             raise ConfigError(f"resume_from: checkpoint file not found: {path}")
-        initial_global = load_checkpoint(path)
+        try:
+            initial_global = load_checkpoint(path)
+        except DataFormatError as err:
+            raise DataFormatError(f"resume_from: {path}: {err}") from err
+        arch = model_architecture(config, dataset)
+        if initial_global.arch != arch:
+            raise ConfigError(
+                f"resume_from: {path}: checkpoint architecture {initial_global.arch} "
+                f"does not match the configured architecture {arch}")
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -1,9 +1,15 @@
 """Federated round loop: local training, balanced aggregation, broadcast.
 
-Clients train one after another, each in turn in the run's one trainable
-working model. A run is deterministic per master seed: every client owns
-its data, a grad-less snapshot of its latest model, and its random stream,
-and the server always reduces in ascending client-id order.
+Warm-up runs client after client in the main process. Each round then
+trains its clients in parallel, one process per CPU the run may use (at
+most one per client): the main process and workers forked once, after
+warm-up. Each process owns a fixed share of the clients and trains them
+one after another in its own trainable working model. The global model
+and every client's snapshot live in one shared memory mapping, so a round
+sends only its index to the workers and gets back their clients' losses.
+A run is deterministic per master seed, whatever its process count: every
+client owns its data, a grad-less snapshot of its latest model, and its
+random stream, and the server always reduces in ascending client-id order.
 
 The drift term's reference features come from the client's snapshot (its
 previous-round model) and the global model. Neither changes within a
@@ -17,6 +23,8 @@ batch on its own.
 from __future__ import annotations
 
 import itertools
+import mmap
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,7 +43,7 @@ from .data import (
     assign_views,
     dirichlet_partition,
 )
-from .errors import ConfigError, DimensionError, TrainingError
+from .errors import ConfigError, DimensionError, FedmvcError, TrainingError
 from .losses import (
     drift_loss,
     feature_contrast_full,
@@ -86,11 +94,14 @@ class ClientState:
     """One participant: its shard, its rows, its latest model and its rng.
 
     ``snapshot`` is the one model-sized buffer a client holds, allocated
-    once by :func:`build_clients`, without a gradient. It holds the initial
-    global model until warm-up, then the client's model from the end of
-    its latest phase (warm-up or round): the model :func:`aggregate` reads
-    and the drift term's frozen previous-round model. Training happens in
-    the run's one working model (see :func:`local_train_round`).
+    once by :func:`build_clients` as a row of a shared memory mapping,
+    without a gradient. It holds the initial global model until warm-up,
+    then the client's model from the end of its latest phase (warm-up or
+    round): the model :func:`aggregate` reads and the drift term's frozen
+    previous-round model. Training happens in the working model of the
+    process that owns the client (see :func:`local_train_round`). From the
+    first round on, that process alone advances the client's rng: the main
+    process's copy of a worker's client keeps its post-warm-up state.
 
     ``views`` holds only the rows and views this client owns; nothing else
     about the dataset is reachable from here. The rng is consumed in a
@@ -392,31 +403,176 @@ def broadcast(global_params: ModelParams, working: ModelParams) -> None:
     np.copyto(working.vector, global_params.vector)
 
 
+def _shared_rows(n_rows: int, size: int) -> np.ndarray:
+    """An ``(n_rows, size)`` float64 array of zeros in one anonymous shared
+    mapping: a process forked later reads and writes the same pages."""
+    block = mmap.mmap(-1, n_rows * size * 8)
+    return np.frombuffer(block, dtype=np.float64).reshape(n_rows, size)
+
+
 def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
-                  base_params: ModelParams,
-                  train_seed: np.random.SeedSequence) -> list[ClientState]:
+                  base_params: ModelParams, train_seed: np.random.SeedSequence,
+                  rows: np.ndarray | None = None) -> list[ClientState]:
     """Materialize client states; each holds only its own rows and views.
 
     Each client gets the one model buffer it keeps for the whole run: a
-    grad-less snapshot, first a copy of ``base_params``. The trainable
-    working model is not a client's: the run allocates one for all.
+    grad-less snapshot, first a copy of ``base_params``. Snapshot ``i`` is
+    row ``i`` of ``rows``, by default a new shared mapping (see
+    :func:`_shared_rows`), so a process forked after this call writes its
+    clients' snapshots where every process reads them. The trainable
+    working model is not a client's: each training process has one.
     """
+    if rows is None:
+        rows = _shared_rows(len(shards), base_params.vector.size)
     children = train_seed.spawn(len(shards))
     clients = []
-    for shard, child in zip(shards, children):
+    for shard, child, row in zip(shards, children, rows):
         if any(not 0 <= v < dataset.n_views for v in shard.view_subset):
             raise ConfigError(
                 f"client {shard.client_id}: view subset {shard.view_subset} out "
                 f"of range for a {dataset.n_views}-view dataset")
         views = {v: dataset.views[v][shard.sample_indices]
                  for v in shard.view_subset}
+        np.copyto(row, base_params.vector)
         clients.append(ClientState(
             shard=shard,
             views=views,
-            snapshot=base_params.clone(),
+            snapshot=ModelParams(base_params.arch, row),
             rng=np.random.default_rng(child),
         ))
     return clients
+
+
+def model_architecture(config, dataset: MultiViewDataset) -> Architecture:
+    """The architecture a run of ``config`` on ``dataset`` trains; a
+    resumed run's checkpoint must have it."""
+    return Architecture(dataset.view_dims, dataset.n_clusters, config.latent_dim,
+                        config.high_dim, config.hidden)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most processes a round uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(clients: Sequence[ClientState], n_procs: int) -> list[list[ClientState]]:
+    """The clients each of ``n_procs`` processes trains, in client-id order.
+
+    Clients are dealt longest first, each to the least-loaded process
+    (the lowest-numbered among equals); a client's cost is its rows times
+    its views plus one, and equal costs go by client id. The deal only
+    balances time: any deal gives the same bits.
+    """
+    def cost(c: ClientState) -> int:
+        return c.shard.n_samples * (c.shard.n_views + 1)
+
+    loads = [0] * n_procs
+    shares: list[list[ClientState]] = [[] for _ in range(n_procs)]
+    for c in sorted(clients, key=lambda c: (-cost(c), c.shard.client_id)):
+        p = min(range(n_procs), key=lambda i: loads[i])
+        shares[p].append(c)
+        loads[p] += cost(c)
+    return [sorted(share, key=lambda c: c.shard.client_id) for share in shares]
+
+
+def _train_share(share: Sequence[ClientState], global_params: ModelParams, config,
+                 round_index: int, working: ModelParams, workspace: np.ndarray,
+                 ) -> tuple[dict[int, dict[str, float]], tuple[int, Exception] | None]:
+    """One round of local training for each client of ``share``, in order:
+    their losses by client id, and the first failing client's id and
+    exception (None when none failed), after which no client trains."""
+    losses = {}
+    for c in share:
+        try:
+            losses[c.shard.client_id] = local_train_round(
+                c, global_params, config, round_index, working, workspace)
+        except Exception as err:
+            return losses, (c.shard.client_id, err)
+    return losses, None
+
+
+def _serve(conn, inherited, share, global_params, config, working, workspace) -> None:
+    """A worker's loop: for each round index received, train ``share`` and
+    reply with :func:`_train_share`'s result, until "stop" or end of file.
+
+    The worker ignores SIGINT (the main process handles it and stops the
+    workers), and closes ``inherited``, the main process's pipe ends it
+    was forked with, so that when the main process dies, the worker's next
+    read ends the loop.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            message = conn.recv()
+            if message == "stop":
+                return
+            conn.send(_train_share(share, global_params, config, message, working,
+                                   workspace))
+        except (EOFError, OSError):
+            return
+
+
+class _Workers:
+    """The forked processes that train all but the main process's share;
+    with no shares, none, and every method does nothing."""
+
+    def __init__(self, shares, global_params, config, working, workspace):
+        self.conns, self.procs = [], []
+        if not shares:
+            return
+        # only a run that forks pays for importing multiprocessing
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for share in shares:
+                mine, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_serve, daemon=True, args=(
+                    theirs, [*self.conns, mine], share, global_params, config,
+                    working, workspace))
+                proc.start()
+                theirs.close()
+                self.conns.append(mine)
+                self.procs.append(proc)
+        except BaseException:
+            self.stop()
+            raise
+
+    def start_round(self, round_index: int) -> None:
+        for conn in self.conns:
+            self._talk(round_index, conn.send, round_index)
+
+    def replies(self, round_index: int) -> list:
+        return [self._talk(round_index, conn.recv) for conn in self.conns]
+
+    @staticmethod
+    def _talk(round_index: int, call, *args):
+        try:
+            return call(*args)
+        except (EOFError, OSError):
+            raise FedmvcError(f"round {round_index}: a training process exited "
+                              "without replying") from None
+
+    def stop(self) -> None:
+        for conn in self.conns:
+            try:
+                conn.send("stop")
+            except OSError:
+                pass
+            conn.close()
+        for proc in self.procs:
+            # an idle worker stops at once; one still in a round is ended
+            proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
 
 
 def run_federation(config, dataset: MultiViewDataset,
@@ -426,10 +582,17 @@ def run_federation(config, dataset: MultiViewDataset,
     """Full pipeline: partition, warm-up, then R rounds of train/aggregate.
 
     Deterministic per ``config.seed``, from which every stream is derived
-    (``derive_seeds``). Returns the final global model, which
-    is the initial one when ``config.rounds`` is 0. ``round_hook`` (if
-    given) runs after each round's aggregation with the new global model
-    and the round's report; it is the only way reports leave the run.
+    (``derive_seeds``), and bitwise the same for any process count. Returns
+    the final global model, which is the initial one when ``config.rounds``
+    is 0. ``round_hook`` (if given) runs after each round's aggregation
+    with the new global model and the round's report; it is the only way
+    reports leave the run.
+
+    Warm-up runs in this process. Rounds use one process per CPU in this
+    process's affinity mask, at most one per client: this process and
+    workers forked after warm-up, which end before the function returns or
+    raises. A failing round raises the exception of its lowest-numbered
+    failing client, the one a serial run would meet first.
     """
     config.validate()
     seeds = derive_seeds(config.seed)
@@ -447,8 +610,7 @@ def run_federation(config, dataset: MultiViewDataset,
     shards = [ClientShard(i, subset, idx)
               for i, (subset, idx) in enumerate(zip(assignments, parts))]
 
-    arch = Architecture(work.view_dims, work.n_clusters, config.latent_dim,
-                        config.high_dim, config.hidden)
+    arch = model_architecture(config, work)
     if initial_global is None:
         initial_global = init_params(arch, seeds.init)
     elif initial_global.arch != arch:
@@ -456,9 +618,13 @@ def run_federation(config, dataset: MultiViewDataset,
             f"resume checkpoint architecture {initial_global.arch} does not match "
             f"the configured architecture {arch}")
     global_params = initial_global
-    clients = build_clients(work, shards, global_params, seeds.train)
-    # clients train one after another, so one working model with its
-    # gradient and one optimizer state serve the whole run
+    # row 0 holds the global model each round trains against; the others
+    # are the clients' snapshots
+    rows = _shared_rows(len(shards) + 1, initial_global.vector.size)
+    shared_global = ModelParams(arch, rows[0])
+    clients = build_clients(work, shards, global_params, seeds.train, rows[1:])
+    # each process trains its clients one after another, so one working
+    # model with its gradient and one optimizer state serve all of them
     working = ModelParams(arch, trainable=True)
     workspace = optimizer_workspace(working.vector.size)
     for c in clients:
@@ -466,19 +632,33 @@ def run_federation(config, dataset: MultiViewDataset,
 
     # the shards never change, so neither do the weights
     weights = compute_weights(shards, work.n_views, config.alpha_c_mode)
-    for r in range(1, config.rounds + 1):
-        t0 = time.perf_counter()
-        losses = [local_train_round(c, global_params, config, r, working, workspace)
-                  for c in clients]
-        global_params = aggregate(global_params, [c.snapshot for c in clients],
-                                  shards, weights)
-        report = RoundReport(
-            round_index=r,
-            client_losses={c.shard.client_id: stats
-                           for c, stats in zip(clients, losses)},
-            weights=[float(w) for w in weights],
-            wall_time=time.perf_counter() - t0,
-        )
-        if round_hook is not None:
-            round_hook(global_params, report)
+    own, *forked = _shares(clients, min(_usable_cpus(), len(clients)))
+    workers = _Workers(forked if config.rounds else [], shared_global, config,
+                       working, workspace)
+    try:
+        for r in range(1, config.rounds + 1):
+            t0 = time.perf_counter()
+            np.copyto(shared_global.vector, global_params.vector)
+            workers.start_round(r)
+            losses, failed = _train_share(own, shared_global, config, r, working,
+                                          workspace)
+            failures = [failed] if failed else []
+            for their_losses, their_failed in workers.replies(r):
+                losses.update(their_losses)
+                failures += [their_failed] if their_failed else []
+            if failures:
+                raise min(failures, key=lambda f: f[0])[1]
+            global_params = aggregate(global_params, [c.snapshot for c in clients],
+                                      shards, weights)
+            report = RoundReport(
+                round_index=r,
+                client_losses={c.shard.client_id: losses[c.shard.client_id]
+                               for c in clients},
+                weights=[float(w) for w in weights],
+                wall_time=time.perf_counter() - t0,
+            )
+            if round_hook is not None:
+                round_hook(global_params, report)
+    finally:
+        workers.stop()
     return global_params

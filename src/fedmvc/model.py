@@ -71,10 +71,10 @@ class ModelParams:
 
     Only a model built with ``trainable=True`` has a ``grad`` vector (and
     ``Param.grad`` views of it); every other model's ``grad`` is None, so a
-    backward pass into it fails. A run has one trainable model, the working
-    model its clients train in one after another; the global model, the
-    clients' snapshots and loaded checkpoints are read only for their
-    values. An optimizer updates a client's :meth:`owned_spans` of
+    backward pass into it fails. Each process that trains a run's clients
+    has one trainable model, the working model they train in one after
+    another; the global model, the clients' snapshots and loaded
+    checkpoints are read only for their values. An optimizer updates a client's :meth:`owned_spans` of
     ``vector`` and ``grad`` directly.
     """
 

@@ -3,6 +3,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -139,3 +140,17 @@ def test_a_slowdown_inside_the_bound_is_clean(tool, tmp_path, capsys):
     assert metrics["eval_s"]["regressed"] is False
     assert metrics["acc"]["regressed"] is False
     assert "eval_s: 2.055 -> 2.355 s (+14.6 %)" in capsys.readouterr().out
+
+
+def test_records_the_usable_cpus_and_the_load_around_each_run(tool, tmp_path):
+    report = run(tool, tmp_path, checkout(tmp_path, "parent", 2.0),
+                 checkout(tmp_path, "change", 1.0, crash=(2,)), [1, 2])
+    assert report["cpus"] == len(os.sched_getaffinity(0))
+    runs = [p[side] for p in report["workloads"]["large-pool"]["pairs"]
+            for side in ("parent", "change")]
+    assert len(runs) == 4 and runs[3] == {"exit_code": 3, "loadavg": runs[3]["loadavg"]}
+    for r in runs:
+        assert set(r["loadavg"]) == {"before", "after"}
+        for when in ("before", "after"):
+            assert len(r["loadavg"][when]) == 3
+            assert all(isinstance(x, float) and x >= 0 for x in r["loadavg"][when])

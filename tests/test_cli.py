@@ -458,8 +458,23 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--resume-from", str(result.out_dir / "model.ckpt"),
                      "--latent-dim", str(TINY["latent_dim"] + 1)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: resume checkpoint architecture")
+        ckpt = result.out_dir / "model.ckpt"
+        assert err.startswith(f"configuration error: resume_from: {ckpt}: checkpoint "
+                              "architecture")
         assert "does not match" in err
+        assert not (tmp_path / "b").exists()
+
+    def test_truncated_resume_checkpoint_exit_2(self, tmp_path, capsys):
+        result = run_experiment(tiny_config(tmp_path / "a", rounds=0, warmup_epochs=0))
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((result.out_dir / "model.ckpt").read_bytes()[:10])
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "b",
+                               resume_from=str(cut))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: resume_from: {cut}: truncated checkpoint while "
+            "reading header\n")
+        assert not (tmp_path / "b").exists()
 
     def test_missing_resume_checkpoint_exit_2(self, tmp_path, capsys):
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out",

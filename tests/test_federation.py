@@ -2,7 +2,14 @@
 
 import gc
 import itertools
+import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +21,7 @@ from fedmvc import federation
 from fedmvc import tensor as T
 from fedmvc.config import ExperimentConfig
 from fedmvc.data import ClientShard, client_type_for, generate_blobs
-from fedmvc.errors import ConfigError, TrainingError
+from fedmvc.errors import ConfigError, FedmvcError, TrainingError
 from fedmvc.federation import (
     ClientState,
     aggregate,
@@ -1061,6 +1068,8 @@ class TestRunFederation:
         monkeypatch.setattr(ModelParams, "__init__", counting_init)
         monkeypatch.setattr(ModelParams, "clone", counting_clone)
         monkeypatch.setattr(federation, "build_clients", capture)
+        # the counts are this process's: train every client in it
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 1)
         cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=3, warmup_epochs=1,
                           batch_size=8)
@@ -1108,6 +1117,8 @@ class TestRunFederation:
 
         monkeypatch.setattr(federation, "optimizer_workspace", allocating)
         monkeypatch.setattr(federation, "make_optimizer", recording)
+        # the records are this process's: train every client in it
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 1)
         cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
                           batch_size=8)
@@ -1155,9 +1166,168 @@ class TestTapeLifetime:
 
         assert tapes_left_by(phases) == []
 
-    def test_run_leaves_no_tape(self):
+    def test_run_leaves_no_tape(self, monkeypatch):
+        # the tapes counted are this process's: train every client in it
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: 1)
         cfg = tiny_config(n_clients=3, mixed_counts=(1, 1, 1),
                           view_dims=(4, 3, 2), rounds=2, warmup_epochs=1,
                           batch_size=8)
         ds = generate_blobs(2, 36, (4, 3, 2), 5.0, 1.0, seed=2)
         assert tapes_left_by(lambda: run_federation(cfg, ds)) == []
+
+
+def child_pids() -> set[int]:
+    """This process's children, zombies included."""
+    return {int(pid) for f in Path(f"/proc/{os.getpid()}/task").glob("*/children")
+            for pid in f.read_text().split()}
+
+
+def mixed_run_config(**overrides):
+    # five clients of three types and unequal sizes: 2 full, 2 partial, 1 single
+    return tiny_config(n_clients=5, mixed_counts=(2, 2, 1), view_dims=(4, 3, 2),
+                       n_samples=60, dirichlet_beta=0.5, rounds=3, warmup_epochs=1,
+                       local_epochs=2, batch_size=6, **overrides)
+
+
+MIXED_DATA = dict(n_clusters=2, n_samples=60, view_dims=(4, 3, 2), separation=5.0,
+                  noise_sigma=1.0, seed=2)
+
+
+class TestParallelRounds:
+    """Rounds train in several processes; the output is that of one."""
+
+    @pytest.fixture(autouse=True)
+    def no_children_left(self):
+        before = child_pids()
+        yield
+        assert child_pids() <= before
+
+    def run_with(self, monkeypatch, n_procs, cfg, **kwargs):
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: n_procs)
+        seen, reports = {}, []
+        build = federation.build_clients
+
+        def capture(*args, **kw):
+            seen["clients"] = build(*args, **kw)
+            return seen["clients"]
+
+        def hook(global_params, report):
+            import multiprocessing
+            reports.append((report.client_losses, len(multiprocessing.active_children())))
+
+        monkeypatch.setattr(federation, "build_clients", capture)
+        global_params = run_federation(cfg, generate_blobs(**MIXED_DATA),
+                                       round_hook=hook, **kwargs)
+        return global_params, seen["clients"], reports
+
+    @pytest.mark.parametrize("no_drift", [False, True])
+    def test_any_process_count_gives_the_same_bits(self, monkeypatch, no_drift):
+        cfg = mixed_run_config(no_drift=no_drift)
+        runs = {}
+        for n_procs in (1, 2, 3):
+            global_params, clients, reports = self.run_with(monkeypatch, n_procs, cfg)
+            assert {c.client_type for c in clients} == {"full", "partial", "single"}
+            assert [workers for _, workers in reports] == [n_procs - 1] * cfg.rounds
+            runs[n_procs] = (global_params.vector.tobytes(),
+                             [c.snapshot.vector.tobytes() for c in clients],
+                             [json.dumps(losses) for losses, _ in reports])
+        assert runs[1] == runs[2] == runs[3]
+        assert len(set(runs[1][1])) == 5
+
+    def test_shares_deal_the_longest_first_to_the_least_loaded(self):
+        # costs rows*(views+1): 10*4=40, 12*2=24, 8*3=24, 30*2=60, 5*4=20
+        shape = [(10, (0, 1, 2)), (12, (1,)), (8, (0, 2)), (30, (2,)), (5, (0, 1, 2))]
+        clients = [ClientState(ClientShard(i, subset, np.arange(n)), {}, None, None)
+                   for i, (n, subset) in enumerate(shape)]
+        ids = [[c.shard.client_id for c in share]
+               for share in federation._shares(clients, 2)]
+        # 60 -> p0; 40 -> p1; 24 (id 1) -> p1; 24 (id 2) -> p0; 20 -> p1
+        assert ids == [[2, 3], [0, 1, 4]]
+        assert [[c.shard.client_id for c in share]
+                for share in federation._shares(clients, 1)] == [[0, 1, 2, 3, 4]]
+
+    def test_a_failing_round_raises_the_lowest_failing_client(self, monkeypatch):
+        real = federation.local_train_round
+
+        def failing(client, global_params, config, round_index, *args):
+            if round_index == 2 and client.shard.client_id in (2, 4):
+                raise TrainingError(f"client {client.shard.client_id} failed")
+            return real(client, global_params, config, round_index, *args)
+
+        monkeypatch.setattr(federation, "local_train_round", failing)
+        for n_procs in (1, 3):
+            with pytest.raises(TrainingError, match=r"^client 2 failed$"):
+                self.run_with(monkeypatch, n_procs, mixed_run_config())
+
+    def test_a_worker_that_dies_fails_the_round(self, monkeypatch):
+        main = os.getpid()
+        real = federation.local_train_round
+
+        def dying(*args):
+            if os.getpid() != main and args[3] == 2:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(federation, "local_train_round", dying)
+        with pytest.raises(FedmvcError, match="^round 2: a training process exited "
+                                              "without replying$"):
+            self.run_with(monkeypatch, 3, mixed_run_config())
+
+    def test_workers_exit_when_the_main_process_is_killed(self, tmp_path):
+        script = tmp_path / "run.py"
+        script.write_text(f"""
+import json, multiprocessing, os, sys, time
+sys.path.insert(0, {str(Path(federation.__file__).parents[1])!r})
+from fedmvc import federation
+from fedmvc.config import config_from_mapping
+from fedmvc.data import generate_blobs
+
+federation._usable_cpus = lambda: 3
+main = os.getpid()
+real = federation.local_train_round
+
+def stalling(*args):
+    out = real(*args)
+    if os.getpid() == main and args[3] == 2:
+        pids = [p.pid for p in multiprocessing.active_children()]
+        print(json.dumps(pids), flush=True)
+        time.sleep(60)
+    return out
+
+federation.local_train_round = stalling
+cfg = config_from_mapping(json.loads({json.dumps(mixed_run_config().to_mapping())!r}))
+federation.run_federation(cfg, generate_blobs(**{MIXED_DATA!r}))
+""")
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                                text=True)
+        try:
+            workers = json.loads(proc.stdout.readline())
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        assert len(workers) == 2
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 5.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+        # the workers wrote nothing to the standard output they shared
+        assert proc.stdout.read() == ""
+
+    def test_importing_the_package_leaves_multiprocessing_out(self):
+        # importing multiprocessing would add to every run's set-up time; only
+        # a run that forks workers imports it
+        src = str(Path(federation.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, fedmvc.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"

@@ -8,7 +8,9 @@ repository, one pair of runs per workload and seed. The checkout that runs
 first alternates from one seed to the next, so a drift in the machine's
 speed falls on both sides alike.
 
-FILE gets one JSON object. For each workload and each end-to-end metric of
+FILE gets one JSON object. It records ``cpus``, how many CPUs the runs
+could use (this process's affinity, which the runs inherit). For each
+workload and each end-to-end metric of
 the change's ``BENCHMARK.json``, it holds both sides' median and quartiles,
 the change's wins and ties over the pairs (a win is a value better in the
 metric's direction), ``holds``: whether the change wins at least 9 of
@@ -17,7 +19,9 @@ parent's interquartile range, and ``regressed``: whether the change's
 median is worse than the parent's by more than the metric's ``bound``, as
 a share of the parent's median (always true when the change reported no
 run). Each workload's metrics are also printed, one line each, to stdout.
-Every run is listed as ``perfbench/run.py`` reported it. A run with
+Every run is listed as ``perfbench/run.py`` reported it, plus ``loadavg``:
+the machine's 1, 5 and 15 minute load averages before and after it. A
+run with
 ``correct: false`` or ``failed > 0`` is kept and also named under
 ``flagged``; a run that printed no result is named there with its exit
 code, and its pair counts as no win.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,17 +42,21 @@ WIN_SHARE = 0.9
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its JSON result, or
-    ``{"exit_code": ...}`` when it printed none."""
+    ``{"exit_code": ...}`` when it printed none, with the load averages
+    before and after it under ``loadavg``."""
+    before = os.getloadavg()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
-        return {"exit_code": proc.returncode}
+        result = {"exit_code": proc.returncode}
+    result["loadavg"] = {"before": list(before), "after": list(os.getloadavg())}
+    return result
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -124,7 +133,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    report = {"seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
+    report = {"seeds": args.seeds, "seconds": args.seconds,
+              "cpus": len(os.sched_getaffinity(0)), "workloads": {}}
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
