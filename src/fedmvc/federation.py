@@ -25,6 +25,8 @@ from __future__ import annotations
 import itertools
 import mmap
 import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -411,19 +413,18 @@ def _shared_rows(n_rows: int, size: int) -> np.ndarray:
 
 
 def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
-                  base_params: ModelParams, train_seed: np.random.SeedSequence,
-                  rows: np.ndarray | None = None) -> list[ClientState]:
+                  base_params: ModelParams,
+                  train_seed: np.random.SeedSequence) -> list[ClientState]:
     """Materialize client states; each holds only its own rows and views.
 
     Each client gets the one model buffer it keeps for the whole run: a
-    grad-less snapshot, first a copy of ``base_params``. Snapshot ``i`` is
-    row ``i`` of ``rows``, by default a new shared mapping (see
-    :func:`_shared_rows`), so a process forked after this call writes its
-    clients' snapshots where every process reads them. The trainable
-    working model is not a client's: each training process has one.
+    grad-less snapshot, first a copy of ``base_params``. The snapshots are
+    the rows of one shared mapping (see :func:`_shared_rows`), so a process
+    forked after this call writes its clients' snapshots where every
+    process reads them. The trainable working model is not a client's:
+    each training process has one.
     """
-    if rows is None:
-        rows = _shared_rows(len(shards), base_params.vector.size)
+    rows = _shared_rows(len(shards), base_params.vector.size)
     children = train_seed.spawn(len(shards))
     clients = []
     for shard, child, row in zip(shards, children, rows):
@@ -451,31 +452,19 @@ def model_architecture(config, dataset: MultiViewDataset) -> Architecture:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: the most processes a round uses."""
+    """The CPUs this process may run on: the most processes a round uses.
+
+    One where the platform has no CPU affinity call (it may not fork
+    safely either), and in a daemonic ``multiprocessing`` process, which
+    may not start processes of its own.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _shares(clients: Sequence[ClientState], n_procs: int) -> list[list[ClientState]]:
-    """The clients each of ``n_procs`` processes trains, in client-id order.
-
-    Clients are dealt longest first, each to the least-loaded process
-    (the lowest-numbered among equals); a client's cost is its rows times
-    its views plus one, and equal costs go by client id. The deal only
-    balances time: any deal gives the same bits.
-    """
-    def cost(c: ClientState) -> int:
-        return c.shard.n_samples * (c.shard.n_views + 1)
-
-    loads = [0] * n_procs
-    shares: list[list[ClientState]] = [[] for _ in range(n_procs)]
-    for c in sorted(clients, key=lambda c: (-cost(c), c.shard.client_id)):
-        p = min(range(n_procs), key=lambda i: loads[i])
-        shares[p].append(c)
-        loads[p] += cost(c)
-    return [sorted(share, key=lambda c: c.shard.client_id) for share in shares]
+    except AttributeError:
+        return 1
 
 
 def _train_share(share: Sequence[ClientState], global_params: ModelParams, config,
@@ -492,6 +481,16 @@ def _train_share(share: Sequence[ClientState], global_params: ModelParams, confi
         except Exception as err:
             return losses, (c.shard.client_id, err)
     return losses, None
+
+
+def _portable(err: Exception) -> Exception:
+    """``err``, or when it would not come through a pipe (it does not pickle,
+    or does not unpickle), a :class:`FedmvcError` with its type and message."""
+    try:
+        pickle.loads(pickle.dumps(err))
+    except Exception:
+        return FedmvcError(f"{type(err).__name__}: {err}")
+    return err
 
 
 def _serve(conn, inherited, share, global_params, config, working, workspace) -> None:
@@ -513,8 +512,11 @@ def _serve(conn, inherited, share, global_params, config, working, workspace) ->
             message = conn.recv()
             if message == "stop":
                 return
-            conn.send(_train_share(share, global_params, config, message, working,
-                                   workspace))
+            losses, failed = _train_share(share, global_params, config, message,
+                                          working, workspace)
+            if failed:
+                failed = (failed[0], _portable(failed[1]))
+            conn.send((losses, failed))
         except (EOFError, OSError):
             return
 
@@ -618,11 +620,9 @@ def run_federation(config, dataset: MultiViewDataset,
             f"resume checkpoint architecture {initial_global.arch} does not match "
             f"the configured architecture {arch}")
     global_params = initial_global
-    # row 0 holds the global model each round trains against; the others
-    # are the clients' snapshots
-    rows = _shared_rows(len(shards) + 1, initial_global.vector.size)
-    shared_global = ModelParams(arch, rows[0])
-    clients = build_clients(work, shards, global_params, seeds.train, rows[1:])
+    # the global model each round trains against, where every process reads it
+    shared_global = ModelParams(arch, _shared_rows(1, global_params.vector.size)[0])
+    clients = build_clients(work, shards, global_params, seeds.train)
     # each process trains its clients one after another, so one working
     # model with its gradient and one optimizer state serve all of them
     working = ModelParams(arch, trainable=True)
@@ -632,7 +632,10 @@ def run_federation(config, dataset: MultiViewDataset,
 
     # the shards never change, so neither do the weights
     weights = compute_weights(shards, work.n_views, config.alpha_c_mode)
-    own, *forked = _shares(clients, min(_usable_cpus(), len(clients)))
+    # each process trains a fixed share of the clients; any split gives the
+    # same bits
+    n_procs = min(_usable_cpus(), len(clients))
+    own, *forked = [clients[p::n_procs] for p in range(n_procs)]
     workers = _Workers(forked if config.rounds else [], shared_global, config,
                        working, workspace)
     try:

@@ -1193,6 +1193,18 @@ MIXED_DATA = dict(n_clusters=2, n_samples=60, view_dims=(4, 3, 2), separation=5.
                   noise_sigma=1.0, seed=2)
 
 
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class TwoArgs(Exception):
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
 class TestParallelRounds:
     """Rounds train in several processes; the output is that of one."""
 
@@ -1234,18 +1246,6 @@ class TestParallelRounds:
         assert runs[1] == runs[2] == runs[3]
         assert len(set(runs[1][1])) == 5
 
-    def test_shares_deal_the_longest_first_to_the_least_loaded(self):
-        # costs rows*(views+1): 10*4=40, 12*2=24, 8*3=24, 30*2=60, 5*4=20
-        shape = [(10, (0, 1, 2)), (12, (1,)), (8, (0, 2)), (30, (2,)), (5, (0, 1, 2))]
-        clients = [ClientState(ClientShard(i, subset, np.arange(n)), {}, None, None)
-                   for i, (n, subset) in enumerate(shape)]
-        ids = [[c.shard.client_id for c in share]
-               for share in federation._shares(clients, 2)]
-        # 60 -> p0; 40 -> p1; 24 (id 1) -> p1; 24 (id 2) -> p0; 20 -> p1
-        assert ids == [[2, 3], [0, 1, 4]]
-        assert [[c.shard.client_id for c in share]
-                for share in federation._shares(clients, 1)] == [[0, 1, 2, 3, 4]]
-
     def test_a_failing_round_raises_the_lowest_failing_client(self, monkeypatch):
         real = federation.local_train_round
 
@@ -1258,6 +1258,55 @@ class TestParallelRounds:
         for n_procs in (1, 3):
             with pytest.raises(TrainingError, match=r"^client 2 failed$"):
                 self.run_with(monkeypatch, n_procs, mixed_run_config())
+
+    @pytest.mark.parametrize("error", [
+        # does not pickle: its attribute is a local function
+        lambda: Unpicklable("client 1 failed"),
+        # pickles, but its constructor needs two arguments and gets one back
+        lambda: TwoArgs("client 1 failed", 7),
+    ], ids=["unpicklable", "not-rebuildable"])
+    def test_an_error_that_cannot_cross_a_pipe_keeps_its_type_and_message(
+            self, monkeypatch, error):
+        real = federation.local_train_round
+
+        def failing(client, global_params, config, round_index, *args):
+            if round_index == 2 and client.shard.client_id == 1:
+                raise error()
+            return real(client, global_params, config, round_index, *args)
+
+        monkeypatch.setattr(federation, "local_train_round", failing)
+        kind = type(error()).__name__
+        with pytest.raises(FedmvcError, match=rf"^{kind}: client 1 failed$"):
+            # three processes: client 1 is in a worker's share
+            self.run_with(monkeypatch, 3, mixed_run_config())
+
+    def test_a_daemonic_process_runs_its_rounds_in_one_process(self, monkeypatch):
+        import multiprocessing
+
+        # a daemonic process may not start processes: a run in one uses none,
+        # whatever its CPUs
+        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert federation._usable_cpus() == 3
+        cfg = mixed_run_config()
+        expected = run_federation(cfg, generate_blobs(**MIXED_DATA)).vector.tobytes()
+
+        def run(conn):
+            assert federation._usable_cpus() == 1
+            conn.send(run_federation(cfg, generate_blobs(**MIXED_DATA)).vector.tobytes())
+
+        ctx = multiprocessing.get_context("fork")
+        mine, theirs = ctx.Pipe()
+        proc = ctx.Process(target=run, args=(theirs,), daemon=True)
+        proc.start()
+        try:
+            assert mine.poll(60) and mine.recv() == expected
+        finally:
+            proc.join(60)
+        assert proc.exitcode == 0
+
+    def test_one_process_without_a_cpu_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(federation.os, "sched_getaffinity")
+        assert federation._usable_cpus() == 1
 
     def test_a_worker_that_dies_fails_the_round(self, monkeypatch):
         main = os.getpid()
