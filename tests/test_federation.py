@@ -1308,6 +1308,22 @@ class TestParallelRounds:
         monkeypatch.delattr(federation.os, "sched_getaffinity")
         assert federation._usable_cpus() == 1
 
+    def test_the_main_process_polls_for_replies_instead_of_blocking(self):
+        class Conn:
+            polls = 0
+
+            def poll(self):
+                self.polls += 1
+                return self.polls == 3
+
+            def recv(self):
+                assert self.polls == 3, "a read before the reply had come"
+                return {}, None
+
+        workers = federation._Workers([], None, None, None, None)
+        workers.conns = [Conn()]
+        assert workers.replies(1) == [({}, None)]
+
     def test_a_worker_that_dies_fails_the_round(self, monkeypatch):
         main = os.getpid()
         real = federation.local_train_round
