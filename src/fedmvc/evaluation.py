@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig, check
 from .data import MultiViewDataset
 from .errors import ConfigError, DimensionError, NonFiniteError
+from .federation import _each, _split
 from .model import ModelParams, infer_fused
 
 
@@ -170,6 +171,31 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator,
     return centroids
 
 
+class _Checked(NamedTuple):
+    """k-means input that has passed :func:`_checked_points`: a
+    C-contiguous float64 matrix and its rows' squared norms."""
+
+    points: np.ndarray
+    sq_norms: np.ndarray
+
+
+def _checked_points(points, n_clusters: int) -> _Checked:
+    """``points`` as a C-contiguous float64 matrix, with its squared row
+    norms, once it is fit for ``n_clusters``-means.
+
+    Raises DimensionError when ``points`` is not a 2-D matrix, ConfigError
+    when ``n_clusters`` is not between 1 and the number of points, and
+    NonFiniteError when some point's ``8·N·‖x‖²`` is not finite, for N
+    points.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise DimensionError(
+            f"k-means points must be a 2-D matrix, got shape {points.shape}")
+    check(n_clusters=n_clusters, n_samples=points.shape[0])
+    return _Checked(points, _finite_sq_norms(points))
+
+
 # Lloyd's stopping rules: at most this many iterations, and the last one
 # is the first that moves no centroid by ``KMEANS_TOL`` or more
 KMEANS_MAX_ITER = 300
@@ -207,13 +233,11 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
     NonFiniteError when some point's ``8·N·‖x‖²`` is not finite, for N
     points.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise DimensionError(
-            f"k-means points must be a 2-D matrix, got shape {points.shape}")
+    # kmeans_best checks its points once and hands every restart the result
+    if not isinstance(points, _Checked):
+        points = _checked_points(points, n_clusters)
+    points, sq_norms = points
     n, k = points.shape[0], n_clusters
-    check(n_clusters=k, n_samples=n)
-    sq_norms = _finite_sq_norms(points)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(points, k, rng, sq_norms)
     # Before the first step every mean is stale (the k-means++ centres are
@@ -254,22 +278,38 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
     return KMeansResult(centroids, labels, objective, trace)
 
 
+def _restarts(indices: range, points: _Checked, n_clusters: int,
+              seeds: Sequence[np.random.SeedSequence]):
+    """The :func:`kmeans` restarts ``indices``, restart ``i`` seeded by
+    ``seeds[i]``, as :func:`fedmvc.federation._each` returns them."""
+    return _each(indices, lambda i: kmeans(points, n_clusters, seeds[i]))
+
+
 def kmeans_best(points, n_clusters: int,
                 n_restarts: int = ExperimentConfig.eval_restarts, seed=0
                 ) -> tuple[KMeansResult, list[float]]:
     """Best of several seeded restarts (ties keep the earliest restart),
-    plus every restart's final objective."""
+    plus every restart's final objective, in restart order.
+
+    Restart ``i`` is :func:`kmeans` seeded by the ``i``-th child that
+    ``seed`` spawns. The points are checked once, here, before any restart
+    runs. In a run's round hook, the restarts are split over the run's
+    processes: this one and the run's workers, which wait for the next
+    round meanwhile (``fedmvc.federation._split``); anywhere else they all
+    run in this process. Each restart computes the same bits in any
+    process, so the result and the objectives are bitwise those of running
+    every restart here, one after another; a failing restart raises the
+    error of the earliest one that fails.
+    """
     check(eval_restarts=n_restarts)
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    best = None
-    objectives = []
-    for child in seq.spawn(n_restarts):
-        result = kmeans(points, n_clusters, child)
-        objectives.append(result.objective)
-        if best is None or result.objective < best.objective:
-            best = result
-    return best, objectives
+    seeds = seq.spawn(n_restarts)
+    results = _split("k-means", _restarts, n_restarts,
+                     _checked_points(points, n_clusters), n_clusters, seeds)
+    objectives = [results[i].objective for i in range(n_restarts)]
+    # min keeps the first of equal objectives: the earliest restart
+    return results[min(range(n_restarts), key=objectives.__getitem__)], objectives
 
 
 def _contingency(true_labels, pred_labels) -> np.ndarray:

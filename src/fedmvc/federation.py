@@ -7,9 +7,12 @@ warm-up. Each process owns a fixed share of the clients and trains them
 one after another in its own trainable working model. The global model
 and every client's snapshot live in shared memory mappings, so a round
 sends only its index to the workers and gets back their clients' losses.
-A run is deterministic per master seed, whatever its process count: every
-client owns its data, a grad-less snapshot of its latest model, and its
-random stream, and the server always reduces in ascending client-id order.
+While the round hook runs, the workers wait for the next round, and the
+k-means restarts of an evaluation in the hook are split over them and the
+main process (:func:`_split`). A run is deterministic per master seed,
+whatever its process count: every client owns its data, a grad-less
+snapshot of its latest model, and its random stream, and the server always
+reduces in ascending client-id order.
 
 The drift term's reference features come from the client's snapshot (its
 previous-round model) and the global model. Neither changes within a
@@ -467,20 +470,28 @@ def _usable_cpus() -> int:
         return 1
 
 
+def _each(keys, call: Callable) -> tuple[dict, tuple | None]:
+    """``call(key)`` for each of ``keys`` in order: the results by key, and
+    the first failing key and its exception (None when none failed), after
+    which no call runs. Every share of work a process does, a round's
+    clients or an evaluation's restarts, returns this."""
+    done = {}
+    for key in keys:
+        try:
+            done[key] = call(key)
+        except Exception as err:
+            return done, (key, err)
+    return done, None
+
+
 def _train_share(share: Sequence[ClientState], global_params: ModelParams, config,
                  round_index: int, working: ModelParams, workspace: np.ndarray,
                  ) -> tuple[dict[int, dict[str, float]], tuple[int, Exception] | None]:
-    """One round of local training for each client of ``share``, in order:
-    their losses by client id, and the first failing client's id and
-    exception (None when none failed), after which no client trains."""
-    losses = {}
-    for c in share:
-        try:
-            losses[c.shard.client_id] = local_train_round(
-                c, global_params, config, round_index, working, workspace)
-        except Exception as err:
-            return losses, (c.shard.client_id, err)
-    return losses, None
+    """One round of local training for each client of ``share``, in order,
+    by client id, as :func:`_each` returns it."""
+    by_id = {c.shard.client_id: c for c in share}
+    return _each(by_id, lambda i: local_train_round(by_id[i], global_params, config,
+                                                    round_index, working, workspace))
 
 
 def _portable(err: Exception) -> Exception:
@@ -494,8 +505,11 @@ def _portable(err: Exception) -> Exception:
 
 
 def _serve(conn, inherited, share, global_params, config, working, workspace) -> None:
-    """A worker's loop: for each round index received, train ``share`` and
-    reply with :func:`_train_share`'s result, until "stop" or end of file.
+    """A worker's loop, until "stop" or end of file. A round index is a
+    round to train ``share`` for (:func:`_train_share`); a ``(task, args)``
+    pair is a call ``task(*args)`` on the data it carries, such as a share
+    of an evaluation's k-means restarts (:func:`_split`). Either way the
+    reply is what :func:`_each` returns, with the error made portable.
 
     The worker ignores SIGINT (the main process handles it and stops the
     workers), and closes ``inherited``, the main process's pipe ends it
@@ -512,20 +526,29 @@ def _serve(conn, inherited, share, global_params, config, working, workspace) ->
             message = conn.recv()
             if message == "stop":
                 return
-            losses, failed = _train_share(share, global_params, config, message,
-                                          working, workspace)
+            if isinstance(message, int):
+                done, failed = _train_share(share, global_params, config, message,
+                                            working, workspace)
+            else:
+                task, args = message
+                done, failed = task(*args)
             if failed:
                 failed = (failed[0], _portable(failed[1]))
-            conn.send((losses, failed))
+            conn.send((done, failed))
         except (EOFError, OSError):
             return
 
 
 class _Workers:
-    """The forked processes that train all but the main process's share;
-    with no shares, none, and every method does nothing."""
+    """The processes forked once per run, after warm-up, that train all but
+    the main process's share of each round; with no shares, none, and
+    :meth:`run` runs the main process's share alone. While the run's round
+    hook runs, they are idle and :func:`_split` gives them work too. They
+    belong to the process that forked them (``pid``). ``context`` is what
+    :func:`_serve` takes after a worker's share."""
 
-    def __init__(self, shares, global_params, config, working, workspace):
+    def __init__(self, shares=(), *context):
+        self.pid = os.getpid()
         self.conns, self.procs = [], []
         if not shares:
             return
@@ -536,9 +559,8 @@ class _Workers:
         try:
             for share in shares:
                 mine, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, daemon=True, args=(
-                    theirs, [*self.conns, mine], share, global_params, config,
-                    working, workspace))
+                proc = ctx.Process(target=_serve, daemon=True,
+                                   args=(theirs, [*self.conns, mine], share, *context))
                 proc.start()
                 theirs.close()
                 self.conns.append(mine)
@@ -547,27 +569,46 @@ class _Workers:
             self.stop()
             raise
 
-    def start_round(self, round_index: int) -> None:
-        for conn in self.conns:
-            self._talk(round_index, conn.send, round_index)
+    def run(self, messages: Sequence, own: Callable[[], tuple[dict, tuple | None]],
+            what: str) -> dict:
+        """Send ``messages[p]`` to worker ``p`` and call ``own()`` meanwhile;
+        each share replies as :func:`_each` returns. Every reply is read
+        before anything is raised, so the pipes stay in step for the next
+        call. Returns the results of every share by key; when a share
+        failed, raises the exception of the lowest failing key, the one a
+        serial run would meet first. ``what`` names the work in the error
+        of a worker that exits without replying."""
+        for conn, message in zip(self.conns, messages):
+            self._talk(what, conn.send, message)
+        try:
+            done, failed = own()
+        finally:
+            replies = self.replies(what)
+        failures = [failed] if failed else []
+        for their_done, their_failed in replies:
+            done.update(their_done)
+            failures += [their_failed] if their_failed else []
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return done
 
-    def replies(self, round_index: int) -> list:
+    def replies(self, what) -> list:
         # Wait by polling, not in a blocking read: on a 2-vCPU virtual
         # machine, a process whose CPU had gone idle ran up to 45 % slower
         # for the next 70 ms, and evaluation follows the round. sched_yield
         # lets any other runnable process have this CPU.
         for conn in self.conns:
-            while not self._talk(round_index, conn.poll):
+            while not self._talk(what, conn.poll):
                 os.sched_yield()
-        return [self._talk(round_index, conn.recv) for conn in self.conns]
+        return [self._talk(what, conn.recv) for conn in self.conns]
 
     @staticmethod
-    def _talk(round_index: int, call, *args):
+    def _talk(what, call, *args):
         try:
             return call(*args)
         except (EOFError, OSError):
-            raise FedmvcError(f"round {round_index}: a training process exited "
-                              "without replying") from None
+            raise FedmvcError(f"{what}: a training process exited without "
+                              "replying") from None
 
     def stop(self) -> None:
         for conn in self.conns:
@@ -582,6 +623,30 @@ class _Workers:
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
+
+
+# The workers of the run whose round hook is running: idle until the next
+# round, so _split hands them work. None outside every round hook.
+_idle_workers: _Workers | None = None
+
+
+def _split(what: str, task: Callable, n_items: int, *args) -> dict:
+    """``task(indices, *args)`` over the items ``range(n_items)``, split over
+    the processes of the run whose round hook calls this: process ``p`` of
+    ``P`` (this one is 0, worker ``p`` is ``p``) takes the items ``p::P``.
+    Anywhere else, ``P`` is 1 and every item runs here.
+
+    ``task`` is a module-level function, so a worker finds it by name, and
+    it returns what :func:`_each` does. Returns every item's result by
+    index, or raises as :meth:`_Workers.run` does, naming ``what``.
+    """
+    workers = _idle_workers
+    if workers is None or workers.pid != os.getpid():
+        workers = _Workers()
+    n_procs = 1 + len(workers.conns)
+    shares = [range(p, n_items, n_procs) for p in range(n_procs)]
+    return workers.run([(task, (share, *args)) for share in shares[1:]],
+                       lambda: task(shares[0], *args), what)
 
 
 def run_federation(config, dataset: MultiViewDataset,
@@ -601,7 +666,10 @@ def run_federation(config, dataset: MultiViewDataset,
     process's affinity mask, at most one per client: this process and
     workers forked after warm-up, which end before the function returns or
     raises. A failing round raises the exception of its lowest-numbered
-    failing client, the one a serial run would meet first.
+    failing client, the one a serial run would meet first. While
+    ``round_hook`` runs, and only then, :func:`_split` (through
+    ``fedmvc.evaluation.kmeans_best``) hands the idle workers work too; a
+    run nested in the hook gives them back to this run when it ends.
     """
     config.validate()
     seeds = derive_seeds(config.seed)
@@ -645,19 +713,16 @@ def run_federation(config, dataset: MultiViewDataset,
     own, *forked = [clients[p::n_procs] for p in range(n_procs)]
     workers = _Workers(forked if config.rounds else [], shared_global, config,
                        working, workspace)
+    global _idle_workers
+    outer = _idle_workers
     try:
         for r in range(1, config.rounds + 1):
             t0 = time.perf_counter()
             np.copyto(shared_global.vector, global_params.vector)
-            workers.start_round(r)
-            losses, failed = _train_share(own, shared_global, config, r, working,
-                                          workspace)
-            failures = [failed] if failed else []
-            for their_losses, their_failed in workers.replies(r):
-                losses.update(their_losses)
-                failures += [their_failed] if their_failed else []
-            if failures:
-                raise min(failures, key=lambda f: f[0])[1]
+            losses = workers.run(
+                [r] * len(workers.conns),
+                lambda: _train_share(own, shared_global, config, r, working, workspace),
+                f"round {r}")
             global_params = aggregate(global_params, [c.snapshot for c in clients],
                                       shards, weights)
             report = RoundReport(
@@ -668,7 +733,12 @@ def run_federation(config, dataset: MultiViewDataset,
                 wall_time=time.perf_counter() - t0,
             )
             if round_hook is not None:
-                round_hook(global_params, report)
+                _idle_workers = workers
+                try:
+                    round_hook(global_params, report)
+                finally:
+                    # a nested run restores its caller's workers the same way
+                    _idle_workers = outer
     finally:
         workers.stop()
     return global_params

@@ -344,6 +344,45 @@ class TestIncrementalLloyd:
         assert best.objective == min(objectives)
 
 
+class TestPointsCheckedOnce:
+    def test_kmeans_best_checks_its_points_once(self, monkeypatch):
+        calls = []
+        norms = evaluation._finite_sq_norms
+
+        def spy(points):
+            calls.append(points)
+            return norms(points)
+
+        monkeypatch.setattr(evaluation, "_finite_sq_norms", spy)
+        points = blobs(3).tolist()
+        best, objectives = kmeans_best(points, 3, n_restarts=5, seed=9)
+        assert len(calls) == 1 and len(objectives) == 5
+        children = np.random.SeedSequence(9).spawn(5)
+        restarts = [kmeans(np.array(points), 3, c) for c in children]
+        assert len(calls) == 6
+        assert same_bits([r.objective for r in restarts], objectives)
+        first = objectives.index(min(objectives))
+        assert same_bits(best.centroids, restarts[first].centroids)
+        assert np.array_equal(best.labels, restarts[first].labels)
+        assert best.trace == restarts[first].trace
+
+    @pytest.mark.parametrize("points, k, error", [
+        (np.zeros(5), 2, DimensionError),
+        (np.zeros((2, 2)), 3, ConfigError),
+        (np.zeros((5, 2)), 0, ConfigError),
+        (np.where(np.arange(60).reshape(30, 2) == 9, np.nan, 1.0), 3, NonFiniteError),
+    ], ids=["not-a-matrix", "too-few-points", "no-clusters", "nan-row"])
+    def test_kmeans_best_raises_what_kmeans_raises(self, points, k, error):
+        with pytest.raises(error) as one:
+            kmeans(points, k)
+        seq = np.random.SeedSequence(0)
+        with pytest.raises(error) as best:
+            kmeans_best(points, k, n_restarts=3, seed=seq)
+        assert str(best.value) == str(one.value)
+        # the restarts' seeds are spawned before the points are checked
+        assert seq.n_children_spawned == 3
+
+
 class TestNonFinitePoints:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160])
     def test_rejected_naming_the_first_bad_row(self, bad):

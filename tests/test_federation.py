@@ -1,5 +1,6 @@
 """Round loop: local training, weights, masked aggregation, determinism."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -17,11 +18,12 @@ from helpers import aggregate_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmvc import federation
+from fedmvc import evaluation, federation
 from fedmvc import tensor as T
 from fedmvc.config import ExperimentConfig
 from fedmvc.data import ClientShard, client_type_for, generate_blobs
-from fedmvc.errors import ConfigError, FedmvcError, TrainingError
+from fedmvc.errors import ConfigError, FedmvcError, NonFiniteError, TrainingError
+from fedmvc.evaluation import kmeans, kmeans_best
 from fedmvc.federation import (
     ClientState,
     aggregate,
@@ -1396,3 +1398,262 @@ federation.run_federation(cfg, generate_blobs(**{MIXED_DATA!r}))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+
+def restart_points() -> np.ndarray:
+    rng = np.random.default_rng(4)
+    centres = rng.standard_normal((4, 5)) * 3
+    return centres[rng.integers(0, 4, 120)] + rng.standard_normal((120, 5))
+
+
+def kmeans_bits(best, objectives) -> tuple:
+    return (best.labels.tobytes(), best.centroids.tobytes(),
+            np.float64(best.objective).tobytes(), np.array(best.trace).tobytes(),
+            np.array(objectives).tobytes())
+
+
+def logging_kmeans(monkeypatch, log: Path, fail=()):
+    """Make every k-means restart append ``pid entropy index`` to ``log``,
+    and raise ``ValueError("restart <index>")`` for an index in ``fail``.
+    Patched before a run forks, so its workers log too."""
+    real = evaluation.kmeans
+
+    def logged(points, n_clusters, seed):
+        index = seed.spawn_key[-1]
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {seed.entropy} {index}\n")
+        if index in fail:
+            raise ValueError(f"restart {index}")
+        return real(points, n_clusters, seed)
+
+    monkeypatch.setattr(evaluation, "kmeans", logged)
+
+
+def served_by(log: Path) -> dict[int, dict[int, set[int]]]:
+    """From ``logging_kmeans``'s log: for each evaluation (its seed's
+    entropy), the restart indices each pid ran."""
+    out: dict[int, dict[int, set[int]]] = {}
+    for line in log.read_text().split("\n")[:-1]:
+        pid, entropy, index = map(int, line.split())
+        out.setdefault(entropy, {}).setdefault(pid, set()).add(index)
+    return out
+
+
+class TestKMeansInRunProcesses:
+    """In a round hook, k-means restarts run on the run's processes; the
+    result is that of one process."""
+
+    @pytest.fixture(autouse=True)
+    def no_children_left(self):
+        before = child_pids()
+        yield
+        assert child_pids() <= before
+        assert federation._idle_workers is None
+
+    def run_with(self, monkeypatch, n_procs, hook, cfg=None):
+        import multiprocessing
+
+        monkeypatch.setattr(federation, "_usable_cpus", lambda: n_procs)
+        reports = []
+
+        def recorded(global_params, report):
+            reports.append((json.dumps(report.client_losses),
+                            {p.pid for p in multiprocessing.active_children()}))
+            hook(global_params, report)
+
+        global_params = run_federation(cfg or mixed_run_config(),
+                                       generate_blobs(**MIXED_DATA), round_hook=recorded)
+        return global_params.vector.tobytes(), reports
+
+    def test_any_process_count_gives_the_same_bits(self, monkeypatch):
+        points = restart_points()
+        seq = np.random.SeedSequence(11)
+        expected = kmeans_bits(*kmeans_best(points, 4, 7, seq))
+        assert seq.n_children_spawned == 7
+        for n_procs in (1, 2, 3):
+            got = []
+
+            def hook(global_params, report):
+                seq = np.random.SeedSequence(11)
+                got.append((kmeans_bits(*kmeans_best(points, 4, 7, seq)),
+                            seq.n_children_spawned))
+
+            _, reports = self.run_with(monkeypatch, n_procs, hook)
+            assert [len(workers) for _, workers in reports] == [n_procs - 1] * 3
+            assert got == [(expected, 7)] * 3
+
+    def test_every_evaluation_is_served_by_the_run_s_workers(self, monkeypatch,
+                                                             tmp_path):
+        # the same worker pids in every round: no process is forked per call
+        logging_kmeans(monkeypatch, tmp_path / "log")
+        points = restart_points()
+
+        def hook(global_params, report):
+            kmeans_best(points, 4, 7, report.round_index)
+
+        _, reports = self.run_with(monkeypatch, 3, hook)
+        (workers,) = {frozenset(w) for _, w in reports}
+        assert len(workers) == 2
+        served = served_by(tmp_path / "log")
+        assert sorted(served) == [1, 2, 3]
+        for by_pid in served.values():
+            assert set(by_pid) == {os.getpid(), *workers}
+            assert by_pid[os.getpid()] == {0, 3, 6}
+            assert sorted(map(sorted, by_pid.values())) == [[0, 3, 6], [1, 4], [2, 5]]
+
+    @pytest.mark.parametrize("n_procs", [1, 2, 3])
+    def test_a_tie_across_shares_keeps_the_earliest_restart(self, monkeypatch,
+                                                            n_procs):
+        # objectives 3, 1, 2, 1, 1: restarts 1, 3 and 4 tie, in two or three
+        # shares, and restart 1 is the best
+        scripted = [3.0, 1.0, 2.0, 1.0, 1.0]
+
+        def kmeans(points, n_clusters, seed):
+            index = seed.spawn_key[-1]
+            return evaluation.KMeansResult(
+                np.full((n_clusters, 2), float(index)),
+                np.full(len(points.points), index), scripted[index], [])
+
+        monkeypatch.setattr(evaluation, "kmeans", kmeans)
+        got = []
+
+        def hook(global_params, report):
+            best, objectives = kmeans_best(np.zeros((6, 2)), 2, 5, 0)
+            got.append((best.labels.tolist(), objectives))
+
+        self.run_with(monkeypatch, n_procs, hook)
+        assert got == [([1] * 6, scripted)] * 3
+
+    def test_a_tie_on_real_points_keeps_the_earliest_restart(self, monkeypatch):
+        # every restart reaches objective 0, with one of two labelings
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        seeds = np.random.SeedSequence(5).spawn(6)
+        labelings = [kmeans(points, 2, s).labels.tolist() for s in seeds]
+        # each worker's first restart found the other labeling
+        assert labelings[1] != labelings[0] and labelings[2] != labelings[0]
+        got = []
+
+        def hook(global_params, report):
+            best, objectives = kmeans_best(points, 2, 6, np.random.SeedSequence(5))
+            got.append((best.labels.tolist(), objectives))
+
+        self.run_with(monkeypatch, 3, hook)
+        assert got == [(labelings[0], [0.0] * 6)] * 3
+
+    @pytest.mark.parametrize("fail, first", [
+        ({1, 2}, 1),      # in both workers' shares
+        ({0, 2, 4}, 0),   # in this process's share and the workers'
+    ], ids=["in-workers", "here-and-in-workers"])
+    def test_a_failing_restart_leaves_the_run_as_it_was(self, monkeypatch, tmp_path,
+                                                        fail, first):
+        points = restart_points()
+        expected = self.run_with(monkeypatch, 3, lambda *args: None)
+        logging_kmeans(monkeypatch, tmp_path / "log", fail)
+        errors = []
+
+        def hook(global_params, report):
+            with pytest.raises(ValueError) as err:
+                kmeans_best(points, 4, 6, report.round_index)
+            errors.append(str(err.value))
+
+        global_vector, reports = self.run_with(monkeypatch, 3, hook)
+        assert errors == [f"restart {first}"] * 3
+        assert (global_vector, [losses for losses, _ in reports]) == \
+            (expected[0], [losses for losses, _ in expected[1]])
+        # every share ran until its first failure
+        for by_pid in served_by(tmp_path / "log").values():
+            assert len(by_pid) == 3
+
+    def test_points_that_fail_their_check_leave_the_run_as_it_was(self, monkeypatch):
+        expected = self.run_with(monkeypatch, 3, lambda *args: None)
+        points = restart_points()
+        points[5, 2] = np.nan
+        errors = []
+
+        def hook(global_params, report):
+            with pytest.raises(NonFiniteError) as err:
+                kmeans_best(points, 4, 6, 0)
+            errors.append(str(err.value))
+
+        global_vector, reports = self.run_with(monkeypatch, 3, hook)
+        assert len(errors) == 3 and all("row 5 of 120" in e for e in errors)
+        assert (global_vector, [losses for losses, _ in reports]) == \
+            (expected[0], [losses for losses, _ in expected[1]])
+
+    def test_a_nested_run_gives_the_outer_run_its_workers_back(self, monkeypatch,
+                                                               tmp_path):
+        import multiprocessing
+
+        logging_kmeans(monkeypatch, tmp_path / "log")
+        points = restart_points()
+        seen = {}
+
+        def inner_hook(global_params, report):
+            seen["inner"] = {p.pid for p in multiprocessing.active_children()}
+            kmeans_best(points, 4, 6, 100)
+
+        def hook(global_params, report):
+            if report.round_index == 1:
+                seen["outer"] = {p.pid for p in multiprocessing.active_children()}
+                run_federation(dataclasses.replace(mixed_run_config(), rounds=1),
+                               generate_blobs(**MIXED_DATA), round_hook=inner_hook)
+                kmeans_best(points, 4, 6, 101)
+
+        self.run_with(monkeypatch, 3, hook)
+        served = served_by(tmp_path / "log")
+        inner_workers = seen["inner"] - seen["outer"]
+        assert len(seen["outer"]) == len(inner_workers) == 2
+        assert set(served[100]) == {os.getpid(), *inner_workers}
+        assert set(served[101]) == {os.getpid(), *seen["outer"]}
+
+    def test_a_process_forked_in_a_round_hook_runs_every_restart_itself(
+            self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        logging_kmeans(monkeypatch, tmp_path / "log")
+        points = restart_points()
+        expected = kmeans_bits(*kmeans_best(points, 4, 5, 0))
+        (tmp_path / "log").unlink()
+        got = []
+
+        def run(conn):
+            conn.send(kmeans_bits(*kmeans_best(points, 4, 5, 0)))
+
+        def hook(global_params, report):
+            if report.round_index == 1:
+                ctx = multiprocessing.get_context("fork")
+                mine, theirs = ctx.Pipe()
+                proc = ctx.Process(target=run, args=(theirs,), daemon=True)
+                proc.start()
+                try:
+                    assert mine.poll(60)
+                    got.append((proc.pid, mine.recv()))
+                finally:
+                    proc.join(60)
+                assert proc.exitcode == 0
+
+        self.run_with(monkeypatch, 3, hook)
+        ((pid, bits),) = got
+        assert bits == expected
+        assert served_by(tmp_path / "log") == {0: {pid: {0, 1, 2, 3, 4}}}
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_after_a_run_every_restart_runs_here(self, monkeypatch, tmp_path, raises):
+        real = federation.local_train_round
+
+        def failing(client, global_params, config, round_index, *args):
+            if raises and round_index == 2:
+                raise TrainingError("round 2 failed")
+            return real(client, global_params, config, round_index, *args)
+
+        monkeypatch.setattr(federation, "local_train_round", failing)
+        if raises:
+            with pytest.raises(TrainingError, match="round 2 failed"):
+                self.run_with(monkeypatch, 3, lambda *args: None)
+        else:
+            self.run_with(monkeypatch, 3, lambda *args: None)
+        logging_kmeans(monkeypatch, tmp_path / "log")
+        before = child_pids()
+        kmeans_best(restart_points(), 4, 5, 0)
+        assert served_by(tmp_path / "log") == {0: {os.getpid(): {0, 1, 2, 3, 4}}}
+        assert child_pids() == before
