@@ -1,12 +1,13 @@
 """Federated round loop: local training, balanced aggregation, broadcast.
 
-Warm-up runs client after client in the main process. Each round then
-trains its clients in parallel, one process per CPU the run may use (at
-most one per client): the main process and workers forked once, after
-warm-up. Each process owns a fixed share of the clients and trains them
-one after another in its own trainable working model. The global model
-and every client's snapshot live in shared memory mappings, so a round
-sends only its index to the workers and gets back their clients' losses.
+Warm-up and every round train their clients in parallel, one process per
+CPU the run may use (at most one per client): the main process and workers
+forked once, before warm-up. Each process owns a fixed share of the
+clients for the whole run, warms them up and trains them one after another
+in its own trainable working model. The global model and every client's
+snapshot live in shared memory mappings, so warm-up and each round send
+only an index to the workers (0 for warm-up) and get back their clients'
+losses.
 While the round hook runs, the workers wait for the next round, and the
 k-means restarts of an evaluation in the hook are split over them and the
 main process (:func:`_split`). A run is deterministic per master seed,
@@ -104,9 +105,9 @@ class ClientState:
     then the client's model from the end of its latest phase (warm-up or
     round): the model :func:`aggregate` reads and the drift term's frozen
     previous-round model. Training happens in the working model of the
-    process that owns the client (see :func:`local_train_round`). From the
-    first round on, that process alone advances the client's rng: the main
-    process's copy of a worker's client keeps its post-warm-up state.
+    process that owns the client (see :func:`local_train_round`). That
+    process alone, from warm-up on, advances the client's rng: the main
+    process's copy of a worker's client keeps its initial state.
 
     ``views`` holds only the rows and views this client owns; nothing else
     about the dataset is reachable from here. The rng is consumed in a
@@ -487,9 +488,13 @@ def _each(keys, call: Callable) -> tuple[dict, tuple | None]:
 def _train_share(share: Sequence[ClientState], global_params: ModelParams, config,
                  round_index: int, working: ModelParams, workspace: np.ndarray,
                  ) -> tuple[dict[int, dict[str, float]], tuple[int, Exception] | None]:
-    """One round of local training for each client of ``share``, in order,
-    by client id, as :func:`_each` returns it."""
+    """Warm-up (``round_index`` 0) or one round of local training for each
+    client of ``share``, in order, by client id, as :func:`_each` returns
+    it."""
     by_id = {c.shard.client_id: c for c in share}
+    if round_index == 0:
+        return _each(by_id, lambda i: pretrain_client(by_id[i], config, working,
+                                                      workspace))
     return _each(by_id, lambda i: local_train_round(by_id[i], global_params, config,
                                                     round_index, working, workspace))
 
@@ -506,10 +511,11 @@ def _portable(err: Exception) -> Exception:
 
 def _serve(conn, inherited, share, global_params, config, working, workspace) -> None:
     """A worker's loop, until "stop" or end of file. A round index is a
-    round to train ``share`` for (:func:`_train_share`); a ``(task, args)``
-    pair is a call ``task(*args)`` on the data it carries, such as a share
-    of an evaluation's k-means restarts (:func:`_split`). Either way the
-    reply is what :func:`_each` returns, with the error made portable.
+    round to train ``share`` for, 0 its warm-up (:func:`_train_share`); a
+    ``(task, args)`` pair is a call ``task(*args)`` on the data it carries,
+    such as a share of an evaluation's k-means restarts (:func:`_split`).
+    Either way the reply is what :func:`_each` returns, with the error made
+    portable.
 
     The worker ignores SIGINT (the main process handles it and stops the
     workers), and closes ``inherited``, the main process's pipe ends it
@@ -540,12 +546,12 @@ def _serve(conn, inherited, share, global_params, config, working, workspace) ->
 
 
 class _Workers:
-    """The processes forked once per run, after warm-up, that train all but
-    the main process's share of each round; with no shares, none, and
-    :meth:`run` runs the main process's share alone. While the run's round
-    hook runs, they are idle and :func:`_split` gives them work too. They
-    belong to the process that forked them (``pid``). ``context`` is what
-    :func:`_serve` takes after a worker's share."""
+    """The processes forked once per run, before warm-up, that warm up and
+    train all but the main process's share of the clients; with no shares,
+    none, and :meth:`run` runs the main process's share alone. While the
+    run's round hook runs, they are idle and :func:`_split` gives them work
+    too. They belong to the process that forked them (``pid``).
+    ``context`` is what :func:`_serve` takes after a worker's share."""
 
     def __init__(self, shares=(), *context):
         self.pid = os.getpid()
@@ -662,14 +668,16 @@ def run_federation(config, dataset: MultiViewDataset,
     with the new global model and the round's report; it is the only way
     reports leave the run.
 
-    Warm-up runs in this process. Rounds use one process per CPU in this
-    process's affinity mask, at most one per client: this process and
-    workers forked after warm-up, which end before the function returns or
-    raises. A failing round raises the exception of its lowest-numbered
-    failing client, the one a serial run would meet first. While
-    ``round_hook`` runs, and only then, :func:`_split` (through
-    ``fedmvc.evaluation.kmeans_best``) hands the idle workers work too; a
-    run nested in the hook gives them back to this run when it ends.
+    Warm-up and rounds use one process per CPU in this process's affinity
+    mask, at most one per client: this process and workers forked before
+    warm-up, which end before the function returns or raises. Each process
+    warms up and trains the same clients. A failing warm-up or round raises
+    the exception of its lowest-numbered failing client, the one a serial
+    run would meet first. A run of no rounds warms up no client, since
+    nothing would read the result. While ``round_hook`` runs, and only
+    then, :func:`_split` (through ``fedmvc.evaluation.kmeans_best``) hands
+    the idle workers work too; a run nested in the hook gives them back to
+    this run when it ends.
     """
     config.validate()
     seeds = derive_seeds(config.seed)
@@ -702,27 +710,31 @@ def run_federation(config, dataset: MultiViewDataset,
     # model with its gradient and one optimizer state serve all of them
     working = ModelParams(arch, trainable=True)
     workspace = optimizer_workspace(working.vector.size)
-    for c in clients:
-        pretrain_client(c, config, working, workspace)
 
     # the shards never change, so neither do the weights
     weights = compute_weights(shards, work.n_views, config.alpha_c_mode)
-    # each process trains a fixed share of the clients; any split gives the
-    # same bits
+    # each process warms up and trains a fixed share of the clients; any
+    # split gives the same bits
     n_procs = min(_usable_cpus(), len(clients))
     own, *forked = [clients[p::n_procs] for p in range(n_procs)]
     workers = _Workers(forked if config.rounds else [], shared_global, config,
                        working, workspace)
+
+    def train(r: int, what: str) -> dict:
+        return workers.run(
+            [r] * len(workers.conns),
+            lambda: _train_share(own, shared_global, config, r, working, workspace),
+            what)
+
     global _idle_workers
     outer = _idle_workers
     try:
+        if config.rounds:
+            train(0, "warm-up")
         for r in range(1, config.rounds + 1):
             t0 = time.perf_counter()
             np.copyto(shared_global.vector, global_params.vector)
-            losses = workers.run(
-                [r] * len(workers.conns),
-                lambda: _train_share(own, shared_global, config, r, working, workspace),
-                f"round {r}")
+            losses = train(r, f"round {r}")
             global_params = aggregate(global_params, [c.snapshot for c in clients],
                                       shards, weights)
             report = RoundReport(

@@ -293,6 +293,24 @@ class TestRunExperiment:
         csv = result.csv_path.read_text().splitlines()
         assert len(csv) == 2 and csv[1].startswith("0,")
 
+    def test_zero_rounds_warm_up_no_client(self, tmp_path, monkeypatch):
+        # no round would read a warm-up's result, so a run of no rounds runs
+        # none, and writes what a run without warm-up writes
+        real, calls = federation.pretrain_client, []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(federation, "pretrain_client", recording)
+        warmed = run_experiment(tiny_config(tmp_path / "a", rounds=0, warmup_epochs=3))
+        unwarmed = run_experiment(tiny_config(tmp_path / "b", rounds=0,
+                                              warmup_epochs=0))
+        assert calls == []
+        for name in ("metrics.csv", "model.ckpt"):
+            assert (warmed.out_dir / name).read_bytes() == \
+                (unwarmed.out_dir / name).read_bytes()
+
     def test_eval_views_restricts_evaluation(self, tmp_path):
         full = run_experiment(tiny_config(tmp_path / "a", rounds=1,
                                           warmup_epochs=0))

@@ -1261,6 +1261,57 @@ class TestParallelRounds:
             with pytest.raises(TrainingError, match=r"^client 2 failed$"):
                 self.run_with(monkeypatch, n_procs, mixed_run_config())
 
+    def test_a_failing_warm_up_raises_the_lowest_failing_client(self, monkeypatch):
+        real = federation.pretrain_client
+        trained = []
+
+        def failing(client, *args):
+            if client.shard.client_id in (2, 4):
+                raise TrainingError(f"client {client.shard.client_id} failed")
+            return real(client, *args)
+
+        monkeypatch.setattr(federation, "pretrain_client", failing)
+        monkeypatch.setattr(federation, "local_train_round",
+                            lambda *args: trained.append(args))
+        # three processes: clients 4 and 2 fail in two workers' shares
+        for n_procs in (1, 3):
+            with pytest.raises(TrainingError, match=r"^client 2 failed$"):
+                self.run_with(monkeypatch, n_procs, mixed_run_config())
+        assert trained == []
+
+    @pytest.mark.parametrize("n_procs", [2, 3])
+    def test_each_client_is_warmed_up_where_it_trains(self, monkeypatch, tmp_path,
+                                                      n_procs):
+        # perfbench times warm-up by wrapping the module's pretrain_client:
+        # the main process must call it, for its own share, before round 1
+        log = tmp_path / "phases"
+        warm_up, train = federation.pretrain_client, federation.local_train_round
+
+        def logged(phase, real):
+            def call(client, *args):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {phase(args)} {client.shard.client_id}\n")
+                return real(client, *args)
+            return call
+
+        monkeypatch.setattr(federation, "pretrain_client", logged(lambda a: 0, warm_up))
+        monkeypatch.setattr(federation, "local_train_round",
+                            logged(lambda a: a[2], train))
+        cfg = mixed_run_config()
+        _, clients, _ = self.run_with(monkeypatch, n_procs, cfg)
+        lines = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        phases = [phase for _, phase, _ in lines]
+        # every warm-up, in any process, ends before round 1 starts in any
+        assert phases == sorted(phases)
+        ids = [c.shard.client_id for c in clients]
+        main = os.getpid()
+        assert [i for pid, phase, i in lines if pid == main and phase == 0] \
+            == ids[0::n_procs]
+        owners = {i: {pid for pid, _, j in lines if j == i} for i in ids}
+        assert all(len(pids) == 1 for pids in owners.values())
+        assert len(set().union(*owners.values())) == n_procs
+        assert sorted(phases) == sorted([0, *range(1, cfg.rounds + 1)] * len(ids))
+
     @pytest.mark.parametrize("error", [
         # does not pickle: its attribute is a local function
         lambda: Unpicklable("client 1 failed"),
@@ -1337,6 +1388,20 @@ class TestParallelRounds:
 
         monkeypatch.setattr(federation, "local_train_round", dying)
         with pytest.raises(FedmvcError, match="^round 2: a training process exited "
+                                              "without replying$"):
+            self.run_with(monkeypatch, 3, mixed_run_config())
+
+    def test_a_worker_that_dies_fails_the_warm_up(self, monkeypatch):
+        main = os.getpid()
+        real = federation.pretrain_client
+
+        def dying(*args):
+            if os.getpid() != main:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(federation, "pretrain_client", dying)
+        with pytest.raises(FedmvcError, match="^warm-up: a training process exited "
                                               "without replying$"):
             self.run_with(monkeypatch, 3, mixed_run_config())
 
