@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -29,21 +30,25 @@ def _one_of(choices):
     return lambda v: v in choices, f"must be one of {choices}"
 
 
-_POSITIVE = (lambda v: v > 0, "must be > 0")
+# float rules hold for finite values only: an infinite weight, rate or
+# scale leaves a run with a constant or non-finite loss
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
 
 # The one range rule of each config value: field -> (holds, why). The
 # config, the model, the datasets and k-means all check through here.
 RULES = {
-    "seed": (lambda v: isinstance(v, int), "must be an integer"),
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+             "must be an integer >= 0"),
     "n_clusters": _at_least(1),
     "view_dims": (lambda v: len(v) >= 1 and all(d >= 1 for d in v),
                   "must be a nonempty list of sizes >= 1"),
-    "separation": _at_least(0),
-    "noise_sigma": _at_least(0),
+    "separation": _NONNEGATIVE,
+    "noise_sigma": _NONNEGATIVE,
     "n_clients": _at_least(1),
     "mixed_counts": (lambda v: len(v) == 3 and min(v) >= 0,
                      "must be three nonnegative counts"),
-    "dirichlet_beta": (lambda v: v > 0, "must be > 0 (or 'iid')"),
+    "dirichlet_beta": (_POSITIVE[0], "must be finite and > 0 (or 'iid')"),
     "rounds": _at_least(0),
     "warmup_epochs": _at_least(0),
     "local_epochs": _at_least(0),
@@ -55,8 +60,8 @@ RULES = {
     "hidden": _at_least(1),
     "tau": _POSITIVE,
     "alpha": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "mu": _at_least(0),
-    "sigma_noise": _at_least(0),
+    "mu": _NONNEGATIVE,
+    "sigma_noise": _NONNEGATIVE,
     "alpha_c_mode": _one_of(ALPHA_C_MODES),
     "eval_restarts": _at_least(1),
     "eval_every": _at_least(1),

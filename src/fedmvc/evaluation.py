@@ -10,7 +10,7 @@ import numpy as np
 from .config import ExperimentConfig, check
 from .data import MultiViewDataset
 from .errors import ConfigError, DimensionError, NonFiniteError
-from .federation import _each, _split
+from .federation import split
 from .model import ModelParams, infer_fused
 
 
@@ -278,11 +278,11 @@ def kmeans(points, n_clusters: int, seed=0) -> KMeansResult:
     return KMeansResult(centroids, labels, objective, trace)
 
 
-def _restarts(indices: range, points: _Checked, n_clusters: int,
-              seeds: Sequence[np.random.SeedSequence]):
-    """The :func:`kmeans` restarts ``indices``, restart ``i`` seeded by
-    ``seeds[i]``, as :func:`fedmvc.federation._each` returns them."""
-    return _each(indices, lambda i: kmeans(points, n_clusters, seeds[i]))
+def _restart(i: int, points: _Checked, n_clusters: int,
+             seeds: Sequence[np.random.SeedSequence]) -> KMeansResult:
+    """Restart ``i`` of :func:`kmeans_best`: :func:`kmeans` seeded by
+    ``seeds[i]``."""
+    return kmeans(points, n_clusters, seeds[i])
 
 
 def kmeans_best(points, n_clusters: int,
@@ -295,7 +295,7 @@ def kmeans_best(points, n_clusters: int,
     ``seed`` spawns. The points are checked once, here, before any restart
     runs. In a run's round hook, the restarts are split over the run's
     processes: this one and the run's workers, which wait for the next
-    round meanwhile (``fedmvc.federation._split``); anywhere else they all
+    round meanwhile (``fedmvc.federation.split``); anywhere else they all
     run in this process. Each restart computes the same bits in any
     process, so the result and the objectives are bitwise those of running
     every restart here, one after another; a failing restart raises the
@@ -305,8 +305,8 @@ def kmeans_best(points, n_clusters: int,
     seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     seeds = seq.spawn(n_restarts)
-    results = _split("k-means", _restarts, n_restarts,
-                     _checked_points(points, n_clusters), n_clusters, seeds)
+    results = split("k-means", _restart, n_restarts,
+                    _checked_points(points, n_clusters), n_clusters, seeds)
     objectives = [results[i].objective for i in range(n_restarts)]
     # min keeps the first of equal objectives: the earliest restart
     return results[min(range(n_restarts), key=objectives.__getitem__)], objectives

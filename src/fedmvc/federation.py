@@ -2,18 +2,19 @@
 
 Warm-up and every round train their clients in parallel, one process per
 CPU the run may use (at most one per client): the main process and workers
-forked once, before warm-up. Each process owns a fixed share of the
-clients for the whole run, warms them up and trains them one after another
-in its own trainable working model. The global model and every client's
-snapshot live in shared memory mappings, so warm-up and each round send
-only an index to the workers (0 for warm-up) and get back their clients'
-losses.
-While the round hook runs, the workers wait for the next round, and the
-k-means restarts of an evaluation in the hook are split over them and the
-main process (:func:`_split`). A run is deterministic per master seed,
-whatever its process count: every client owns its data, a grad-less
-snapshot of its latest model, and its random stream, and the server always
-reduces in ascending client-id order.
+forked once, before warm-up. A run keeps its state in one record
+(:class:`_Run`) that the workers inherit by fork, and every job of its
+processes is one :func:`split` of numbered items over them: process ``p``
+of ``P`` runs the items ``p::P``. Warm-up and each round split the
+clients, so each process warms up and trains the same clients for the
+whole run, one after another in its own trainable working model; an
+evaluation in the round hook splits its k-means restarts. The global model
+and every client's snapshot live in shared memory mappings, so a worker's
+share of a round carries only the round's index and returns its clients'
+losses. A run is deterministic per master seed, whatever its process
+count: every client owns its data, a grad-less snapshot of its latest
+model, and its random stream, and the server always reduces in ascending
+client-id order.
 
 The drift term's reference features come from the client's snapshot (its
 previous-round model) and the global model. Neither changes within a
@@ -105,9 +106,10 @@ class ClientState:
     then the client's model from the end of its latest phase (warm-up or
     round): the model :func:`aggregate` reads and the drift term's frozen
     previous-round model. Training happens in the working model of the
-    process that owns the client (see :func:`local_train_round`). That
-    process alone, from warm-up on, advances the client's rng: the main
-    process's copy of a worker's client keeps its initial state.
+    process that owns the client, the one whose share of every
+    :func:`split` of the clients holds it (see :func:`local_train_round`).
+    That process alone, from warm-up on, advances the client's rng: the
+    main process's copy of a worker's client keeps its initial state.
 
     ``views`` holds only the rows and views this client owns; nothing else
     about the dataset is reachable from here. The rng is consumed in a
@@ -426,7 +428,7 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
     the rows of one shared mapping (see :func:`_shared_rows`), so a process
     forked after this call writes its clients' snapshots where every
     process reads them. The trainable working model is not a client's:
-    each training process has one.
+    each training process has one, in the run's record (:class:`_Run`).
     """
     rows = _shared_rows(len(shards), base_params.vector.size)
     children = train_seed.spawn(len(shards))
@@ -471,32 +473,28 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _each(keys, call: Callable) -> tuple[dict, tuple | None]:
-    """``call(key)`` for each of ``keys`` in order: the results by key, and
-    the first failing key and its exception (None when none failed), after
-    which no call runs. Every share of work a process does, a round's
-    clients or an evaluation's restarts, returns this."""
+def _each(task: Callable, indices, args: tuple) -> tuple[dict, tuple | None]:
+    """``task(i, *args)`` for each ``i`` of ``indices`` in order: the results
+    by item, and the first failing item and its exception (None when none
+    failed), after which no call runs. Every process's share of a
+    :func:`split` returns this."""
     done = {}
-    for key in keys:
+    for i in indices:
         try:
-            done[key] = call(key)
+            done[i] = task(i, *args)
         except Exception as err:
-            return done, (key, err)
+            return done, (i, err)
     return done, None
 
 
-def _train_share(share: Sequence[ClientState], global_params: ModelParams, config,
-                 round_index: int, working: ModelParams, workspace: np.ndarray,
-                 ) -> tuple[dict[int, dict[str, float]], tuple[int, Exception] | None]:
-    """Warm-up (``round_index`` 0) or one round of local training for each
-    client of ``share``, in order, by client id, as :func:`_each` returns
-    it."""
-    by_id = {c.shard.client_id: c for c in share}
+def _train(i: int, round_index: int) -> dict[str, float]:
+    """Warm up client ``i`` of the run in progress (``round_index`` 0), or
+    train it for round ``round_index``, in this process's working model."""
+    run = _run
     if round_index == 0:
-        return _each(by_id, lambda i: pretrain_client(by_id[i], config, working,
-                                                      workspace))
-    return _each(by_id, lambda i: local_train_round(by_id[i], global_params, config,
-                                                    round_index, working, workspace))
+        return pretrain_client(run.clients[i], run.config, run.working, run.workspace)
+    return local_train_round(run.clients[i], run.shared_global, run.config,
+                             round_index, run.working, run.workspace)
 
 
 def _portable(err: Exception) -> Exception:
@@ -509,13 +507,12 @@ def _portable(err: Exception) -> Exception:
     return err
 
 
-def _serve(conn, inherited, share, global_params, config, working, workspace) -> None:
-    """A worker's loop, until "stop" or end of file. A round index is a
-    round to train ``share`` for, 0 its warm-up (:func:`_train_share`); a
-    ``(task, args)`` pair is a call ``task(*args)`` on the data it carries,
-    such as a share of an evaluation's k-means restarts (:func:`_split`).
-    Either way the reply is what :func:`_each` returns, with the error made
-    portable.
+def _serve(conn, inherited) -> None:
+    """A worker's loop, until "stop" or end of file. Each message
+    ``(task, indices, args)`` is the worker's share of a :func:`split`, and
+    the reply is what :func:`_each` returns, with the error made portable.
+    The task reads the run's state from the record the worker inherited by
+    fork (:class:`_Run`).
 
     The worker ignores SIGINT (the main process handles it and stops the
     workers), and closes ``inherited``, the main process's pipe ends it
@@ -532,12 +529,7 @@ def _serve(conn, inherited, share, global_params, config, working, workspace) ->
             message = conn.recv()
             if message == "stop":
                 return
-            if isinstance(message, int):
-                done, failed = _train_share(share, global_params, config, message,
-                                            working, workspace)
-            else:
-                task, args = message
-                done, failed = task(*args)
+            done, failed = _each(*message)
             if failed:
                 failed = (failed[0], _portable(failed[1]))
             conn.send((done, failed))
@@ -545,58 +537,40 @@ def _serve(conn, inherited, share, global_params, config, working, workspace) ->
             return
 
 
-class _Workers:
-    """The processes forked once per run, before warm-up, that warm up and
-    train all but the main process's share of the clients; with no shares,
-    none, and :meth:`run` runs the main process's share alone. While the
-    run's round hook runs, they are idle and :func:`_split` gives them work
-    too. They belong to the process that forked them (``pid``).
-    ``context`` is what :func:`_serve` takes after a worker's share."""
+def _talk(what: str, call: Callable, *args):
+    try:
+        return call(*args)
+    except (EOFError, OSError):
+        raise FedmvcError(f"{what}: a training process exited without "
+                          "replying") from None
 
-    def __init__(self, shares=(), *context):
+
+class _Workers:
+    """The processes a run forks once, before warm-up (:meth:`fork`), that
+    serve their shares of every :func:`split` of the run (:func:`_serve`)
+    until :meth:`stop`. They belong to the process that forked them
+    (``pid``); with none, every item of a split runs in this process."""
+
+    def __init__(self):
         self.pid = os.getpid()
         self.conns, self.procs = [], []
-        if not shares:
+
+    def fork(self, n: int) -> None:
+        """Start ``n`` workers; each inherits the run's record (:data:`_run`)."""
+        if not n:
             return
         # only a run that forks pays for importing multiprocessing
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        try:
-            for share in shares:
-                mine, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, daemon=True,
-                                   args=(theirs, [*self.conns, mine], share, *context))
-                proc.start()
-                theirs.close()
-                self.conns.append(mine)
-                self.procs.append(proc)
-        except BaseException:
-            self.stop()
-            raise
-
-    def run(self, messages: Sequence, own: Callable[[], tuple[dict, tuple | None]],
-            what: str) -> dict:
-        """Send ``messages[p]`` to worker ``p`` and call ``own()`` meanwhile;
-        each share replies as :func:`_each` returns. Every reply is read
-        before anything is raised, so the pipes stay in step for the next
-        call. Returns the results of every share by key; when a share
-        failed, raises the exception of the lowest failing key, the one a
-        serial run would meet first. ``what`` names the work in the error
-        of a worker that exits without replying."""
-        for conn, message in zip(self.conns, messages):
-            self._talk(what, conn.send, message)
-        try:
-            done, failed = own()
-        finally:
-            replies = self.replies(what)
-        failures = [failed] if failed else []
-        for their_done, their_failed in replies:
-            done.update(their_done)
-            failures += [their_failed] if their_failed else []
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return done
+        for _ in range(n):
+            mine, theirs = ctx.Pipe()
+            proc = ctx.Process(target=_serve, daemon=True,
+                               args=(theirs, [*self.conns, mine]))
+            proc.start()
+            theirs.close()
+            self.conns.append(mine)
+            self.procs.append(proc)
 
     def replies(self, what) -> list:
         # Wait by polling, not in a blocking read: on a 2-vCPU virtual
@@ -604,17 +578,9 @@ class _Workers:
         # for the next 70 ms, and evaluation follows the round. sched_yield
         # lets any other runnable process have this CPU.
         for conn in self.conns:
-            while not self._talk(what, conn.poll):
+            while not _talk(what, conn.poll):
                 os.sched_yield()
-        return [self._talk(what, conn.recv) for conn in self.conns]
-
-    @staticmethod
-    def _talk(what, call, *args):
-        try:
-            return call(*args)
-        except (EOFError, OSError):
-            raise FedmvcError(f"{what}: a training process exited without "
-                              "replying") from None
+        return [_talk(what, conn.recv) for conn in self.conns]
 
     def stop(self) -> None:
         for conn in self.conns:
@@ -631,28 +597,60 @@ class _Workers:
                 proc.join()
 
 
-# The workers of the run whose round hook is running: idle until the next
-# round, so _split hands them work. None outside every round hook.
-_idle_workers: _Workers | None = None
+@dataclass(frozen=True)
+class _Run:
+    """The state of a run that its processes share: the clients, the global
+    model each round trains against (in a shared mapping), the config, this
+    process's trainable working model and optimizer workspace, and the
+    workers. Each process trains its clients one after another, so one
+    working model and one workspace serve all of them."""
+
+    clients: list[ClientState]
+    shared_global: ModelParams
+    config: object
+    working: ModelParams
+    workspace: np.ndarray
+    workers: _Workers
 
 
-def _split(what: str, task: Callable, n_items: int, *args) -> dict:
-    """``task(indices, *args)`` over the items ``range(n_items)``, split over
-    the processes of the run whose round hook calls this: process ``p`` of
-    ``P`` (this one is 0, worker ``p`` is ``p``) takes the items ``p::P``.
-    Anywhere else, ``P`` is 1 and every item runs here.
+# The record of the run in progress, from before its workers fork until it
+# returns or raises: the workers inherit it, and split finds them in it.
+# None outside every run.
+_run: _Run | None = None
 
-    ``task`` is a module-level function, so a worker finds it by name, and
-    it returns what :func:`_each` does. Returns every item's result by
-    index, or raises as :meth:`_Workers.run` does, naming ``what``.
+
+def split(what: str, task: Callable, n_items: int, *args) -> dict:
+    """``task(i, *args)`` for each item ``i`` of ``range(n_items)``, split
+    over the processes of the run in progress: process ``p`` of ``P`` (this
+    one is 0, worker ``p`` is ``p``) runs the items ``p::P`` in order until
+    its first failure (:func:`_each`). In a worker, in any other process
+    forked during a run, and outside every run, ``P`` is 1 and every item
+    runs here.
+
+    ``task`` is a module-level function, so a worker finds it by name.
+    Every reply is read before anything is raised, so the pipes stay in
+    step for the next split. Returns every item's result by item; when an
+    item failed, raises the exception of the lowest failing item, the one a
+    serial run would meet first. ``what`` names the job in the error of a
+    worker that exits without replying.
     """
-    workers = _idle_workers
+    workers = _run.workers if _run is not None else None
     if workers is None or workers.pid != os.getpid():
         workers = _Workers()
     n_procs = 1 + len(workers.conns)
-    shares = [range(p, n_items, n_procs) for p in range(n_procs)]
-    return workers.run([(task, (share, *args)) for share in shares[1:]],
-                       lambda: task(shares[0], *args), what)
+    for p, conn in enumerate(workers.conns, start=1):
+        _talk(what, conn.send, (task, range(p, n_items, n_procs), args))
+    try:
+        done, failed = _each(task, range(0, n_items, n_procs), args)
+    finally:
+        replies = workers.replies(what)
+    failures = [failed] if failed else []
+    for their_done, their_failed in replies:
+        done.update(their_done)
+        failures += [their_failed] if their_failed else []
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return done
 
 
 def run_federation(config, dataset: MultiViewDataset,
@@ -674,10 +672,10 @@ def run_federation(config, dataset: MultiViewDataset,
     warms up and trains the same clients. A failing warm-up or round raises
     the exception of its lowest-numbered failing client, the one a serial
     run would meet first. A run of no rounds warms up no client, since
-    nothing would read the result. While ``round_hook`` runs, and only
-    then, :func:`_split` (through ``fedmvc.evaluation.kmeans_best``) hands
-    the idle workers work too; a run nested in the hook gives them back to
-    this run when it ends.
+    nothing would read the result. In ``round_hook``, :func:`split`
+    (through ``fedmvc.evaluation.kmeans_best``) gives the run's workers
+    work too; a run nested in the hook gives them back to this run when it
+    ends.
     """
     config.validate()
     seeds = derive_seeds(config.seed)
@@ -706,51 +704,37 @@ def run_federation(config, dataset: MultiViewDataset,
     # the global model each round trains against, where every process reads it
     shared_global = ModelParams(arch, _shared_rows(1, global_params.vector.size)[0])
     clients = build_clients(work, shards, global_params, seeds.train)
-    # each process trains its clients one after another, so one working
-    # model with its gradient and one optimizer state serve all of them
-    working = ModelParams(arch, trainable=True)
-    workspace = optimizer_workspace(working.vector.size)
+    run = _Run(clients, shared_global, config, ModelParams(arch, trainable=True),
+               optimizer_workspace(global_params.vector.size), _Workers())
 
     # the shards never change, so neither do the weights
     weights = compute_weights(shards, work.n_views, config.alpha_c_mode)
-    # each process warms up and trains a fixed share of the clients; any
-    # split gives the same bits
-    n_procs = min(_usable_cpus(), len(clients))
-    own, *forked = [clients[p::n_procs] for p in range(n_procs)]
-    workers = _Workers(forked if config.rounds else [], shared_global, config,
-                       working, workspace)
-
-    def train(r: int, what: str) -> dict:
-        return workers.run(
-            [r] * len(workers.conns),
-            lambda: _train_share(own, shared_global, config, r, working, workspace),
-            what)
-
-    global _idle_workers
-    outer = _idle_workers
+    # warm-up and every round split the clients by the same stride, so each
+    # process trains the same clients all run; any split gives the same bits
+    n_procs = min(_usable_cpus(), len(clients)) if config.rounds else 1
+    global _run
+    outer, _run = _run, run
     try:
+        run.workers.fork(n_procs - 1)
         if config.rounds:
-            train(0, "warm-up")
+            split("warm-up", _train, len(clients), 0)
         for r in range(1, config.rounds + 1):
             t0 = time.perf_counter()
             np.copyto(shared_global.vector, global_params.vector)
-            losses = train(r, f"round {r}")
+            losses = split(f"round {r}", _train, len(clients), r)
             global_params = aggregate(global_params, [c.snapshot for c in clients],
                                       shards, weights)
             report = RoundReport(
                 round_index=r,
-                client_losses={c.shard.client_id: losses[c.shard.client_id]
-                               for c in clients},
+                client_losses={c.shard.client_id: losses[i]
+                               for i, c in enumerate(clients)},
                 weights=[float(w) for w in weights],
                 wall_time=time.perf_counter() - t0,
             )
             if round_hook is not None:
-                _idle_workers = workers
-                try:
-                    round_hook(global_params, report)
-                finally:
-                    # a nested run restores its caller's workers the same way
-                    _idle_workers = outer
+                round_hook(global_params, report)
     finally:
-        workers.stop()
+        run.workers.stop()
+        # a nested run gives its caller's record back the same way
+        _run = outer
     return global_params

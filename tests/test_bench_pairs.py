@@ -4,6 +4,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -154,3 +155,21 @@ def test_records_the_usable_cpus_and_the_load_around_each_run(tool, tmp_path):
         for when in ("before", "after"):
             assert len(r["loadavg"][when]) == 3
             assert all(isinstance(x, float) and x >= 0 for x in r["loadavg"][when])
+
+
+@pytest.mark.parametrize("dirty", [False, True])
+def test_records_the_commit_of_a_git_checkout_and_whether_it_is_clean(
+        tool, tmp_path, dirty):
+    # the change's stub stays a plain directory, not a git checkout
+    parent = checkout(tmp_path, "parent", 2.0)
+    git = ["git", "-C", str(parent), "-c", "user.name=bench", "-c",
+           "user.email=bench@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run([*git, *args], check=True)
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True,
+                            text=True, check=True).stdout.strip()
+    if dirty:
+        (parent / "uncommitted.txt").write_text("")
+    report = run(tool, tmp_path, parent, checkout(tmp_path, "change", 1.0), [1])
+    assert report["trees"] == {"parent": {"commit": commit, "clean": not dirty},
+                               "change": None}

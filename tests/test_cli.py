@@ -150,13 +150,16 @@ class TestConfigParsing:
 
 
 # a value each rule rejects, for every rule of the table (a list gives several)
+INF = float("inf")
+
 BAD_VALUES = {
-    "seed": 1.5, "n_clusters": 0, "view_dims": (3, 0), "separation": -1.0,
-    "noise_sigma": -0.5, "n_clients": 0,
-    "mixed_counts": (3, -1, 4), "dirichlet_beta": 0.0, "rounds": -1,
-    "warmup_epochs": -1, "local_epochs": -1, "batch_size": 0, "lr": 0.0,
+    "seed": [1.5, -1], "n_clusters": 0, "view_dims": (3, 0),
+    "separation": [-1.0, INF], "noise_sigma": [-0.5, INF], "n_clients": 0,
+    "mixed_counts": (3, -1, 4), "dirichlet_beta": [0.0, INF], "rounds": -1,
+    "warmup_epochs": -1, "local_epochs": -1, "batch_size": 0, "lr": [0.0, INF],
     "optimizer": "rmsprop", "latent_dim": 0, "high_dim": 0, "hidden": 0,
-    "tau": 0.0, "alpha": 1.5, "mu": -0.1, "sigma_noise": -1.0,
+    "tau": [0.0, INF], "alpha": [1.5, INF], "mu": [-0.1, INF],
+    "sigma_noise": [-1.0, INF],
     "alpha_c_mode": ["cubic", "quadratic", "binary"], "eval_restarts": 0, "eval_every": 0,
     "eval_views": [(), (0, 0)], "checkpoint_every": -1,
 }
@@ -374,6 +377,18 @@ class TestMainExitCodes:
         path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
         assert main(["run", str(path), "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, bad", [("--seed", "-1"), ("--tau", "inf")])
+    def test_negative_seed_and_infinite_float_exit_2(self, tmp_path, monkeypatch,
+                                                     capsys, flag, bad):
+        calls = []
+        monkeypatch.setattr(federation, "pretrain_client",
+                            lambda *args: calls.append(args))
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
+        assert main(["run", str(path), flag, bad]) == 2
+        field = flag[2:].replace("-", "_")
+        assert f"{field}: must be " in capsys.readouterr().err
+        assert calls == []
 
     def test_out_of_range_eval_views_exit_2(self, tmp_path, monkeypatch, capsys):
         calls = []

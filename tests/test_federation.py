@@ -1373,7 +1373,7 @@ class TestParallelRounds:
                 assert self.polls == 3, "a read before the reply had come"
                 return {}, None
 
-        workers = federation._Workers([], None, None, None, None)
+        workers = federation._Workers()
         workers.conns = [Conn()]
         assert workers.replies(1) == [({}, None)]
 
@@ -1513,7 +1513,7 @@ class TestKMeansInRunProcesses:
         before = child_pids()
         yield
         assert child_pids() <= before
-        assert federation._idle_workers is None
+        assert federation._run is None
 
     def run_with(self, monkeypatch, n_procs, hook, cfg=None):
         import multiprocessing
@@ -1722,3 +1722,37 @@ class TestKMeansInRunProcesses:
         kmeans_best(restart_points(), 4, 5, 0)
         assert served_by(tmp_path / "log") == {0: {os.getpid(): {0, 1, 2, 3, 4}}}
         assert child_pids() == before
+
+    @pytest.mark.parametrize("where", ["fork", "hook"])
+    def test_a_run_that_fails_to_fork_or_in_its_hook_cleans_up(self, monkeypatch,
+                                                               tmp_path, where):
+        import multiprocessing
+
+        # the second worker's start fails, so at most one worker ever runs;
+        # or the round hook fails in round 2, with both workers running
+        process = multiprocessing.get_context("fork").Process
+        real_start = process.start
+        started, workers = [], []
+        error = (OSError("cannot start a worker") if where == "fork"
+                 else RuntimeError("hook failed in round 2"))
+
+        def start(proc):
+            if len(started) == 1:
+                raise error
+            started.append(proc)
+            real_start(proc)
+
+        def hook(global_params, report):
+            workers.append(len(multiprocessing.active_children()))
+            if report.round_index == 2:
+                raise error
+
+        if where == "fork":
+            monkeypatch.setattr(process, "start", start)
+        with pytest.raises(type(error), match=f"^{error}$"):
+            self.run_with(monkeypatch, 3, hook)
+        assert (len(started), workers) == ((1, []) if where == "fork" else (0, [2, 2]))
+        assert federation._run is None
+        logging_kmeans(monkeypatch, tmp_path / "log")
+        kmeans_best(restart_points(), 4, 5, 0)
+        assert served_by(tmp_path / "log") == {0: {os.getpid(): {0, 1, 2, 3, 4}}}

@@ -9,7 +9,11 @@ first alternates from one seed to the next, so a drift in the machine's
 speed falls on both sides alike.
 
 FILE gets one JSON object. It records ``cpus``, how many CPUs the runs
-could use (this process's affinity, which the runs inherit). For each
+could use (this process's affinity, which the runs inherit), and under
+``trees`` which trees it compared: for ``parent`` and ``change``, the
+checkout's ``commit`` and whether its working tree is ``clean`` (``git
+status --porcelain`` prints nothing), or null when the directory is not a
+git checkout. For each
 workload and each end-to-end metric of
 the change's ``BENCHMARK.json``, it holds both sides' median and quartiles,
 the change's wins and ties over the pairs (a win is a value better in the
@@ -57,6 +61,18 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = {"exit_code": proc.returncode}
     result["loadavg"] = {"before": list(before), "after": list(os.getloadavg())}
     return result
+
+
+def tree(checkout: Path) -> dict | None:
+    """The commit ``checkout`` has checked out and whether its working tree
+    is clean, or None when it is not a git checkout."""
+    git = ["git", "-C", str(checkout)]
+    head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode:
+        return None
+    status = subprocess.run([*git, "status", "--porcelain"], capture_output=True,
+                            text=True, check=True)
+    return {"commit": head.stdout.strip(), "clean": status.stdout == ""}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -134,7 +150,9 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     report = {"seeds": args.seeds, "seconds": args.seconds,
-              "cpus": len(os.sched_getaffinity(0)), "workloads": {}}
+              "cpus": len(os.sched_getaffinity(0)),
+              "trees": {side: tree(getattr(args, side)) for side in ("parent", "change")},
+              "workloads": {}}
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
