@@ -8,7 +8,6 @@ from .errors import (
     DimensionError,
     FedmvcError,
     NonFiniteError,
-    PartitionError,
     TrainingError,
 )
 from .evaluation import MetricsReport, accuracy, adjusted_rand_index, evaluate_global, kmeans, normalized_mutual_info
@@ -27,7 +26,6 @@ __all__ = [
     "ModelParams",
     "MultiViewDataset",
     "NonFiniteError",
-    "PartitionError",
     "RoundReport",
     "TrainingError",
     "accuracy",

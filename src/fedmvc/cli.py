@@ -24,7 +24,7 @@ from .config import (
     save_config,
 )
 from .data import generate_blobs, load_dataset, save_dataset
-from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError, NonFiniteError, PartitionError
+from .errors import ConfigError, DataFormatError, DimensionError, FedmvcError, NonFiniteError
 from .evaluation import MetricsReport, eval_view_order, evaluate_global
 from .federation import derive_seeds, model_architecture, run_federation
 from .model import load_checkpoint, save_checkpoint
@@ -55,12 +55,23 @@ def _metrics_row(round_index: int, seed: int, report: MetricsReport) -> str:
 CSV_HEADER = "round,seed,acc,nmi,ari,kmeans_objective"
 
 
+def _load(field: str, path, load):
+    """``load(path)`` of the input file that config field or flag ``field``
+    names. A missing, unreadable or malformed file raises ConfigError naming
+    the field and the path, so every input file fails alike with exit code 2."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{field}: file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"{field}: {path}: {err.strerror}") from err
+    except (ConfigError, DataFormatError) as err:
+        raise ConfigError(f"{field}: {path}: {err}") from err
+
+
 def _load_or_generate(config: ExperimentConfig, seeds):
     if config.data_path is not None:
-        path = Path(config.data_path)
-        if not path.exists():
-            raise ConfigError(f"data_path: dataset file not found: {path}")
-        return load_dataset(path)
+        return _load("data_path", config.data_path, load_dataset)
     return generate_blobs(config.n_clusters, config.n_samples, config.view_dims,
                           config.separation, config.noise_sigma, seeds.data)
 
@@ -81,18 +92,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     eval_view_order(config.eval_views, dataset.n_views)  # fail before training
     initial_global = None
     if config.resume_from is not None:
-        path = Path(config.resume_from)
-        if not path.exists():
-            raise ConfigError(f"resume_from: checkpoint file not found: {path}")
-        try:
-            initial_global = load_checkpoint(path)
-        except DataFormatError as err:
-            raise DataFormatError(f"resume_from: {path}: {err}") from err
+        initial_global = _load("resume_from", config.resume_from, load_checkpoint)
         arch = model_architecture(config, dataset)
         if initial_global.arch != arch:
             raise ConfigError(
-                f"resume_from: {path}: checkpoint architecture {initial_global.arch} "
-                f"does not match the configured architecture {arch}")
+                f"resume_from: {config.resume_from}: checkpoint architecture "
+                f"{initial_global.arch} does not match the configured architecture {arch}")
     out_dir = _resolve_output_dir(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -199,7 +204,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     config_path = getattr(args, "config", None)
-    base = load_config(config_path) if config_path else ExperimentConfig()
+    base = _load("config", config_path, load_config) if config_path else ExperimentConfig()
     mapping = base.to_mapping()
     mapping.update(_collect_overrides(args))
     config = config_from_mapping(mapping)
@@ -276,26 +281,21 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _build_config(args)
-    if not Path(args.checkpoint).exists():
-        raise ConfigError(f"checkpoint: file not found: {args.checkpoint}")
-    if not Path(args.data).exists():
-        raise ConfigError(f"data: dataset file not found: {args.data}")
-    params = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    params = _load("checkpoint", args.checkpoint, load_checkpoint)
+    dataset = _load("data", args.data, load_dataset)
     try:
         report = evaluate_global(params, dataset, config,
                                  derive_seeds(config.seed).evaluation)
     except DimensionError as err:
-        raise ConfigError(f"checkpoint does not fit this dataset: {err}") from err
+        raise ConfigError(f"checkpoint: {args.checkpoint} does not fit data "
+                          f"{args.data}: {err}") from err
     print(f"ACC={_fmt(report.acc)} NMI={_fmt(report.nmi)} ARI={_fmt(report.ari)} "
           f"objective={_fmt(report.kmeans_objective)}")
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    if not Path(args.checkpoint).exists():
-        raise ConfigError(f"checkpoint: file not found: {args.checkpoint}")
-    params = load_checkpoint(args.checkpoint)
+    params = _load("checkpoint", args.checkpoint, load_checkpoint)
     arch = params.arch
     print(f"views: {arch.n_views} with dims {list(arch.view_dims)}")
     print(f"latent_dim: {arch.latent_dim}")
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DataFormatError, PartitionError) as err:
+    except (ConfigError, DataFormatError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except NonFiniteError as err:

@@ -247,20 +247,15 @@ def _unique_keys(pairs) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     """Read a config file: JSON if it looks like JSON, else key=value lines.
-    A key given twice raises ``ConfigError`` in either form."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    A key given twice raises ``ConfigError`` in either form. The messages
+    do not repeat ``path``; the CLI's loader prefixes it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
         try:
             mapping = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON config {path}: {err}") from err
-        except ConfigError as err:
-            raise ConfigError(f"{path}: {err}") from None
+            raise ConfigError(f"invalid JSON: {err}") from err
         return config_from_mapping(mapping)
     mapping, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -268,10 +263,10 @@ def load_config(path) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in first_line:
-            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r} "
+            raise ConfigError(f"line {lineno}: duplicate config key {key!r} "
                               f"(first set on line {first_line[key]})")
         first_line[key] = lineno
         mapping[key] = value

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import check
-from .errors import ConfigError, DataFormatError, PartitionError
+from .errors import ConfigError, DataFormatError
 
 CLIENT_FULL = "full"
 CLIENT_PARTIAL = "partial"
@@ -180,15 +180,16 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None,
     means more skew. ``beta=None`` requests the IID split (a uniform
     shuffle cut into near-equal chunks). Draws are repeated until every
     client holds at least one sample, up to ``PARTITION_RETRIES`` times; with
-    fewer samples than clients no draw is made.
+    fewer samples than clients no draw is made. Either failure raises a
+    ConfigError naming the field to change: ``dirichlet_beta`` or ``n_clients``.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     check(n_clients=n_clients, dirichlet_beta=beta)
     if n < n_clients:
-        raise PartitionError(
-            f"cannot give every client a sample (beta={beta}, n_clients={n_clients}, "
-            f"n_samples={n})")
+        raise ConfigError(
+            f"n_clients: cannot give every client a sample (beta={beta}, "
+            f"n_clients={n_clients}, n_samples={n})")
     rng = np.random.default_rng(seed)
 
     if beta is None:
@@ -207,9 +208,9 @@ def dirichlet_partition(labels, n_clients: int, beta: float | None,
         result = [np.sort(np.concatenate(p).astype(np.int64)) for p in parts]
         if all(r.size > 0 for r in result):
             return result
-    raise PartitionError(
-        f"could not give every client a sample after {PARTITION_RETRIES} draws "
-        f"(beta={beta}, n_clients={n_clients}, n_samples={n})")
+    raise ConfigError(
+        f"dirichlet_beta: could not give every client a sample after "
+        f"{PARTITION_RETRIES} draws (beta={beta}, n_clients={n_clients}, n_samples={n})")
 
 
 def assign_views(n_clients: int, n_views: int, seed=0,
@@ -229,7 +230,7 @@ def assign_views(n_clients: int, n_views: int, seed=0,
     if counts is not None:
         check(mixed_counts=tuple(counts), n_clients=n_clients)
         if counts[1] > 0 and n_views < 3:
-            raise ConfigError("partial clients need at least 3 views")
+            raise ConfigError("mixed_counts: partial clients need at least 3 views")
     rng = np.random.default_rng(seed)
 
     all_views = tuple(range(n_views))
@@ -250,8 +251,59 @@ def assign_views(n_clients: int, n_views: int, seed=0,
         if set().union(*subsets) == set(all_views):
             return subsets
     raise ConfigError(
-        f"could not cover all {n_views} views with {n_clients} clients after "
-        f"{ASSIGN_RETRIES} draws (mixed_counts={counts})")
+        f"{'n_clients' if counts is None else 'mixed_counts'}: could not cover all "
+        f"{n_views} views with {n_clients} clients after {ASSIGN_RETRIES} draws "
+        f"(mixed_counts={counts})")
+
+
+class BinaryReader:
+    """A binary file read front to back: the dataset and checkpoint formats.
+
+    Opening checks the file's magic bytes and its ``u32`` version, the
+    first value of its header. Every read names what it reads, so a file
+    that ends early raises ``DataFormatError("truncated <kind> while
+    reading <what>")``; :meth:`end` rejects bytes left over.
+    """
+
+    def __init__(self, path, magic: bytes, version: int, kind: str):
+        with open(path, "rb") as fh:
+            self._blob = fh.read()
+        self._pos = 0
+        self._kind = kind
+        if self._take(len(magic), "magic") != magic:
+            raise DataFormatError(f"bad magic bytes (not an {magic.decode()} {kind})")
+        (got,) = self.unpack("<I", "header")
+        if got != version:
+            raise DataFormatError(f"unsupported {kind} version {got}")
+
+    def _take(self, nbytes: int, what: str) -> bytes:
+        if self._pos + nbytes > len(self._blob):
+            raise DataFormatError(f"truncated {self._kind} while reading {what}")
+        self._pos += nbytes
+        return self._blob[self._pos - nbytes:self._pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self._take(struct.calcsize(fmt), what))
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """``count`` values of the little-endian ``dtype``, as a new array
+        in native byte order."""
+        dtype = np.dtype(dtype)
+        chunk = self._take(dtype.itemsize * count, what)
+        return np.frombuffer(chunk, dtype).astype(dtype.newbyteorder("="))
+
+    def rules(self, what: str, make, *args, **kwargs):
+        """``make(*args, **kwargs)`` on values read as ``what``. A config
+        rule they break (:func:`config.check`) makes the file malformed,
+        so its ConfigError becomes a DataFormatError naming ``what``."""
+        try:
+            return make(*args, **kwargs)
+        except ConfigError as err:
+            raise DataFormatError(f"{what}: {err}") from None
+
+    def end(self) -> None:
+        if self._pos != len(self._blob):
+            raise DataFormatError(f"unexpected {len(self._blob) - self._pos} trailing bytes")
 
 
 def save_dataset(ds: MultiViewDataset, path) -> None:
@@ -269,32 +321,18 @@ def save_dataset(ds: MultiViewDataset, path) -> None:
 
 def load_dataset(path) -> MultiViewDataset:
     """Read a dataset written by :func:`save_dataset`. Bit-exact roundtrip."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(nbytes: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + nbytes > len(blob):
-            raise DataFormatError(f"truncated file while reading {what}")
-        chunk = blob[pos:pos + nbytes]
-        pos += nbytes
-        return chunk
-
-    if take(4, "magic") != _MAGIC:
-        raise DataFormatError("bad magic bytes (not an MVD1 file)")
-    version, n_views, n_samples, n_clusters, has_labels = struct.unpack(
-        "<IIQIB", take(21, "header"))
-    if version != _VERSION:
-        raise DataFormatError(f"unsupported MVD version {version}")
+    reader = BinaryReader(path, _MAGIC, _VERSION, "dataset")
+    n_views, n_samples, n_clusters, has_labels = reader.unpack("<IQIB", "header")
+    reader.rules("header", check, n_clusters=n_clusters)
+    if has_labels not in (0, 1):
+        raise DataFormatError(f"header: has_labels must be 0 or 1 (got {has_labels})")
     views = []
     for v in range(n_views):
-        (dim,) = struct.unpack("<I", take(4, f"view {v} dimension"))
-        payload = take(8 * n_samples * dim, f"view {v} payload ({n_samples} rows)")
-        views.append(np.frombuffer(payload, dtype="<f8").reshape(n_samples, dim).copy())
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(take(8 * n_samples, "labels"), dtype="<i8").copy()
-    if pos != len(blob):
-        raise DataFormatError(f"unexpected {len(blob) - pos} trailing bytes")
-    return MultiViewDataset(views, labels, int(n_clusters))
+        (dim,) = reader.unpack("<I", f"view {v} dimension")
+        reader.rules(f"view {v} dimension", check, view_dims=(dim,))
+        payload = reader.array("<f8", n_samples * dim,
+                               f"view {v} payload ({n_samples} rows)")
+        views.append(payload.reshape(n_samples, dim))
+    labels = reader.array("<i8", n_samples, "labels") if has_labels else None
+    reader.end()
+    return MultiViewDataset(views, labels, n_clusters)

@@ -17,10 +17,6 @@ class DataFormatError(FedmvcError, ValueError):
     """A dataset or checkpoint file is malformed."""
 
 
-class PartitionError(FedmvcError, RuntimeError):
-    """Data partitioning could not satisfy its constraints."""
-
-
 class TrainingError(FedmvcError, RuntimeError):
     """Training produced a non-finite loss or gradient."""
 

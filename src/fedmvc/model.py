@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check
+from .data import BinaryReader
 from .errors import DataFormatError, DimensionError
 from .tensor import Param, Tape, Tensor
 
@@ -179,12 +180,7 @@ def encode(tape: Tape, params: ModelParams, x, v: int) -> Tensor:
 
 
 def decode(tape: Tape, params: ModelParams, z, v: int) -> Tensor:
-    z = T.wrap(tape, z)
-    if z.value.shape[1] != params.arch.latent_dim:
-        raise DimensionError(
-            f"latent input expects {params.arch.latent_dim} columns, "
-            f"got {z.value.shape[1]}")
-    return _forward_mlp2(z, params.decoders[v])
+    return _forward_mlp2(T.wrap(tape, z), params.decoders[v])
 
 
 def encode_decode(tape: Tape, params: ModelParams, x, v: int) -> tuple[Tensor, Tensor]:
@@ -194,12 +190,7 @@ def encode_decode(tape: Tape, params: ModelParams, x, v: int) -> tuple[Tensor, T
 
 def high_features(tape: Tape, params: ModelParams, z) -> Tensor:
     """Shared feature net: latent -> high-level feature space."""
-    z = T.wrap(tape, z)
-    if z.value.shape[1] != params.arch.latent_dim:
-        raise DimensionError(
-            f"feature net expects {params.arch.latent_dim} columns, "
-            f"got {z.value.shape[1]}")
-    return _forward_mlp2(z, params.feature_net)
+    return _forward_mlp2(T.wrap(tape, z), params.feature_net)
 
 
 def fuse(feats: Sequence[Tensor]) -> Tensor:
@@ -214,13 +205,8 @@ def fuse(feats: Sequence[Tensor]) -> Tensor:
 
 def cluster_assign(tape: Tape, params: ModelParams, feat) -> Tensor:
     """Row-stochastic soft cluster assignments from high-level features."""
-    feat = T.wrap(tape, feat)
-    if feat.value.shape[1] != params.arch.high_dim:
-        raise DimensionError(
-            f"cluster head expects {params.arch.high_dim} columns, "
-            f"got {feat.value.shape[1]}")
     w, b = params.cluster_head
-    return T.softmax_rows(T.affine(feat, w, b))
+    return T.softmax_rows(T.affine(T.wrap(tape, feat), w, b))
 
 
 @dataclass
@@ -300,34 +286,18 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint with the architecture its header describes; a
     caller that needs a given architecture (a resumed run) compares it."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(nbytes: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + nbytes > len(blob):
-            raise DataFormatError(f"truncated checkpoint while reading {what}")
-        chunk = blob[pos:pos + nbytes]
-        pos += nbytes
-        return chunk
-
-    if take(4, "magic") != _MAGIC:
-        raise DataFormatError("bad magic bytes (not a model checkpoint)")
-    version, n_views = struct.unpack("<II", take(8, "header"))
-    if version != _VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}")
-    view_dims = struct.unpack(f"<{n_views}I", take(4 * n_views, "view dims"))
-    latent, high, hidden, n_clusters, count = struct.unpack(
-        "<IIIIQ", take(24, "architecture"))
-    arch = Architecture(view_dims, n_clusters, latent, high, hidden)
+    reader = BinaryReader(path, _MAGIC, _VERSION, "checkpoint")
+    (n_views,) = reader.unpack("<I", "header")
+    view_dims = reader.unpack(f"<{n_views}I", "view dims")
+    latent, high, hidden, n_clusters, count = reader.unpack("<IIIIQ", "architecture")
+    arch = reader.rules("architecture", Architecture, view_dims, n_clusters,
+                        latent, high, hidden)
     needed = sum(r * c for r, c in _layer_shapes(arch))
     if count != needed:
         raise DataFormatError(
             f"parameter vector has {count} values, architecture needs {needed}")
-    vec = np.frombuffer(take(8 * count, "parameter vector"), dtype="<f8").astype(np.float64)
-    if pos != len(blob):
-        raise DataFormatError(f"unexpected {len(blob) - pos} trailing bytes")
+    vec = reader.array("<f8", count, "parameter vector")
+    reader.end()
     bad = np.flatnonzero(~np.isfinite(vec))
     if bad.size:
         raise DataFormatError(

@@ -446,7 +446,7 @@ class TestMainExitCodes:
         path.write_text(path.read_text() + "alpha = 0.3\nalpha = 0.7\n")
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}:{n_lines + 2}: duplicate config key 'alpha'" in err
+        assert f"config: {path}: line {n_lines + 2}: duplicate config key 'alpha'" in err
         assert f"(first set on line {n_lines + 1})" in err
         assert not (tmp_path / "out").exists()
 
@@ -726,3 +726,45 @@ class TestDataVerbs:
         assert main(["eval", "--checkpoint", str(path), "--data",
                      str(tmp_path / "d.mvd"), "--eval-restarts", "1"]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestInputFiles:
+    """Every input-file argument fails alike, missing, malformed or a
+    directory: exit 2 with ``configuration error: <field>: `` and the path."""
+
+    # argument -> (field, command line with the file under test as FILE)
+    ARGUMENTS = {
+        "run config": ("config", ["run", "FILE"]),
+        "--data-path": ("data_path", ["run", "CONFIG", "--data-path", "FILE"]),
+        "--resume-from": ("resume_from", ["run", "CONFIG", "--resume-from", "FILE"]),
+        "eval --checkpoint": ("checkpoint", ["eval", "--checkpoint", "FILE",
+                                             "--data", "DATA"]),
+        "eval --data": ("data", ["eval", "--checkpoint", "CKPT", "--data", "FILE"]),
+        "inspect --checkpoint": ("checkpoint", ["inspect", "--checkpoint", "FILE"]),
+    }
+
+    @pytest.mark.parametrize("fault", ["missing", "malformed", "directory"])
+    @pytest.mark.parametrize("argument", ARGUMENTS)
+    def test_fails_alike_naming_field_and_path(self, tmp_path, capsys, argument, fault):
+        field, command = self.ARGUMENTS[argument]
+        files = {
+            "CONFIG": write_kv_config(tmp_path / "exp.cfg", tmp_path / "out"),
+            "DATA": tmp_path / "d.mvd",
+            "CKPT": tmp_path / "model.ckpt",
+            "FILE": tmp_path / "input",
+        }
+        save_dataset(generate_blobs(2, 20, (4, 3), 4.0, 1.0, seed=0), files["DATA"])
+        save_checkpoint(init_params(Architecture((4, 3), 2, latent_dim=4, high_dim=4,
+                                                 hidden=6), seed=0), files["CKPT"])
+        if fault == "malformed":
+            files["FILE"].write_text("JUNK\n")
+        elif fault == "directory":
+            files["FILE"].mkdir()
+        assert main([str(files.get(arg, arg)) for arg in command]) == 2
+        err = capsys.readouterr().err
+        path = files["FILE"]
+        if fault == "missing":
+            assert err == f"configuration error: {field}: file not found: {path}\n"
+        else:
+            assert err.startswith(f"configuration error: {field}: {path}: ")
+        assert not (tmp_path / "out").exists()

@@ -18,7 +18,7 @@ from fedmvc.data import (
     load_dataset,
     save_dataset,
 )
-from fedmvc.errors import ConfigError, DataFormatError, PartitionError
+from fedmvc.errors import ConfigError, DataFormatError
 from fedmvc.evaluation import accuracy, kmeans_best
 
 
@@ -92,7 +92,7 @@ class TestDirichletPartition:
         labels = np.random.default_rng(seed).integers(0, 4, size=n)
         try:
             parts = dirichlet_partition(labels, n_clients, beta, seed)
-        except PartitionError:
+        except ConfigError:
             return  # legitimately impossible draws are reported, not silent
         merged = np.sort(np.concatenate(parts))
         assert np.array_equal(merged, np.arange(n))
@@ -113,7 +113,7 @@ class TestDirichletPartition:
         assert np.mean(dir_devs) < np.mean(iid_devs) + 0.05
 
     def test_impossible_partition_raises(self):
-        with pytest.raises(PartitionError) as err:
+        with pytest.raises(ConfigError) as err:
             dirichlet_partition(np.zeros(3, dtype=int), 10, beta=1.0, seed=0)
         msg = str(err.value)
         assert "beta=1.0" in msg and "n_clients=10" in msg and "n_samples=3" in msg
