@@ -65,7 +65,7 @@ def _load(field: str, path, load):
         raise ConfigError(f"{field}: file not found: {path}") from None
     except OSError as err:
         raise ConfigError(f"{field}: {path}: {err.strerror}") from err
-    except (ConfigError, DataFormatError) as err:
+    except (ConfigError, DataFormatError, UnicodeDecodeError) as err:
         raise ConfigError(f"{field}: {path}: {err}") from err
 
 

@@ -768,3 +768,10 @@ class TestInputFiles:
         else:
             assert err.startswith(f"configuration error: {field}: {path}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_config_file_not_in_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"alpha = \xff\n")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: config: {path}: ")
+        assert not (tmp_path / "out").exists()
