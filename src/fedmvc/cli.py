@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import (
     SWEEPABLE,
     ExperimentConfig,
+    check,
     config_from_mapping,
     load_config,
     parse_field,
@@ -69,6 +70,24 @@ def _load(field: str, path, load):
         raise ConfigError(f"{field}: {path}: {err}") from err
 
 
+def _write(field: str, path, write):
+    """``write(path)`` of the output that config field or flag ``field``
+    names. An ``OSError`` (a parent that is missing or a regular file, no
+    permission) raises ConfigError naming the field and the path, so every
+    output path fails alike with exit code 2."""
+    try:
+        return write(path)
+    except OSError as err:
+        raise ConfigError(f"{field}: {path}: {err.strerror}") from err
+
+
+def _make_output_dir(path: str) -> Path:
+    """The resolved ``output_dir`` ``path``, made with its parents."""
+    out_dir = _resolve_output_dir(path)
+    _write("output_dir", out_dir, lambda p: p.mkdir(parents=True, exist_ok=True))
+    return out_dir
+
+
 def _load_or_generate(config: ExperimentConfig, seeds):
     if config.data_path is not None:
         return _load("data_path", config.data_path, load_dataset)
@@ -98,8 +117,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             raise ConfigError(
                 f"resume_from: {config.resume_from}: checkpoint architecture "
                 f"{initial_global.arch} does not match the configured architecture {arch}")
-    out_dir = _resolve_output_dir(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_output_dir(config.output_dir)
     started = time.perf_counter()
 
     csv_rows: list[str] = []
@@ -155,16 +173,29 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 def run_sweep(config: ExperimentConfig, param: str, values: list) -> Path:
-    """One sub-run per value under the output dir, plus a combined CSV."""
+    """One sub-run per value under the output dir, plus a combined CSV.
+
+    Every value is parsed and checked before the first sub-run: one that
+    does not parse, breaks its field's rule or repeats another once parsed
+    (``0.5`` and ``0.50``) raises ConfigError naming ``values``."""
     if param not in SWEEPABLE:
         raise ConfigError(f"param: {param!r} is not sweepable (choose from {SWEEPABLE})")
     if not values:
         raise ConfigError("values: sweep needs at least one value")
-    out_root = _resolve_output_dir(config.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    combined = [f"param,value,{CSV_HEADER}"]
+    parsed = {}
     for raw in values:
-        value = parse_field(param, raw)
+        try:
+            value = parse_field(param, raw)
+            check(**{param: value})
+        except ConfigError as err:
+            raise ConfigError(f"values: {err}") from err
+        if value in parsed:
+            raise ConfigError(f"values: must list each value once ({raw!r} repeats "
+                              f"{parsed[value]!r})")
+        parsed[value] = raw
+    out_root = _make_output_dir(config.output_dir)
+    combined = [f"param,value,{CSV_HEADER}"]
+    for value in parsed:
         label = "iid" if value is None else str(value)
         sub = config.replace(**{param: value,
                                 "output_dir": str(Path(config.output_dir) / f"{param}={label}")})
@@ -274,7 +305,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_data(args) -> int:
     config = _build_config(args)
     ds = _load_or_generate(config, derive_seeds(config.seed))
-    save_dataset(ds, args.out)
+    _write("out", args.out, lambda path: save_dataset(ds, path))
     print(f"wrote {ds.n_samples} samples x {ds.n_views} views to {args.out}")
     return 0
 
@@ -324,9 +355,6 @@ def main(argv=None) -> int:
         return 2
     except NonFiniteError as err:
         print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"configuration error: missing file: {err.filename}", file=sys.stderr)
         return 2
     except FedmvcError as err:
         print(f"runtime error: {err}", file=sys.stderr)

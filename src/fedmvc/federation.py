@@ -14,7 +14,9 @@ share of a round carries only the round's index and returns its clients'
 losses. A run is deterministic per master seed, whatever its process
 count: every client owns its data, a grad-less snapshot of its latest
 model, and its random stream, and the server always reduces in ascending
-client-id order.
+client-id order. A snapshot is read and written only on the coordinates
+its client trains (:attr:`ClientState.spans`), so the pages of the other
+coordinates are never touched and the system never allocates them.
 
 The drift term's reference features come from the client's snapshot (its
 previous-round model) and the global model. Neither changes within a
@@ -33,7 +35,7 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,12 +102,16 @@ class RoundReport:
 class ClientState:
     """One participant: its shard, its rows, its latest model and its rng.
 
-    ``snapshot`` is the one model-sized buffer a client holds, allocated
-    once by :func:`build_clients` as a row of a shared memory mapping,
-    without a gradient. It holds the initial global model until warm-up,
-    then the client's model from the end of its latest phase (warm-up or
-    round): the model :func:`aggregate` reads and the drift term's frozen
-    previous-round model. Training happens in the working model of the
+    ``snapshot`` is the client's model, allocated once by
+    :func:`build_clients` as a row of a shared memory mapping, without a
+    gradient. Only its ``spans`` are ever read or written: the coordinates
+    the client trains and shares, its views' autoencoders and the shared
+    nets (:meth:`ModelParams.owned_spans`). They hold the initial global
+    model until warm-up, then the client's model from the end of its
+    latest phase (warm-up or round): what :func:`aggregate` reads of it and
+    the drift term's frozen previous-round model. The other coordinates
+    keep whatever they held (zeros from :func:`build_clients`), and nothing
+    reads them. Training happens in the working model of the
     process that owns the client, the one whose share of every
     :func:`split` of the clients holds it (see :func:`local_train_round`).
     That process alone, from warm-up on, advances the client's rng: the
@@ -125,6 +131,10 @@ class ClientState:
     views: dict[int, np.ndarray]
     snapshot: ModelParams
     rng: np.random.Generator
+    spans: list[slice] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.spans = self.snapshot.owned_spans(self.shard.view_subset)
 
     @property
     def client_type(self) -> str:
@@ -143,6 +153,11 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
     yield from chunks
 
 
+def _copy_spans(dst: np.ndarray, src: np.ndarray, spans: Sequence[slice]) -> None:
+    for span in spans:
+        dst[span] = src[span]
+
+
 def _train_phase(client: ClientState, config, epochs: int, where: str,
                  working: ModelParams, workspace: np.ndarray, spans: list[slice],
                  step: Callable[[np.ndarray], tuple[Tensor, dict[str, float]]],
@@ -152,9 +167,10 @@ def _train_phase(client: ClientState, config, epochs: int, where: str,
     Each of ``epochs`` epochs draws one permutation of the client's rows
     and steps the optimizer once per batch of it. ``step(rows)`` records a
     batch's loss and returns it with its stats. The optimizer starts from
-    zero state in ``workspace`` and updates only ``spans`` of ``working``,
-    which is then copied into the client's snapshot. Returns the mean of
-    each of ``keys`` over the steps, 0.0 when none ran.
+    zero state in ``workspace`` and updates only ``spans`` of ``working``;
+    then the client's spans (:attr:`ClientState.spans`) of ``working`` are
+    copied into its snapshot. Returns the mean of each of ``keys`` over the
+    steps, 0.0 when none ran.
 
     A non-finite loss raises a ``TrainingError`` naming the first
     non-finite stat. Every ``TrainingError`` is raised again prefixed with
@@ -184,7 +200,7 @@ def _train_phase(client: ClientState, config, epochs: int, where: str,
             for k in keys:
                 sums[k] += stats[k]
             steps += 1
-    np.copyto(client.snapshot.vector, working.vector)
+    _copy_spans(client.snapshot.vector, working.vector, client.spans)
     return {k: v / steps if steps else 0.0 for k, v in sums.items()}
 
 
@@ -193,11 +209,13 @@ def pretrain_client(client: ClientState, config, working: ModelParams,
     """Warm up the client's autoencoders on reconstruction alone.
 
     Runs ``config.warmup_epochs`` epochs of the loop local rounds use
-    (:func:`_train_phase`), starting from a copy of the client's snapshot
-    (the initial global model) in ``working``, the run's trainable model;
-    the result is copied back into the snapshot.
+    (:func:`_train_phase`) in ``working``, the run's trainable model,
+    starting from a copy of the client's spans of its snapshot (the initial
+    global model); the result is copied back into those spans. The rest of
+    ``working`` holds what the process's previous client left, and nothing
+    reads it.
     """
-    np.copyto(working.vector, client.snapshot.vector)
+    _copy_spans(working.vector, client.snapshot.vector, client.spans)
     order = sorted(client.views)
 
     def step(rows):
@@ -304,10 +322,11 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
                       round_index: int, working: ModelParams,
                       workspace: np.ndarray) -> dict[str, float]:
     """One round of local optimization in ``working``, the run's trainable
-    model, then copy the result into the client's snapshot.
+    model, then copy the client's spans of the result into its snapshot.
 
-    Round 1 starts from the snapshot, the client's warm-up result; later
-    rounds start from the global model, which :func:`broadcast` copies in.
+    Round 1 starts from the client's spans of the snapshot, its warm-up
+    result (nothing reads the rest of ``working``); later rounds start from
+    the global model, which :func:`broadcast` copies in.
     The drift term is active from round 2 on: in round 1 neither the
     snapshot nor the global model has moved past initialization, so there
     is nothing meaningful to contrast against. The round runs
@@ -328,16 +347,15 @@ def local_train_round(client: ClientState, global_params: ModelParams, config,
     use_contrast = not config.no_contrast
     use_drift = round_index >= 2 and not config.no_drift
     if round_index == 1:
-        np.copyto(working.vector, client.snapshot.vector)
+        _copy_spans(working.vector, client.snapshot.vector, client.spans)
     else:
         broadcast(global_params, working)
-    subset = client.shard.view_subset
-    trainable = working.trainable_params(subset)
+    trainable = working.trainable_params(client.shard.view_subset)
     refs = _drift_references(client, global_params) if use_drift else None
     mus = itertools.chain([0.0], itertools.repeat(config.mu))
     return _train_phase(
         client, config, config.local_epochs, f"round {round_index}", working,
-        workspace, working.owned_spans(subset),
+        workspace, client.spans,
         lambda rows: _train_step(client, working, rows, global_params, config,
                                  use_contrast, refs, trainable, next(mus)),
         ("recon", "contrast", "drift", "total"))
@@ -424,11 +442,14 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
     """Materialize client states; each holds only its own rows and views.
 
     Each client gets the one model buffer it keeps for the whole run: a
-    grad-less snapshot, first a copy of ``base_params``. The snapshots are
-    the rows of one shared mapping (see :func:`_shared_rows`), so a process
-    forked after this call writes its clients' snapshots where every
-    process reads them. The trainable working model is not a client's:
-    each training process has one, in the run's record (:class:`_Run`).
+    grad-less snapshot whose spans (:attr:`ClientState.spans`) are first a
+    copy of those of ``base_params``; its other coordinates stay zero. The
+    snapshots are the rows of one shared mapping (see :func:`_shared_rows`),
+    so a process forked after this call writes its clients' snapshots where
+    every process reads them, and a page that holds none of a client's
+    spans is never allocated. The trainable working model is not a
+    client's: each training process has one, in the run's record
+    (:class:`_Run`).
     """
     rows = _shared_rows(len(shards), base_params.vector.size)
     children = train_seed.spawn(len(shards))
@@ -440,13 +461,14 @@ def build_clients(dataset: MultiViewDataset, shards: Sequence[ClientShard],
                 f"of range for a {dataset.n_views}-view dataset")
         views = {v: dataset.views[v][shard.sample_indices]
                  for v in shard.view_subset}
-        np.copyto(row, base_params.vector)
-        clients.append(ClientState(
+        client = ClientState(
             shard=shard,
             views=views,
             snapshot=ModelParams(base_params.arch, row),
             rng=np.random.default_rng(child),
-        ))
+        )
+        _copy_spans(row, base_params.vector, client.spans)
+        clients.append(client)
     return clients
 
 

@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -364,6 +366,28 @@ class TestSweep:
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="param"):
             run_sweep(tiny_config(tmp_path), "rounds", ["1"])
+
+    @pytest.mark.parametrize("values, message", [
+        ("0.5,0.5", "values: must list each value once ('0.5' repeats '0.5')"),
+        ("0.5,0.50", "values: must list each value once ('0.50' repeats '0.5')"),
+        ("0.5,abc", "values: alpha: could not parse value 'abc'"),
+        ("0.5,2", "values: alpha: must lie in [0, 1] (got 2.0)"),
+    ], ids=["repeated", "repeated-once-parsed", "unparsable", "out-of-range"])
+    def test_every_value_checked_before_the_first_sub_run(self, tmp_path, monkeypatch,
+                                                          capsys, values, message):
+        calls = []
+        monkeypatch.setattr(cli, "run_federation",
+                            lambda *args, **kwargs: calls.append(args))
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "sweep")
+        assert main(["sweep", str(path), "--param", "alpha", "--values", values]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert calls == []
+        assert not (tmp_path / "sweep").exists()
+
+    def test_iid_and_none_repeat(self, tmp_path):
+        with pytest.raises(ConfigError, match="^values: must list each value once"):
+            run_sweep(tiny_config(tmp_path / "sweep"), "dirichlet_beta", ["iid", "none"])
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestMainExitCodes:
@@ -775,3 +799,42 @@ class TestInputFiles:
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: config: {path}: ")
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputPaths:
+    """Every output path fails before any training: exit 2 with
+    ``configuration error: <field>: <path>: <strerror>``. Each parent that
+    cannot hold the output is a regular file under ``tmp_path``, so no
+    directory is made outside it."""
+
+    # command -> (field, command line with the output under test as OUT)
+    COMMANDS = {
+        "run": ("output_dir", ["run", "CONFIG", "--output-dir", "OUT"]),
+        "sweep": ("output_dir", ["sweep", "CONFIG", "--param", "alpha",
+                                 "--values", "0.5", "--output-dir", "OUT"]),
+        "gen-data": ("out", ["gen-data", "--out", "OUT"]),
+    }
+
+    @pytest.mark.parametrize("command, out, code", [
+        ("run", "file/out", errno.ENOTDIR), ("run", "file", errno.EEXIST),
+        ("sweep", "file/out", errno.ENOTDIR), ("sweep", "file", errno.EEXIST),
+        ("gen-data", "file/out", errno.ENOTDIR), ("gen-data", ".", errno.EISDIR),
+        ("gen-data", "absent/out", errno.ENOENT),
+    ], ids=["run-parent-is-file", "run-is-file", "sweep-parent-is-file",
+            "sweep-is-file", "gen-data-parent-is-file", "gen-data-is-dir",
+            "gen-data-parent-missing"])
+    def test_fails_naming_field_and_path(self, tmp_path, monkeypatch, capsys,
+                                         command, out, code):
+        calls = []
+        monkeypatch.setattr(cli, "run_federation",
+                            lambda *args, **kwargs: calls.append(args))
+        field, argv = self.COMMANDS[command]
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / out
+        files = {"CONFIG": write_kv_config(tmp_path / "exp.cfg", tmp_path / "unused"),
+                 "OUT": out}
+        assert main([str(files.get(arg, arg)) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {field}: {out}: {os.strerror(code)}\n")
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]

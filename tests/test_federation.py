@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import mmap
 import os
 import re
 import signal
@@ -203,15 +204,24 @@ class TestLocalTrainRound:
             train_round(client, None, tiny_config(), round_index=1)
 
     def test_unowned_view_params_untouched(self):
+        # a round reads and writes only the client's spans of its snapshot:
+        # the unowned view keeps its NaNs bit for bit, and none reaches the
+        # owned spans, which train
         client = make_client(subset=(0,), n=10)
         cfg = tiny_config(local_epochs=3, batch_size=4)
         global_params = init_params(ARCH, seed=3)
-        initial = init_params(ARCH, seed=5)  # the client's first snapshot
-        for r, start in ((1, initial), (2, global_params), (3, global_params)):
+        snapshot = client.snapshot
+        assert client.spans == snapshot.owned_spans((0,))
+        for span in snapshot.view_spans(1):
+            snapshot.vector[span] = np.nan
+        for r in (1, 2, 3):
+            before = snapshot.vector.copy()
             train_round(client, global_params, cfg, round_index=r)
-            for p, q in zip(client.snapshot.view_params(1), start.view_params(1)):
-                assert np.array_equal(p.value, q.value)
-            assert not np.array_equal(client.snapshot.vector, start.vector)
+            for span in snapshot.view_spans(1):
+                assert snapshot.vector[span].tobytes() == before[span].tobytes()
+            for span in client.spans:
+                assert np.isfinite(snapshot.vector[span]).all()
+                assert not np.array_equal(snapshot.vector[span], before[span])
 
     @pytest.mark.parametrize("ctype,subset", [
         ("full", (0, 1, 2)), ("partial", (0, 2)), ("single", (1,))],
@@ -274,10 +284,17 @@ class TestLocalTrainRound:
         T.make_optimizer("adam", cfg.lr, manual.vector, manual.grad,
                          manual.owned_spans(subset), workspace(manual)).step()
 
+        before = client.snapshot.vector.copy()
         train_round(client, global_params, cfg, round_index=2)
         (seen,) = steps
         assert np.array_equal(seen, grad)
-        assert np.array_equal(client.snapshot.vector, manual.vector)
+        # the round writes the client's spans of its snapshot and no other
+        unowned = np.ones(before.size, dtype=bool)
+        for span in client.spans:
+            unowned[span] = False
+            assert np.array_equal(client.snapshot.vector[span], manual.vector[span])
+        assert unowned.any() == (ctype != "full")
+        assert client.snapshot.vector[unowned].tobytes() == before[unowned].tobytes()
 
     def test_full_client_epochs_match_manual_assembly_with_batch_references(self):
         # the round slices references inferred once over the shard; the manual
@@ -1463,6 +1480,68 @@ federation.run_federation(cfg, generate_blobs(**{MIXED_DATA!r}))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+
+def mapping_rss(address: int) -> tuple[int, int]:
+    """The start and the Rss in bytes of this process's mapping that holds
+    ``address``, from ``/proc/self/smaps``."""
+    lines = Path("/proc/self/smaps").read_text().splitlines()
+    for i, line in enumerate(lines):
+        bounds = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+        if bounds and int(bounds[1], 16) <= address < int(bounds[2], 16):
+            rss = next(k for k in lines[i + 1:] if k.startswith("Rss:"))
+            return int(bounds[1], 16), int(rss.split()[1]) * 1024
+    raise AssertionError(f"no mapping holds address {address:#x}")
+
+
+class TestSnapshotPages:
+    """A snapshot's pages that hold none of its client's spans are never
+    touched, so the system never allocates them."""
+
+    @pytest.fixture(autouse=True)
+    def no_children_left(self):
+        before = child_pids()
+        yield
+        assert child_pids() <= before
+
+    def test_only_owned_pages_are_resident(self, monkeypatch):
+        # views wide enough that each autoencoder spans several pages
+        seen = {}
+
+        def capture(*args, **kwargs):
+            seen["clients"] = build_clients(*args, **kwargs)
+            return seen["clients"]
+
+        monkeypatch.setattr(federation, "build_clients", capture)
+        cfg = tiny_config(n_clients=6, mixed_counts=(2, 2, 2), view_dims=(60, 60, 60),
+                          n_samples=60, dirichlet_beta=None, rounds=2, warmup_epochs=1,
+                          local_epochs=1, batch_size=10, latent_dim=8, high_dim=8,
+                          hidden=32)
+        run_federation(cfg, generate_blobs(2, 60, (60, 60, 60), 5.0, 1.0, seed=2))
+        clients = seen["clients"]
+        assert {c.client_type for c in clients} == {"full", "partial", "single"}
+
+        page = mmap.PAGESIZE
+        start = clients[0].snapshot.vector.ctypes.data  # row 0 opens the mapping
+        size = clients[0].snapshot.vector.nbytes
+        owned_pages, unowned = set(), []
+        for i, c in enumerate(clients):
+            mask = np.ones(c.snapshot.vector.size, dtype=bool)
+            for span in c.spans:
+                mask[span] = False
+                first = i * size + span.start * 8
+                owned_pages.update(range(first // page, (first + (span.stop - span.start) * 8
+                                                         - 1) // page + 1))
+            unowned.append(mask)
+        # the bound is well below the full rows, so the check is not vacuous
+        assert len(owned_pages) * page < 0.8 * len(clients) * size
+        if os.path.exists("/proc/self/smaps"):
+            mapped_at, rss = mapping_rss(start)
+            assert mapped_at == start
+            assert rss <= len(owned_pages) * page
+        # read after the Rss, as a read of a page allocates it
+        for c, mask in zip(clients, unowned):
+            assert c.snapshot.vector[mask].tobytes() == bytes(8 * int(mask.sum()))
 
 
 def restart_points() -> np.ndarray:
