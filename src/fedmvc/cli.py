@@ -175,9 +175,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 def run_sweep(config: ExperimentConfig, param: str, values: list) -> Path:
     """One sub-run per value under the output dir, plus a combined CSV.
 
-    Every value is parsed and checked before the first sub-run: one that
-    does not parse, breaks its field's rule or repeats another once parsed
-    (``0.5`` and ``0.50``) raises ConfigError naming ``values``."""
+    Every value is parsed and checked, and every sub-run's output directory
+    made, before the first sub-run: a value that does not parse, breaks its
+    field's rule or repeats another once parsed (``0.5`` and ``0.50``)
+    raises ConfigError naming ``values``."""
     if param not in SWEEPABLE:
         raise ConfigError(f"param: {param!r} is not sweepable (choose from {SWEEPABLE})")
     if not values:
@@ -194,11 +195,14 @@ def run_sweep(config: ExperimentConfig, param: str, values: list) -> Path:
                               f"{parsed[value]!r})")
         parsed[value] = raw
     out_root = _make_output_dir(config.output_dir)
-    combined = [f"param,value,{CSV_HEADER}"]
+    subs = {}
     for value in parsed:
         label = "iid" if value is None else str(value)
-        sub = config.replace(**{param: value,
-                                "output_dir": str(Path(config.output_dir) / f"{param}={label}")})
+        subs[label] = config.replace(**{
+            param: value, "output_dir": str(Path(config.output_dir) / f"{param}={label}")})
+        _make_output_dir(subs[label].output_dir)
+    combined = [f"param,value,{CSV_HEADER}"]
+    for label, sub in subs.items():
         result = run_experiment(sub)
         combined.append(f"{param},{label}," + _metrics_row(
             sub.rounds, sub.seed, result.final))

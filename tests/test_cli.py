@@ -838,3 +838,17 @@ class TestOutputPaths:
             f"configuration error: {field}: {out}: {os.strerror(code)}\n")
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
+
+    def test_sweep_sub_run_directory_fails_before_the_first_sub_run(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_federation",
+                            lambda *args, **kwargs: calls.append(args))
+        blocked = tmp_path / "out" / "alpha=0.5"
+        blocked.parent.mkdir()
+        blocked.write_text("not a directory\n")
+        path = write_kv_config(tmp_path / "exp.cfg", tmp_path / "out")
+        assert main(["sweep", str(path), "--param", "alpha", "--values", "0.3,0.5"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: output_dir: {blocked}: {os.strerror(errno.EEXIST)}\n")
+        assert calls == []

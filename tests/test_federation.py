@@ -1505,7 +1505,8 @@ class TestSnapshotPages:
         assert child_pids() <= before
 
     def test_only_owned_pages_are_resident(self, monkeypatch):
-        # views wide enough that each autoencoder spans several pages
+        # every CPU this process may use trains, as in any run, and the views
+        # are wide enough that each autoencoder spans several pages
         seen = {}
 
         def capture(*args, **kwargs):
@@ -1529,9 +1530,8 @@ class TestSnapshotPages:
             mask = np.ones(c.snapshot.vector.size, dtype=bool)
             for span in c.spans:
                 mask[span] = False
-                first = i * size + span.start * 8
-                owned_pages.update(range(first // page, (first + (span.stop - span.start) * 8
-                                                         - 1) // page + 1))
+                first, last = i * size + span.start * 8, i * size + span.stop * 8 - 1
+                owned_pages.update(range(first // page, last // page + 1))
             unowned.append(mask)
         # the bound is well below the full rows, so the check is not vacuous
         assert len(owned_pages) * page < 0.8 * len(clients) * size
